@@ -1,96 +1,43 @@
-// Ablation A2b — pipelining granularity over real socket transports.
+// Ablation A2b — pipelining granularity over the framed transports.
 //
 // A2 sweeps the push-shuffle chunk size with the in-process engine; this
 // re-runs the same grid with the shuffle frames moving through the src/net
 // transports, so the per-chunk overhead the paper attributes to HOP's
 // fine-grained eager transmission shows up as real wire activity: frame
 // counts, bytes on the wire, payload MB/s, and syscalls per frame.
-// Loopback isolates the framing/protocol cost, TCP adds the kernel socket
-// path one write(2) per frame at a time, and epoll is the event-loop data
-// plane (src/dataplane) that coalesces frames into writev'd blocks.
+// Loopback isolates the framing/protocol cost; TCP adds the kernel socket
+// path, one send(2) per frame.
 //
 // Two phases:
-//   1. Engine grid — the sessionization job over every transport × chunk
-//      size.  Output digests must agree across transports (exit nonzero
-//      otherwise): the transport changes how bytes move, never the answer.
+//   1. Engine grid — the sessionization job over direct, loopback and tcp
+//      at every chunk size.  Output digests must agree across transports
+//      (exit nonzero otherwise): the transport changes how bytes move,
+//      never the answer.
 //   2. Wire saturation — raw chunk frames pushed back-to-back through tcp
-//      and epoll with no job attached, isolating transport throughput.
-//      This is the series behind the data-plane acceptance number: epoll
-//      vs the committed pre-dataplane tcp baseline ("before" curve).
-#include <algorithm>
+//      with no job attached, isolating transport throughput.
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/config.h"
-#include "common/crc32c.h"
 #include "core/opmr.h"
-#include "dataplane/event_loop.h"
 #include "metrics/report.h"
 #include "net/loopback.h"
 #include "net/tcp.h"
+#include "net/wire.h"
+#include "opmrbench/harness.h"
 #include "workloads/tasks.h"
 
 namespace {
 
 using namespace opmr;
 
-// The tcp series committed before the data plane landed (BENCH_transport
-// .json at the seed of this PR): the "before" curve every epoll point is
-// judged against.  wall_s is the full engine-job wall clock, mb_s the
-// payload rate it implies.
-struct BeforePoint {
-  std::size_t chunk_bytes;
-  double wall_s;
-  long long net_bytes_sent;
-};
-constexpr BeforePoint kBeforeTcp[] = {
-    {16u << 10, 1.1222, 3708665},
-    {64u << 10, 1.1093, 13676674},
-    {256u << 10, 1.2059, 29261327},
-};
-
-double BeforeMbs(const BeforePoint& p) {
-  return static_cast<double>(p.net_bytes_sent) / p.wall_s / 1e6;
-}
-
-// Order-insensitive digest of a job's output rows: the multiset of
-// (key, value) pairs is what every transport must agree on (push
-// pipelines interleave mapper threads, so row order is scheduling noise).
-std::uint32_t DigestRows(std::vector<std::pair<std::string, std::string>> rows) {
-  std::sort(rows.begin(), rows.end());
-  std::uint32_t state = kCrc32cInit;
-  for (const auto& [k, v] : rows) {
-    state = Crc32cUpdate(state, k.data(), k.size());
-    state = Crc32cUpdate(state, "\x1f", 1);
-    state = Crc32cUpdate(state, v.data(), v.size());
-    state = Crc32cUpdate(state, "\n", 1);
-  }
-  return Crc32cFinal(state);
-}
-
-std::unique_ptr<net::Transport> MakeTransport(const std::string& name,
-                                              MetricRegistry* metrics) {
-  if (name == "tcp") {
-    auto tcp = std::make_unique<net::TcpTransport>(metrics);
-    tcp->Bind();
-    return tcp;
-  }
-  if (name == "epoll") {
-    auto ev = std::make_unique<dataplane::EventLoopTransport>(metrics);
-    ev->Bind();
-    return ev;
-  }
-  return std::make_unique<net::LoopbackTransport>(metrics);
-}
-
 struct WirePoint {
-  std::string transport;
   std::size_t chunk_bytes = 0;
   long long payload_bytes = 0;
   double wall_s = 0.0;
@@ -100,15 +47,15 @@ struct WirePoint {
 
 // Phase 2: no engine, no disk — one client hammering chunk frames at a
 // sink server until `total_bytes` of payload have landed.
-WirePoint SaturateWire(const std::string& transport_name,
-                       std::size_t chunk_bytes, std::size_t total_bytes) {
+WirePoint SaturateWire(std::size_t chunk_bytes, std::size_t total_bytes) {
   MetricRegistry metrics;
-  auto transport = MakeTransport(transport_name, &metrics);
+  net::TcpTransport transport(&metrics);
+  transport.Bind();
 
   std::mutex mu;
   std::condition_variable cv;
   std::size_t received = 0;
-  transport->Listen([&](net::Connection*, net::Frame frame) {
+  transport.Listen([&](net::Connection*, net::Frame frame) {
     if (frame.type == net::FrameType::kChunk) {
       const auto msg = net::ChunkMsg::Parse(frame);
       std::scoped_lock lock(mu);
@@ -116,9 +63,8 @@ WirePoint SaturateWire(const std::string& transport_name,
       if (received >= total_bytes) cv.notify_all();
     }
   });
-  auto conn = transport->Connect([](net::Connection*, net::Frame) {});
+  auto conn = transport.Connect([](net::Connection*, net::Frame) {});
 
-  // Mildly mixed payload: not a compressor showcase, not adversarial.
   std::string payload(chunk_bytes, '\0');
   for (std::size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<char>('a' + (i * 131) % 53);
@@ -139,10 +85,9 @@ WirePoint SaturateWire(const std::string& transport_name,
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  transport->Shutdown();
+  transport.Shutdown();
 
   WirePoint point;
-  point.transport = transport_name;
   point.chunk_bytes = chunk_bytes;
   point.payload_bytes = static_cast<long long>(frames * chunk_bytes);
   point.wall_s = wall;
@@ -161,6 +106,13 @@ std::string Fixed(double v, int digits = 2) {
   return buf;
 }
 
+std::string Hex(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -168,7 +120,7 @@ int main(int argc, char** argv) {
   const auto cfg = Config::FromArgs(argc, argv);
 
   bench::Banner("Ablation A2b: push-shuffle chunk granularity over the "
-                "socket transports (loopback vs tcp vs epoll)");
+                "transports (direct vs loopback vs tcp)");
 
   Platform platform({.num_nodes = 2, .block_bytes = 4u << 20});
   ClickStreamOptions gen;
@@ -193,7 +145,7 @@ int main(int argc, char** argv) {
     std::int64_t net_bytes = 0;
     double mb_s = 0.0;
     double syscalls_per_frame = 0.0;
-    std::uint32_t digest = 0;
+    std::string digest;
   };
   std::vector<Point> points;
   bool digests_agree = true;
@@ -201,10 +153,8 @@ int main(int argc, char** argv) {
   int i = 0;
   const std::size_t chunks[] = {16u << 10, 64u << 10, 256u << 10};
   for (const std::size_t chunk : chunks) {
-    std::uint32_t reference_digest = 0;
-    bool have_reference = false;
-    for (const std::string& transport :
-         {"direct", "loopback", "tcp", "epoll"}) {
+    std::string reference_digest;
+    for (const std::string& transport : {"direct", "loopback", "tcp"}) {
       JobOptions options = MapReduceOnlineOptions();
       options.push_chunk_bytes = chunk;
       options.push_queue_chunks = 16;
@@ -213,9 +163,17 @@ int main(int argc, char** argv) {
       JobResult r;
       if (transport == "direct") {
         r = platform.Run(spec, options);
+      } else if (transport == "loopback") {
+        net::LoopbackTransport wire(&platform.metrics());
+        r = platform.RunWithTransport(spec, options, &wire);
       } else {
-        auto wire = MakeTransport(transport, &platform.metrics());
-        r = platform.RunWithTransport(spec, options, wire.get());
+        net::TcpTransport wire(&platform.metrics());
+        wire.Bind();
+        r = platform.RunWithTransport(spec, options, &wire);
+      }
+      bench::RowDigest digest;
+      for (const auto& [key, value] : platform.ReadOutput(out_name, 4)) {
+        digest.Add(key, value);
       }
       Point pt;
       pt.transport = transport;
@@ -234,21 +192,21 @@ int main(int argc, char** argv) {
               ? static_cast<double>(r.Bytes(net::kNetSendSyscalls)) /
                     static_cast<double>(r.net_frames_sent)
               : 0.0;
-      pt.digest = DigestRows(platform.ReadOutput(out_name, 4));
-      if (!have_reference) {
+      pt.digest = Hex(digest.value());
+      if (reference_digest.empty()) {
         reference_digest = pt.digest;
-        have_reference = true;
       } else if (pt.digest != reference_digest) {
         digests_agree = false;
         std::fprintf(stderr,
-                     "DIGEST DIVERGENCE: %s @ %zu B chunks: %08x != %08x\n",
-                     transport.c_str(), chunk, pt.digest, reference_digest);
+                     "DIGEST DIVERGENCE: %s @ %zu B chunks: %s != %s\n",
+                     transport.c_str(), chunk, pt.digest.c_str(),
+                     reference_digest.c_str());
       }
       table.AddRow({transport, HumanBytes(double(chunk)),
                     HumanSeconds(pt.wall_s), std::to_string(pt.pushed),
                     std::to_string(pt.diverted), std::to_string(pt.net_frames),
                     HumanBytes(double(pt.net_bytes)), Fixed(pt.mb_s),
-                    Fixed(pt.syscalls_per_frame), Fixed(pt.digest, 0)});
+                    Fixed(pt.syscalls_per_frame), pt.digest});
       csv.Row(transport, chunk, pt.wall_s, pt.pushed, pt.diverted, pt.mb_s,
               pt.syscalls_per_frame, pt.digest,
               WireCsvCells(r.net_bytes_sent, r.net_bytes_received,
@@ -260,42 +218,26 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.ToString().c_str());
   std::printf("\nExpected shape: finer chunks => more frames for the same "
-              "payload (framing +\nper-send overhead); tcp pays one write(2) "
-              "per frame, epoll coalesces frames\ninto blocks so its "
-              "syscalls-per-frame sits well below 1.\n");
+              "payload (framing +\nper-send overhead); tcp pays one send(2) "
+              "per frame.\n");
 
-  bench::Banner("Wire saturation: raw chunk frames, no engine attached");
+  bench::Banner("Wire saturation: raw chunk frames over tcp, no engine");
   const std::size_t wire_bytes =
       static_cast<std::size_t>(cfg.GetInt("wire_mb", 64)) << 20;
   TextTable wire_table;
-  wire_table.AddRow({"Transport", "Chunk bytes", "Payload", "Wall time",
-                     "MB/s", "Sys/frame"});
+  wire_table.AddRow({"Chunk bytes", "Payload", "Wall time", "MB/s",
+                     "Sys/frame"});
   std::vector<WirePoint> wire_points;
-  for (const std::string& transport : {"tcp", "epoll"}) {
-    for (const std::size_t chunk : chunks) {
-      const auto pt = SaturateWire(transport, chunk, wire_bytes);
-      wire_table.AddRow({pt.transport, HumanBytes(double(pt.chunk_bytes)),
-                         HumanBytes(double(pt.payload_bytes)),
-                         HumanSeconds(pt.wall_s), Fixed(pt.mb_s),
-                         Fixed(pt.syscalls_per_frame, 3)});
-      wire_points.push_back(pt);
-    }
+  for (const std::size_t chunk : chunks) {
+    const auto pt = SaturateWire(chunk, wire_bytes);
+    wire_table.AddRow({HumanBytes(double(pt.chunk_bytes)),
+                       HumanBytes(double(pt.payload_bytes)),
+                       HumanSeconds(pt.wall_s), Fixed(pt.mb_s),
+                       Fixed(pt.syscalls_per_frame, 3)});
+    wire_points.push_back(pt);
   }
   std::printf("%s", wire_table.ToString().c_str());
-
-  // The acceptance ratio: epoll wire throughput at 64 KB chunks against
-  // the committed pre-dataplane tcp baseline at the same chunk size.
-  const double before_64k = BeforeMbs(kBeforeTcp[1]);
-  double epoll_64k = 0.0;
-  for (const auto& pt : wire_points) {
-    if (pt.transport == "epoll" && pt.chunk_bytes == (64u << 10)) {
-      epoll_64k = pt.mb_s;
-    }
-  }
-  std::printf("\nepoll @ 64 KB chunks: %.1f MB/s = %.1fx the committed tcp "
-              "baseline (%.1f MB/s)\n",
-              epoll_64k, epoll_64k / before_64k, before_64k);
-  std::printf("output digests across transports: %s\n",
+  std::printf("\noutput digests across transports: %s\n",
               digests_agree ? "IDENTICAL" : "DIVERGED");
 
   const auto json_path = bench::OutDir() / "BENCH_transport.json";
@@ -304,24 +246,8 @@ int main(int argc, char** argv) {
                  "{\n"
                  "  \"bench\": \"ablation_transport\",\n"
                  "  \"records\": %llu,\n"
-                 "  \"before\": {\n"
-                 "    \"transport\": \"tcp\",\n"
-                 "    \"note\": \"committed pre-dataplane engine-grid tcp "
-                 "series\",\n"
-                 "    \"points\": [\n",
+                 "  \"points\": [\n",
                  static_cast<unsigned long long>(gen.num_records));
-    for (std::size_t p = 0; p < 3; ++p) {
-      const auto& b = kBeforeTcp[p];
-      std::fprintf(out,
-                   "      { \"chunk_bytes\": %zu, \"wall_s\": %.4f, "
-                   "\"net_bytes_sent\": %lld, \"mb_s\": %.2f }%s\n",
-                   b.chunk_bytes, b.wall_s, b.net_bytes_sent, BeforeMbs(b),
-                   p + 1 < 3 ? "," : "");
-    }
-    std::fprintf(out,
-                 "    ]\n"
-                 "  },\n"
-                 "  \"points\": [\n");
     for (std::size_t p = 0; p < points.size(); ++p) {
       const auto& pt = points[p];
       std::fprintf(out,
@@ -329,13 +255,13 @@ int main(int argc, char** argv) {
                    "\"wall_s\": %.4f, \"pushed_chunks\": %lld, "
                    "\"diverted_chunks\": %lld, \"net_frames_sent\": %lld, "
                    "\"net_bytes_sent\": %lld, \"mb_s\": %.2f, "
-                   "\"syscalls_per_frame\": %.3f, \"digest\": \"%08x\" }%s\n",
+                   "\"syscalls_per_frame\": %.3f, \"digest\": \"%s\" }%s\n",
                    pt.transport.c_str(), pt.chunk_bytes, pt.wall_s,
                    static_cast<long long>(pt.pushed),
                    static_cast<long long>(pt.diverted),
                    static_cast<long long>(pt.net_frames),
                    static_cast<long long>(pt.net_bytes), pt.mb_s,
-                   pt.syscalls_per_frame, pt.digest,
+                   pt.syscalls_per_frame, pt.digest.c_str(),
                    p + 1 < points.size() ? "," : "");
     }
     std::fprintf(out,
@@ -344,18 +270,16 @@ int main(int argc, char** argv) {
     for (std::size_t p = 0; p < wire_points.size(); ++p) {
       const auto& pt = wire_points[p];
       std::fprintf(out,
-                   "    { \"transport\": \"%s\", \"chunk_bytes\": %zu, "
+                   "    { \"transport\": \"tcp\", \"chunk_bytes\": %zu, "
                    "\"payload_bytes\": %lld, \"wall_s\": %.4f, "
                    "\"mb_s\": %.2f, \"syscalls_per_frame\": %.3f }%s\n",
-                   pt.transport.c_str(), pt.chunk_bytes, pt.payload_bytes,
-                   pt.wall_s, pt.mb_s, pt.syscalls_per_frame,
+                   pt.chunk_bytes, pt.payload_bytes, pt.wall_s, pt.mb_s,
+                   pt.syscalls_per_frame,
                    p + 1 < wire_points.size() ? "," : "");
     }
     std::fprintf(out,
-                 "  ],\n"
-                 "  \"epoll_vs_before_tcp_64k\": %.2f\n"
-                 "}\n",
-                 epoll_64k / before_64k);
+                 "  ]\n"
+                 "}\n");
     std::fclose(out);
     std::printf("wrote %s\n", json_path.string().c_str());
   }

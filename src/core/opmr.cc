@@ -79,7 +79,6 @@ Platform::Platform(PlatformOptions options) {
   cluster.speculation_threshold = options.speculation_threshold;
   cluster.speculative_reduce = options.speculative_reduce;
   cluster.reduce_speculation_threshold = options.reduce_speculation_threshold;
-  cluster.block_cache_bytes = options.block_cache_bytes;
   executor_ = std::make_unique<ClusterExecutor>(dfs_.get(), files_.get(),
                                                 metrics_.get(), cluster);
   if (!options.fault_plan.empty()) {

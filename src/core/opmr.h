@@ -53,13 +53,6 @@ struct PlatformOptions {
   // FaultPlan::Load); empty = no injection.
   std::string fault_plan;
   std::string workspace;  // empty → unique temp directory
-  // --- Data plane -----------------------------------------------------------
-  // SO_SNDBUF/SO_RCVBUF for shuffle sockets (tcp and epoll transports);
-  // 0 keeps the kernel default.  Plumbed into the transport options by the
-  // CLI's --sock-buf-bytes; recorded here so embedders share one knob.
-  int sock_buf_bytes = 0;
-  // Reducer-side block cache capacity (see ClusterOptions); 0 disables.
-  std::size_t block_cache_bytes = 64u << 20;
 };
 
 // --- Runtime presets ---------------------------------------------------------

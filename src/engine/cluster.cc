@@ -482,15 +482,6 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
       // even for pipelined (push) feeds.
       shuffle.EnableCheckpointReplay(files_->NewDir("shuffle_retain"),
                                      options.checkpoint.retain_budget_bytes);
-      if (cluster_.block_cache_bytes > 0) {
-        // Retained-spill payloads also land in the reducer-side block cache
-        // so a checkpoint-restart replay is served from memory.
-        if (block_cache_ == nullptr) {
-          block_cache_ = std::make_unique<dataplane::BlockCache>(
-              cluster_.block_cache_bytes, metrics_);
-        }
-        shuffle.SetBlockCache(block_cache_.get(), spec.name);
-      }
     } else if (reduce_retry_enabled) {
       // Classic Hadoop-style replay: file descriptors only.  A push job
       // still runs, but a reduce failure after a pushed chunk was consumed
@@ -1131,9 +1122,6 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
   result.shuffle_ack_replays = result.Bytes(kShuffleAckReplays);
   result.shuffle_ack_replayed_frames = result.Bytes(kShuffleAckReplayedFrames);
   result.shuffle_dup_frames = result.Bytes(kShuffleDupFrames);
-  result.block_cache_hits = result.Bytes(dataplane::kBlockCacheHits);
-  result.block_cache_misses = result.Bytes(dataplane::kBlockCacheMisses);
-  result.block_cache_evictions = result.Bytes(dataplane::kBlockCacheEvictions);
   result.spec_reduce_seeded_from_ckpt =
       static_cast<int>(result.Bytes("speculation.reduce_seeded"));
   return result;

@@ -9,11 +9,11 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "dataplane/block_cache.h"
 #include "dfs/dfs.h"
 #include "engine/job.h"
 #include "engine/reduce_common.h"
@@ -202,12 +202,6 @@ struct ClusterOptions {
   // its on_worker_lost signal aborts the shuffle fast (while map tasks
   // are still outstanding) instead of waiting out the idle timeout.
   coord::Coordinator* coordinator = nullptr;
-
-  // --- Data plane (src/dataplane) -------------------------------------------
-  // Capacity of the reducer-side block cache that serves checkpoint-restart
-  // shuffle replays without re-reading retention-spill files.  Only active
-  // with checkpointed replay (kRetainAll retention); 0 disables the cache.
-  std::size_t block_cache_bytes = 64u << 20;
 };
 
 struct JobResult {
@@ -262,12 +256,6 @@ struct JobResult {
   std::int64_t shuffle_ack_replays = 0;  // ack-window replay passes
   std::int64_t shuffle_ack_replayed_frames = 0;  // frames resent by replays
   std::int64_t shuffle_dup_frames = 0;   // dups absorbed by the watermark
-
-  // Reducer-side block cache (zero unless a checkpoint-restart replayed
-  // retention spills; see ClusterOptions::block_cache_bytes).
-  std::int64_t block_cache_hits = 0;       // replays served from memory
-  std::int64_t block_cache_misses = 0;     // replays that re-read the spill
-  std::int64_t block_cache_evictions = 0;  // entries dropped for capacity
 
   // Per-reducer output records: the partition-skew signal (related work
   // [19] targets exactly this imbalance).
@@ -384,9 +372,6 @@ class ClusterExecutor {
   void set_coordinator(coord::Coordinator* coordinator) {
     cluster_.coordinator = coordinator;
   }
-  void set_block_cache_bytes(std::size_t bytes) {
-    cluster_.block_cache_bytes = bytes;
-  }
 
  private:
   void Validate(const JobSpec& spec, const JobOptions& options) const;
@@ -398,9 +383,6 @@ class ClusterExecutor {
   FileManager* files_;
   MetricRegistry* metrics_;
   ClusterOptions cluster_;
-  // Reducer-side block cache; lazily created by Run() and kept across jobs
-  // so restarted attempts within one executor see a warm cache.
-  std::unique_ptr<dataplane::BlockCache> block_cache_;
 };
 
 }  // namespace opmr

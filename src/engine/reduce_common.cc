@@ -138,13 +138,6 @@ std::unique_ptr<RecordStream> OpenShuffleItem(const ShuffleItem& item,
   if (!item.from_file) {
     return std::make_unique<MemoryRunStream>(Slice(item.bytes));
   }
-  if (item.cached != nullptr) {
-    // Block-cache hit on a replayed retention spill: serve the payload from
-    // memory.  The item keeps its retain_spill identity, so acknowledgement
-    // bookkeeping is untouched.  `item` outlives the returned stream, which
-    // keeps the shared payload alive.
-    return std::make_unique<MemoryRunStream>(Slice(*item.cached));
-  }
   auto reader = std::make_unique<RunReader>(item.path, channel);
   reader->Restrict(item.segment.offset, item.segment.bytes);
   return reader;

@@ -7,7 +7,6 @@
 #include <system_error>
 #include <utility>
 
-#include "common/crc32c.h"
 #include "storage/io.h"
 
 namespace opmr {
@@ -224,13 +223,6 @@ void ShuffleService::EnableCheckpointReplay(
   std::filesystem::create_directories(retain_dir_);
 }
 
-void ShuffleService::SetBlockCache(dataplane::BlockCache* cache,
-                                   std::string job_name) {
-  std::scoped_lock lock(mu_);
-  block_cache_ = cache;
-  block_cache_job_ = std::move(job_name);
-}
-
 void ShuffleService::SpillRetainedLocked(ReducerQueue* q) {
   while (q->retained_payload_bytes > retain_budget_bytes_) {
     auto it = std::find_if(q->retained.begin(), q->retained.end(),
@@ -238,28 +230,16 @@ void ShuffleService::SpillRetainedLocked(ReducerQueue* q) {
     if (it == q->retained.end()) break;
     const auto path =
         retain_dir_ / ("retain_" + std::to_string(++retain_file_seq_) + ".seg");
-    auto payload =
-        std::make_shared<const std::string>(std::move(it->bytes));
     SequentialWriter writer(path, retain_write_);
-    writer.Append(*payload);
+    writer.Append(it->bytes);
     writer.Close();
-    q->retained_payload_bytes -= payload->size();
-    it->segment = Segment{0, payload->size(), it->records};
+    q->retained_payload_bytes -= it->bytes.size();
+    it->segment = Segment{0, it->bytes.size(), it->records};
     it->bytes.clear();
     it->bytes.shrink_to_fit();
     it->from_file = true;
     it->path = path;
     it->retain_spill = true;
-    if (block_cache_ != nullptr) {
-      // Offer the spilled payload to the block cache so a checkpoint-restart
-      // replay can serve it without touching the spill file.
-      it->cache_seq = retain_file_seq_;
-      it->cache_crc = Crc32c(payload->data(), payload->size());
-      block_cache_->Insert(
-          dataplane::BlockCacheKey{block_cache_job_, it->map_task,
-                                   it->cache_seq, it->cache_crc},
-          std::move(payload));
-    }
   }
 }
 
@@ -270,10 +250,6 @@ void ShuffleService::AcknowledgeLocked(ReducerQueue* q, std::uint64_t upto) {
     if (item.retain_spill) {
       std::error_code ec;
       std::filesystem::remove(item.path, ec);
-      if (block_cache_ != nullptr && item.cache_seq != 0) {
-        block_cache_->Erase(dataplane::BlockCacheKey{
-            block_cache_job_, item.map_task, item.cache_seq, item.cache_crc});
-      }
       q->acked_payload_floor = std::max(q->acked_payload_floor, item.ordinal);
     } else if (!item.from_file) {
       q->retained_payload_bytes -= item.bytes.size();
@@ -341,13 +317,6 @@ bool ShuffleService::Rewind(int reducer, std::uint64_t from_ordinal,
     if (!item.from_file) {
       ++q.pushed_outstanding;
       q.retained_payload_bytes -= item.bytes.size();
-    } else if (block_cache_ != nullptr && item.retain_spill &&
-               item.cache_seq != 0) {
-      // Serve the replayed spill from the block cache when resident; the
-      // item stays a retain_spill so acknowledgement bookkeeping (file
-      // removal, payload floor) is unchanged.
-      item.cached = block_cache_->Lookup(dataplane::BlockCacheKey{
-          block_cache_job_, item.map_task, item.cache_seq, item.cache_crc});
     }
   }
   q.items.insert(q.items.begin(), std::make_move_iterator(replay.begin()),

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "dataplane/block_cache.h"
 #include "engine/map_output.h"
 #include "metrics/counters.h"
 #include "storage/io_stats.h"
@@ -78,13 +77,6 @@ struct ShuffleItem {
   // persisted while awaiting checkpoint acknowledgement); deleted when the
   // item is acknowledged.
   bool retain_spill = false;
-
-  // BlockCache identity of a retention spill (cache_seq != 0 once the spill
-  // payload was offered to the cache) and, when a replay found it resident,
-  // the payload itself — served instead of re-reading the spill file.
-  std::uint64_t cache_seq = 0;
-  std::uint32_t cache_crc = 0;
-  std::shared_ptr<const std::string> cached;
 
   [[nodiscard]] std::uint64_t size_bytes() const noexcept {
     return from_file ? segment.bytes : bytes.size();
@@ -183,14 +175,6 @@ class ShuffleService : public ShuffleMapEndpoint {
   // retention instead of giving up pipelining.
   void EnableCheckpointReplay(const std::filesystem::path& retain_dir,
                               std::size_t retain_budget_bytes);
-
-  // Attaches a reducer-side block cache (kRetainAll mode only).  Payloads
-  // spilled to retention files are offered to the cache keyed by
-  // (job, sender, spill-seq, CRC-32C); a later Rewind serves resident
-  // payloads from memory instead of re-reading the spill file.  Entries are
-  // dropped when their item is acknowledged.  The cache outlives this
-  // service (owned by the executor); may be nullptr.
-  void SetBlockCache(dataplane::BlockCache* cache, std::string job_name);
 
   // Releases retained items with ordinal <= `upto` for `reducer`: pushed
   // payloads (and their retention spills) are discarded; file descriptors
@@ -322,8 +306,6 @@ class ShuffleService : public ShuffleMapEndpoint {
   std::filesystem::path retain_dir_;
   std::size_t retain_budget_bytes_ = 0;
   std::uint64_t retain_file_seq_ = 0;
-  dataplane::BlockCache* block_cache_ = nullptr;  // not owned
-  std::string block_cache_job_;
   std::function<void(int, int)> fetch_probe_;
   std::function<void(int, int)> chunk_consumed_probe_;
   std::function<void(int)> gone_probe_;

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "dataplane/event_loop.h"
-
 namespace opmr {
 
 // --- ShuffleClient -----------------------------------------------------------
@@ -230,23 +228,6 @@ void ShuffleClient::SendSegmentData(int map_task,
     window_.push_back(
         WindowEntry{seq, net::Frame{}, [rebuild, seq] { return rebuild(seq); }});
   }
-  // Zero-copy first: a SegmentData payload is the fixed-field prefix
-  // followed by the length-prefixed bytes, so the file region can ride a
-  // sendfile frame with everything before it as the payload prefix.
-  std::string prefix;
-  prefix.reserve(29);
-  AppendU32(prefix, static_cast<std::uint32_t>(map_task));
-  AppendU32(prefix, static_cast<std::uint32_t>(reducer));
-  prefix.push_back(sorted ? 1 : 0);
-  AppendU64(prefix, segment.records);
-  AppendU64(prefix, seq);
-  AppendU32(prefix, static_cast<std::uint32_t>(segment.bytes));
-  if (conn_->SendFileFrame(net::FrameType::kSegmentData, prefix, path.string(),
-                           segment.offset, segment.bytes)) {
-    return;
-  }
-  // Transport without a kernel-assisted path (tcp/loopback): materialize
-  // the frame once and send it inline.
   conn_->Send(rebuild(seq));
 }
 
@@ -330,14 +311,6 @@ void ShuffleClient::Finish() {
   bye.ack_replays = static_cast<std::uint64_t>(ack_replays_->value());
   bye.ack_replayed_frames =
       static_cast<std::uint64_t>(ack_replayed_frames_->value());
-  bye.blocks_sent =
-      static_cast<std::uint64_t>(metrics_->Value(dataplane::kBlocksSent));
-  bye.blocks_compressed =
-      static_cast<std::uint64_t>(metrics_->Value(dataplane::kBlocksCompressed));
-  bye.sendfile_frames =
-      static_cast<std::uint64_t>(metrics_->Value(dataplane::kSendfileFrames));
-  bye.sendfile_bytes =
-      static_cast<std::uint64_t>(metrics_->Value(dataplane::kSendfileBytes));
   try {
     conn_->Send(bye.ToFrame());
   } catch (const net::TransportError&) {
@@ -646,14 +619,6 @@ void ShuffleServer::HandleFrame(net::Connection* from, net::Frame frame) {
               ->Add(static_cast<std::int64_t>(msg.ack_replays));
           metrics_->Get(kShuffleAckReplayedFrames)
               ->Add(static_cast<std::int64_t>(msg.ack_replayed_frames));
-          metrics_->Get(dataplane::kBlocksSent)
-              ->Add(static_cast<std::int64_t>(msg.blocks_sent));
-          metrics_->Get(dataplane::kBlocksCompressed)
-              ->Add(static_cast<std::int64_t>(msg.blocks_compressed));
-          metrics_->Get(dataplane::kSendfileFrames)
-              ->Add(static_cast<std::int64_t>(msg.sendfile_frames));
-          metrics_->Get(dataplane::kSendfileBytes)
-              ->Add(static_cast<std::int64_t>(msg.sendfile_bytes));
         }
         {
           std::scoped_lock lock(mu_);

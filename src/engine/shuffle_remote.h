@@ -115,10 +115,9 @@ class ShuffleClient final : public ShuffleMapEndpoint {
       const std::function<net::Frame(std::uint64_t)>& build);
 
  private:
-  // One delivered-but-unacked frame.  Frames whose payload is a file
-  // region (SegmentData over a transport with a sendfile path) are not
-  // held in memory: `rebuild` re-reads the immutable spill file when a
-  // replay needs the bytes again.
+  // One delivered-but-unacked frame.  SegmentData frames are not held in
+  // memory: `rebuild` re-reads the immutable spill file when a replay needs
+  // the bytes again.
   struct WindowEntry {
     std::uint64_t seq = 0;
     net::Frame frame;
@@ -133,10 +132,7 @@ class ShuffleClient final : public ShuffleMapEndpoint {
   void SendSegment(int map_task, const std::filesystem::path& path,
                    int reducer, const Segment& segment, bool sorted);
   // Non-shared-fs segment send: assigns a seq, parks a rebuild closure in
-  // the replay window, and ships the payload as header-prefix + file
-  // region via Connection::SendFileFrame (zero-copy on the event-loop
-  // transport), falling back to an in-memory SegmentData frame when the
-  // transport has no kernel-assisted path.
+  // the replay window, and sends the SegmentData frame it builds.
   void SendSegmentData(int map_task, const std::filesystem::path& path,
                        int reducer, const Segment& segment, bool sorted);
   // Assigns the next seq, records the frame in the replay window, and
@@ -212,9 +208,8 @@ class ShuffleServer {
 
   // Blocks (bounded) until every connected client's Bye has been applied,
   // so the job report assembled right after reduce completion includes the
-  // client-side wire counters.  The race is structural: acks ride the
-  // data-plane flush timer, so a fast reduce tail beats the Bye by a few
-  // milliseconds.  Returns once all Byes arrived or the timeout expires
+  // client-side wire counters.  The race is structural: a fast reduce tail
+  // can beat the Bye by a few milliseconds.  Returns once all Byes arrived or the timeout expires
   // (crashed clients never send one).
   void WaitClientsFinished(double timeout_s);
 

@@ -1,6 +1,5 @@
 #include "net/frame.h"
 
-#include <cassert>
 #include <stdexcept>
 
 #include "common/crc32c.h"
@@ -34,15 +33,13 @@ const char* FrameTypeName(FrameType type) noexcept {
     case FrameType::kLeaderClaim: return "leader_claim";
     case FrameType::kCodedChunk: return "coded_chunk";
     case FrameType::kCodedAck: return "coded_ack";
-    case FrameType::kBlock: return "block";
-    case FrameType::kBlockAck: return "block_ack";
   }
   return "unknown";
 }
 
 bool IsKnownFrameType(std::uint8_t type) noexcept {
   return type >= static_cast<std::uint8_t>(FrameType::kHello) &&
-         type <= static_cast<std::uint8_t>(FrameType::kBlockAck);
+         type <= static_cast<std::uint8_t>(FrameType::kCodedAck);
 }
 
 void AppendFrame(std::string* out, const Frame& frame) {
@@ -70,11 +67,6 @@ std::string EncodeFrame(const Frame& frame) {
 }
 
 void FrameDecoder::Feed(const char* data, std::size_t size) {
-  // Feed may compact or reallocate the buffer, which would silently turn an
-  // outstanding NextView result into a dangling slice.  The lifetime
-  // contract is assertion-guarded rather than worked around: views are for
-  // handlers that finish with the payload before asking for more input.
-  assert(!view_active_ && "Feed while a FrameView is outstanding");
   // Compact the decoded prefix before it dominates the buffer.
   if (consumed_ > 0 && consumed_ >= buffer_.size() / 2) {
     buffer_.erase(0, consumed_);
@@ -83,8 +75,7 @@ void FrameDecoder::Feed(const char* data, std::size_t size) {
   buffer_.append(data, size);
 }
 
-DecodeStatus FrameDecoder::DecodeNext(FrameType* type, const char** payload,
-                                      std::size_t* payload_len) {
+DecodeStatus FrameDecoder::Next(Frame* out) {
   if (error_ != DecodeStatus::kOk) return error_;
   const char* base = buffer_.data() + consumed_;
   const std::size_t avail = buffer_.size() - consumed_;
@@ -107,35 +98,9 @@ DecodeStatus FrameDecoder::DecodeNext(FrameType* type, const char** payload,
   if (crc != expected_crc) {
     return error_ = DecodeStatus::kBadCrc;
   }
-  *type = static_cast<FrameType>(type_byte);
-  *payload = base + kFrameHeaderBytes;
-  *payload_len = len;
+  out->type = static_cast<FrameType>(type_byte);
+  out->payload.assign(base + kFrameHeaderBytes, len);
   consumed_ += kFrameHeaderBytes + len;
-  return DecodeStatus::kOk;
-}
-
-DecodeStatus FrameDecoder::Next(Frame* out) {
-  view_active_ = false;  // any prior view ends here
-  FrameType type;
-  const char* payload = nullptr;
-  std::size_t payload_len = 0;
-  const DecodeStatus status = DecodeNext(&type, &payload, &payload_len);
-  if (status != DecodeStatus::kOk) return status;
-  out->type = type;
-  out->payload.assign(payload, payload_len);
-  return DecodeStatus::kOk;
-}
-
-DecodeStatus FrameDecoder::NextView(FrameView* out) {
-  view_active_ = false;
-  FrameType type;
-  const char* payload = nullptr;
-  std::size_t payload_len = 0;
-  const DecodeStatus status = DecodeNext(&type, &payload, &payload_len);
-  if (status != DecodeStatus::kOk) return status;
-  out->type = type;
-  out->payload = Slice(payload, payload_len);
-  view_active_ = true;
   return DecodeStatus::kOk;
 }
 

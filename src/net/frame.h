@@ -53,8 +53,6 @@ enum class FrameType : std::uint8_t {
   kLeaderClaim = 22,   // new leader announcement / standby redirect
   kCodedChunk = 23,    // XOR-coded multicast shuffle payload (src/coded)
   kCodedAck = 24,      // cumulative ack + decode progress for coded frames
-  kBlock = 25,         // data-plane block: many data frames, one codec byte
-  kBlockAck = 26,      // receiver progress: blocks unpacked, frames yielded
 };
 
 [[nodiscard]] const char* FrameTypeName(FrameType type) noexcept;
@@ -87,36 +85,15 @@ enum class DecodeStatus {
 
 [[nodiscard]] const char* DecodeStatusName(DecodeStatus status) noexcept;
 
-// Zero-copy decode result: `payload` aliases the decoder's internal buffer.
-// Valid only until the next Feed / Next / NextView / ReleaseView call on the
-// decoder that produced it.
-struct FrameView {
-  FrameType type = FrameType::kHello;
-  Slice payload;
-};
-
 class FrameDecoder {
  public:
   // Buffers `size` more stream bytes.  Cheap; no parsing happens here.
-  // Asserts that no FrameView is outstanding: Feed may reallocate or
-  // compact the buffer a view aliases.
   void Feed(const char* data, std::size_t size);
 
   // Attempts to decode the next frame from the buffered bytes.  kOk fills
   // `*out`; kNeedMore means wait for more input; any other status poisons
   // the decoder permanently (subsequent calls return the same error).
   [[nodiscard]] DecodeStatus Next(Frame* out);
-
-  // Zero-copy variant for handlers that consume the payload synchronously:
-  // kOk fills `*out` with a view into the decoder's buffer instead of
-  // copying the payload out.  The view stays valid until the next call to
-  // Feed / Next / NextView / ReleaseView — calling NextView again (or
-  // Next) implicitly releases the previous view first.
-  [[nodiscard]] DecodeStatus NextView(FrameView* out);
-
-  // Explicitly ends the lifetime of the view returned by the last
-  // NextView, re-allowing Feed.  Idempotent.
-  void ReleaseView() noexcept { view_active_ = false; }
 
   [[nodiscard]] bool poisoned() const noexcept {
     return error_ != DecodeStatus::kOk;
@@ -126,15 +103,9 @@ class FrameDecoder {
   }
 
  private:
-  // Shared decode core: on kOk, `*type` and the payload window are set and
-  // the frame's bytes are consumed.
-  [[nodiscard]] DecodeStatus DecodeNext(FrameType* type, const char** payload,
-                                        std::size_t* payload_len);
-
   std::string buffer_;
   std::size_t consumed_ = 0;  // decoded prefix, compacted lazily
   DecodeStatus error_ = DecodeStatus::kOk;  // kOk = healthy
-  bool view_active_ = false;  // a NextView result aliases buffer_
 };
 
 }  // namespace opmr::net

@@ -28,15 +28,10 @@ void SleepMs(double ms) {
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
+// The shuffle writes whole frames, so Nagle's algorithm only adds delay.
 void SetNoDelay(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-void SetSockBuf(int fd, int bytes) {
-  if (bytes <= 0) return;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes));
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
 }
 
 // Writes the whole buffer; returns false on any socket error.  Each
@@ -73,7 +68,7 @@ Endpoint ParseEndpoint(const std::string& text) {
   return ep;
 }
 
-int DialOnce(const Endpoint& ep, int sock_buf_bytes) {
+int DialOnce(const Endpoint& ep) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;
   sockaddr_in addr{};
@@ -88,7 +83,6 @@ int DialOnce(const Endpoint& ep, int sock_buf_bytes) {
     return -1;
   }
   SetNoDelay(fd);
-  SetSockBuf(fd, sock_buf_bytes);
   return fd;
 }
 
@@ -278,7 +272,7 @@ class TcpClientConnection final : public Connection {
   // All Locked methods require send_mu_.
   void DialLocked() {
     for (int attempt = 1;; ++attempt) {
-      fd_ = DialOnce(endpoint_, owner_->options_.sock_buf_bytes);
+      fd_ = DialOnce(endpoint_);
       if (fd_ >= 0) return;
       if (attempt >= owner_->options_.connect_attempts) {
         throw TransportError("tcp: cannot connect to " + endpoint_.host + ":" +
@@ -463,10 +457,6 @@ void TcpTransport::Listen(FrameHandler handler) {
         return;  // listener shut down
       }
       SetNoDelay(fd);
-      {
-        std::scoped_lock lock(mu_);
-        SetSockBuf(fd, options_.sock_buf_bytes);
-      }
       auto conn = std::make_shared<TcpServerConnection>(this, fd);
       FrameHandler handler;
       {
@@ -541,7 +531,13 @@ void TcpTransport::Shutdown() {
     listen_fd = listen_fd_;
     listen_fd_ = -1;
   }
-  if (listen_fd >= 0) ::shutdown(listen_fd, SHUT_RDWR);  // wakes accept()
+  // shutdown(2) acts on the socket, which a forked child shares with its
+  // parent, not on this process's descriptor.  Only use it to wake our own
+  // accept thread; a child releasing its inherited copy just closes it and
+  // leaves the parent's listener intact.
+  if (listen_fd >= 0 && accept_thread_.joinable()) {
+    ::shutdown(listen_fd, SHUT_RDWR);
+  }
   if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd >= 0) ::close(listen_fd);
   for (auto& conn : clients) conn->Close();

@@ -47,11 +47,6 @@ class TcpTransport final : public Transport {
     std::string bind_address = "127.0.0.1";
     int bind_port = 0;  // 0 = ephemeral
     std::string advertise_address;
-    // SO_SNDBUF / SO_RCVBUF for every data socket (dialed and accepted);
-    // 0 keeps the kernel default.  TCP_NODELAY is always set — the shuffle
-    // writes whole frames and latency-batches above the socket, so Nagle
-    // only adds delay.
-    int sock_buf_bytes = 0;
   };
 
   explicit TcpTransport(MetricRegistry* metrics);

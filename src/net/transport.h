@@ -44,13 +44,7 @@ class Connection {
   // Throws TransportError when the peer is unreachable after retries.
   virtual void Send(const Frame& frame) = 0;
 
-  // Zero-copy file-region send: ships a frame whose payload is
-  // `payload_prefix` followed by `length` bytes of `path` starting at
-  // `offset`, without materializing the file bytes in the caller.  Returns
-  // false when the transport has no kernel-assisted path (the caller falls
-  // back to an in-memory frame); throws TransportError like Send on
-  // unrecoverable failure.  Implemented by the event-loop transport via
-  // sendfile(2).
+  // Unused by the engine; kept only because opmrbench/trace.h overrides it.
   virtual bool SendFileFrame(FrameType type, const std::string& payload_prefix,
                              const std::string& path, std::uint64_t offset,
                              std::uint64_t length) {
@@ -159,9 +153,9 @@ inline constexpr const char* kNetFramesReceived = "net.frames_received";
 inline constexpr const char* kNetRetransmits = "net.retransmits";
 inline constexpr const char* kNetReconnects = "net.reconnects";
 inline constexpr const char* kNetStallNanos = "net.stall_nanos";
-// Kernel-crossing counts for the data path: every send(2)/writev(2)/
-// sendfile(2) and every read(2) that moved frame bytes.  The ratio
-// syscalls/frames is the per-frame overhead the data plane batches away.
+// Kernel-crossing counts for the data path: every send(2) and every read(2)
+// that moved frame bytes.  The ratio syscalls/frames is the per-frame
+// overhead of the socket path.
 inline constexpr const char* kNetSendSyscalls = "net.send_syscalls";
 inline constexpr const char* kNetRecvSyscalls = "net.recv_syscalls";
 

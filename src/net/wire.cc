@@ -269,10 +269,6 @@ Frame ByeMsg::ToFrame() const {
   AppendU64(frame.payload, stall_nanos);
   AppendU64(frame.payload, ack_replays);
   AppendU64(frame.payload, ack_replayed_frames);
-  AppendU64(frame.payload, blocks_sent);
-  AppendU64(frame.payload, blocks_compressed);
-  AppendU64(frame.payload, sendfile_frames);
-  AppendU64(frame.payload, sendfile_bytes);
   return frame;
 }
 
@@ -287,10 +283,6 @@ ByeMsg ByeMsg::Parse(const Frame& frame) {
   msg.stall_nanos = in.U64();
   msg.ack_replays = in.U64();
   msg.ack_replayed_frames = in.U64();
-  msg.blocks_sent = in.U64();
-  msg.blocks_compressed = in.U64();
-  msg.sendfile_frames = in.U64();
-  msg.sendfile_bytes = in.U64();
   in.ExpectExhausted("bye");
   return msg;
 }
@@ -386,69 +378,6 @@ CodedAckMsg CodedAckMsg::Parse(const Frame& frame) {
   msg.upto = in.U64();
   msg.decoded = in.U64();
   in.ExpectExhausted("coded_ack");
-  return msg;
-}
-
-// --- Block / BlockAck --------------------------------------------------------
-
-Frame BlockMsg::ToFrame() const {
-  Frame frame{FrameType::kBlock, {}};
-  AppendU64(frame.payload, block_seq);
-  frame.payload.push_back(static_cast<char>(codec));
-  AppendU32(frame.payload, raw_crc);
-  AppendU32(frame.payload, count);
-  AppendBytes(&frame.payload, body);
-  return frame;
-}
-
-BlockMsg BlockMsg::Parse(const Frame& frame) {
-  ExpectType(frame, FrameType::kBlock);
-  WireReader in(frame.payload);
-  BlockMsg msg;
-  msg.block_seq = in.U64();
-  msg.codec = in.U8();
-  if (msg.codec != kBlockCodecRaw && msg.codec != kBlockCodecOz) {
-    throw WireError("block: unknown codec byte " + std::to_string(msg.codec));
-  }
-  msg.raw_crc = in.U32();
-  msg.count = in.U32();
-  if (msg.count == 0) {
-    throw WireError("block: empty sub-frame list");
-  }
-  if (msg.count > kMaxBlockFrames) {
-    throw WireError("block: sub-frame count " + std::to_string(msg.count) +
-                    " exceeds cap " + std::to_string(kMaxBlockFrames));
-  }
-  msg.body = in.Bytes();
-  in.ExpectExhausted("block");
-  // Even the smallest sub-frame entry is 5 bytes of header; a body too
-  // short for its advertised count is a lie the sub-frame walk would only
-  // discover after a decompression attempt.
-  if (msg.codec == kBlockCodecRaw && msg.body.size() < 5ull * msg.count) {
-    throw WireError("block: body " + std::to_string(msg.body.size()) +
-                    " bytes too short for " + std::to_string(msg.count) +
-                    " sub-frames");
-  }
-  if (msg.body.empty()) {
-    throw WireError("block: empty body");
-  }
-  return msg;
-}
-
-Frame BlockAckMsg::ToFrame() const {
-  Frame frame{FrameType::kBlockAck, {}};
-  AppendU64(frame.payload, upto_block);
-  AppendU64(frame.payload, frames);
-  return frame;
-}
-
-BlockAckMsg BlockAckMsg::Parse(const Frame& frame) {
-  ExpectType(frame, FrameType::kBlockAck);
-  WireReader in(frame.payload);
-  BlockAckMsg msg;
-  msg.upto_block = in.U64();
-  msg.frames = in.U64();
-  in.ExpectExhausted("block_ack");
   return msg;
 }
 

@@ -54,10 +54,9 @@ class WireReader {
   std::size_t pos_ = 0;
 };
 
-// v7 adds the data-plane block frames (Block / BlockAck, src/dataplane):
-// many data frames coalesced into one wire frame with a per-block codec
-// byte.  A v6 parser rejects the kBlock type byte outright, so the version
-// bump is load-bearing.
+// v8 drops the v7 block frames (Block / BlockAck, type bytes 25 and 26)
+// and the four block/sendfile counters v7 appended to Bye.  A v7 parser
+// rejects the shorter Bye payload, so the version bump is load-bearing.
 // v6 appends a trailing load vector to Heartbeat (slots held, queue depth
 // — the placement plane's load signal, src/placement).  A v5 parser
 // rejects the longer payload, so the version bump is load-bearing.
@@ -70,7 +69,7 @@ class WireReader {
 // (leader replica id + leader epoch) used for stale-leader fencing.
 // v3 added the serving-plane frames (SnapshotAnnounce / SnapshotFetch /
 // Query / QueryResult) and the kFrontend worker role.
-inline constexpr std::uint32_t kProtocolVersion = 7;
+inline constexpr std::uint32_t kProtocolVersion = 8;
 
 // Constant-time string equality for shared-secret checks (Register /
 // Hello auth).  An early-exit comparison leaks, through response timing,
@@ -207,12 +206,6 @@ struct ByeMsg {
   std::uint64_t stall_nanos = 0;
   std::uint64_t ack_replays = 0;          // ack-window replay events
   std::uint64_t ack_replayed_frames = 0;  // frames resent by those replays
-  // Data-plane counters (v7+): block batching and kernel-assisted sends
-  // happen on the client's wire, so only the client can report them.
-  std::uint64_t blocks_sent = 0;
-  std::uint64_t blocks_compressed = 0;
-  std::uint64_t sendfile_frames = 0;
-  std::uint64_t sendfile_bytes = 0;
 
   [[nodiscard]] Frame ToFrame() const;
   static ByeMsg Parse(const Frame& frame);
@@ -266,55 +259,6 @@ struct CodedAckMsg {
 
   [[nodiscard]] Frame ToFrame() const;
   static CodedAckMsg Parse(const Frame& frame);
-};
-
-// --- Data-plane block messages (src/dataplane) -------------------------------
-//
-// Protocol sketch (v7): the event-loop transport coalesces consecutive
-// data frames (Chunk / SegmentRef / SegmentData / MapDone / CodedChunk)
-// into one Block frame — one syscall, one CRC, one optional compression
-// pass — and the receiving transport unpacks it back into the inner frames
-// before the shuffle layer ever sees them, so the exactly-once seq/ack
-// machinery is untouched.  The body is a concatenation of
-// [u8 type][u32 len][payload] sub-frame entries, optionally compressed as
-// one unit with the OZ codec; `raw_crc` is CRC-32C over the UNCOMPRESSED
-// body, so corruption introduced by a buggy codec round-trip is caught
-// too, not just wire damage (the outer frame CRC already covers that).
-// Blocks never nest.  The receiver answers with BlockAck for
-// observability; the inner frames keep their own acks.
-
-// Per-block codec byte.
-inline constexpr std::uint8_t kBlockCodecRaw = 0;
-inline constexpr std::uint8_t kBlockCodecOz = 1;
-
-// Upper bound on sub-frames per block: the sender flushes far earlier, so
-// anything past this is a lying count field, not a bigger block.
-inline constexpr std::uint32_t kMaxBlockFrames = 4096;
-
-// Sender → receiver: one block of coalesced data frames.  Parse rejects
-// structural lies (zero or oversized count, unknown codec byte, empty
-// body); the sub-frame walk — lengths past the body, unknown inner types,
-// nested blocks, a count that disagrees with the body — is validated by
-// dataplane::UnpackBlock, which also owns the codec.
-struct BlockMsg {
-  std::uint64_t block_seq = 0;  // per-connection, 1-based
-  std::uint8_t codec = kBlockCodecRaw;
-  std::uint32_t raw_crc = 0;  // CRC-32C of the uncompressed body
-  std::uint32_t count = 0;    // sub-frames in the body
-  std::string body;           // [u8 type][u32 len][payload]... (maybe OZ'd)
-
-  [[nodiscard]] Frame ToFrame() const;
-  static BlockMsg Parse(const Frame& frame);
-};
-
-// Receiver → sender: cumulative unpack progress (blocks fully unpacked,
-// inner frames yielded).  Observability only — never gates the window.
-struct BlockAckMsg {
-  std::uint64_t upto_block = 0;
-  std::uint64_t frames = 0;
-
-  [[nodiscard]] Frame ToFrame() const;
-  static BlockAckMsg Parse(const Frame& frame);
 };
 
 // --- Coordination-plane messages (src/coord) ---------------------------------

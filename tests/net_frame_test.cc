@@ -107,10 +107,6 @@ TEST(NetFrame, EveryMessageTypeRoundTrips) {
   bye.stall_nanos = 5'000'000;
   bye.ack_replays = 1;
   bye.ack_replayed_frames = 4;
-  bye.blocks_sent = 9;
-  bye.blocks_compressed = 3;
-  bye.sendfile_frames = 8;
-  bye.sendfile_bytes = 1u << 20;
   const auto bye2 = ByeMsg::Parse(DecodeOne(EncodeFrame(bye.ToFrame())));
   EXPECT_EQ(bye2.frames_sent, 10u);
   EXPECT_EQ(bye2.bytes_sent, 123456u);
@@ -119,10 +115,6 @@ TEST(NetFrame, EveryMessageTypeRoundTrips) {
   EXPECT_EQ(bye2.stall_nanos, 5'000'000u);
   EXPECT_EQ(bye2.ack_replays, 1u);
   EXPECT_EQ(bye2.ack_replayed_frames, 4u);
-  EXPECT_EQ(bye2.blocks_sent, 9u);
-  EXPECT_EQ(bye2.blocks_compressed, 3u);
-  EXPECT_EQ(bye2.sendfile_frames, 8u);
-  EXPECT_EQ(bye2.sendfile_bytes, 1u << 20);
 }
 
 TEST(NetFrame, CoordinationMessagesRoundTrip) {
@@ -837,148 +829,6 @@ TEST(NetFrame, CodedPayloadSemanticCorruptionIsWireError) {
                WireError);
 }
 
-// --- Data-plane block frames (v7: kBlock/kBlockAck) get the same
-// four-way fuzz treatment: round-trip, every truncation, every bit flip,
-// and CRC-clean semantic lies.  Parse-level checks only — the sub-frame
-// walk and codec live in dataplane::UnpackBlock (dataplane_test.cc).
-
-std::string BlockBody(std::uint32_t count, std::size_t payload_each) {
-  // Well-formed sub-frame entries: [u8 type][u32 len][payload].
-  std::string body;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    body.push_back(static_cast<char>(FrameType::kChunk));
-    const auto len = static_cast<std::uint32_t>(payload_each);
-    for (int b = 0; b < 4; ++b) {
-      body.push_back(static_cast<char>((len >> (8 * b)) & 0xFF));
-    }
-    body.append(payload_each, static_cast<char>('a' + (i % 26)));
-  }
-  return body;
-}
-
-std::vector<std::string> BlockWires() {
-  std::vector<std::string> wires;
-  BlockMsg block;
-  block.block_seq = 7;
-  block.codec = kBlockCodecRaw;
-  block.raw_crc = 0xDEADBEEF;
-  block.count = 3;
-  block.body = BlockBody(3, 11);
-  wires.push_back(EncodeFrame(block.ToFrame()));
-  BlockAckMsg ack;
-  ack.upto_block = 7;
-  ack.frames = 21;
-  wires.push_back(EncodeFrame(ack.ToFrame()));
-  return wires;
-}
-
-TEST(NetFrame, BlockMessagesRoundTrip) {
-  BlockMsg block;
-  block.block_seq = 0xFEEDFACE12ull;
-  block.codec = kBlockCodecOz;
-  block.raw_crc = 0xCAFEF00D;
-  block.count = 2;
-  block.body = std::string("\x01\x00compressed opaque bytes\xFF", 26);
-  const auto block2 = BlockMsg::Parse(DecodeOne(EncodeFrame(block.ToFrame())));
-  EXPECT_EQ(block2.block_seq, 0xFEEDFACE12ull);
-  EXPECT_EQ(block2.codec, kBlockCodecOz);
-  EXPECT_EQ(block2.raw_crc, 0xCAFEF00Du);
-  EXPECT_EQ(block2.count, 2u);
-  EXPECT_EQ(block2.body, block.body);
-
-  BlockAckMsg ack;
-  ack.upto_block = 123;
-  ack.frames = 456;
-  const auto ack2 = BlockAckMsg::Parse(DecodeOne(EncodeFrame(ack.ToFrame())));
-  EXPECT_EQ(ack2.upto_block, 123u);
-  EXPECT_EQ(ack2.frames, 456u);
-}
-
-TEST(NetFrame, BlockFrameEveryTruncationIsNeedMore) {
-  for (const std::string& wire : BlockWires()) {
-    for (std::size_t cut = 0; cut < wire.size(); ++cut) {
-      FrameDecoder decoder;
-      decoder.Feed(wire.data(), cut);
-      Frame frame;
-      EXPECT_EQ(decoder.Next(&frame), DecodeStatus::kNeedMore)
-          << "truncated to " << cut << " bytes";
-      EXPECT_FALSE(decoder.poisoned());
-    }
-  }
-}
-
-TEST(NetFrame, BlockFrameEverySingleBitFlipIsDetected) {
-  for (const std::string& wire : BlockWires()) {
-    for (std::size_t byte = 0; byte < wire.size(); ++byte) {
-      for (int bit = 0; bit < 8; ++bit) {
-        std::string corrupt = wire;
-        corrupt[byte] = static_cast<char>(corrupt[byte] ^ (1 << bit));
-        FrameDecoder decoder;
-        decoder.Feed(corrupt.data(), corrupt.size());
-        Frame frame;
-        EXPECT_NE(decoder.Next(&frame), DecodeStatus::kOk)
-            << "flip of bit " << bit << " in byte " << byte
-            << " decoded as a valid frame";
-      }
-    }
-  }
-}
-
-TEST(NetFrame, BlockPayloadSemanticCorruptionIsWireError) {
-  // An unknown codec byte must be rejected, not carried through to the
-  // decompressor.  Payload layout: block_seq(u64) codec(u8)@8 crc(u32)
-  // count(u32)@13 body len(u32)@17.
-  BlockMsg block;
-  block.codec = kBlockCodecRaw;
-  block.count = 2;
-  block.body = BlockBody(2, 4);
-  Frame bad_codec = block.ToFrame();
-  ASSERT_GE(bad_codec.payload.size(), 21u);
-  bad_codec.payload[8] = '\x02';
-  EXPECT_THROW((void)BlockMsg::Parse(DecodeOne(EncodeFrame(bad_codec))),
-               WireError);
-
-  // A zero sub-frame count is structurally meaningless.
-  Frame zero_count = block.ToFrame();
-  zero_count.payload[13] = '\x00';
-  zero_count.payload[14] = '\x00';
-  zero_count.payload[15] = '\x00';
-  zero_count.payload[16] = '\x00';
-  EXPECT_THROW((void)BlockMsg::Parse(DecodeOne(EncodeFrame(zero_count))),
-               WireError);
-
-  // The count lie: claim 2^30 sub-frames over a tiny body — rejected from
-  // the cap before any allocation.
-  Frame lying = block.ToFrame();
-  lying.payload[13] = '\x00';
-  lying.payload[14] = '\x00';
-  lying.payload[15] = '\x00';
-  lying.payload[16] = '\x40';
-  EXPECT_THROW((void)BlockMsg::Parse(DecodeOne(EncodeFrame(lying))),
-               WireError);
-
-  // An in-cap raw count whose body cannot even hold the sub-frame headers.
-  BlockMsg short_body;
-  short_body.codec = kBlockCodecRaw;
-  short_body.count = 64;
-  short_body.body = BlockBody(1, 2);
-  EXPECT_THROW(
-      (void)BlockMsg::Parse(DecodeOne(EncodeFrame(short_body.ToFrame()))),
-      WireError);
-
-  // Truncated body and trailing junk after a CRC-clean re-encode.
-  Frame truncated = block.ToFrame();
-  truncated.payload.resize(truncated.payload.size() / 2);
-  EXPECT_THROW((void)BlockMsg::Parse(DecodeOne(EncodeFrame(truncated))),
-               WireError);
-  BlockAckMsg ack;
-  ack.upto_block = 1;
-  Frame junk = ack.ToFrame();
-  junk.payload += "junk";
-  EXPECT_THROW((void)BlockAckMsg::Parse(DecodeOne(EncodeFrame(junk))),
-               WireError);
-}
-
 TEST(NetFrame, ByteAtATimeFeedReassembles) {
   ChunkMsg msg;
   msg.map_task = 0;
@@ -1155,15 +1005,22 @@ TEST(NetFrame, ConstantTimeEqualsMatchesOnlyExactSecrets) {
 }
 
 TEST(NetFrame, UnknownTypeByteIsBadType) {
-  MapDoneMsg msg;
-  std::string wire = EncodeFrame(msg.ToFrame());
-  wire[4] = '\x63';  // type byte: far outside the known range
-  FrameDecoder decoder;
-  decoder.Feed(wire.data(), wire.size());
-  Frame frame;
-  EXPECT_EQ(decoder.Next(&frame), DecodeStatus::kBadType);
-  EXPECT_FALSE(IsKnownFrameType(0x63));
+  // 0x63 is far outside the known range; 25 and 26 were the block frames
+  // protocol v8 removed.
+  for (const std::uint8_t type : {0x63, 25, 26}) {
+    MapDoneMsg msg;
+    std::string wire = EncodeFrame(msg.ToFrame());
+    wire[4] = static_cast<char>(type);
+    FrameDecoder decoder;
+    decoder.Feed(wire.data(), wire.size());
+    Frame frame;
+    EXPECT_EQ(decoder.Next(&frame), DecodeStatus::kBadType)
+        << "type byte " << int{type};
+    EXPECT_FALSE(IsKnownFrameType(type));
+  }
   EXPECT_TRUE(IsKnownFrameType(static_cast<std::uint8_t>(FrameType::kBye)));
+  EXPECT_TRUE(
+      IsKnownFrameType(static_cast<std::uint8_t>(FrameType::kCodedAck)));
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include "net/transport.h"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -163,6 +165,39 @@ TEST(NetTransport, TcpShutdownIsIdempotentAndJoinsThreads) {
   transport.Shutdown();
   transport.Shutdown();  // second call is a no-op
   EXPECT_THROW(conn->Send(MakeChunk(1).ToFrame()), TransportError);
+}
+
+TEST(NetTransport, ForkedChildShutdownKeepsTheParentListening) {
+  // The CLI binds before fork(), and the forked map group releases its
+  // inherited copy of the listener with Shutdown().  Parent and child share
+  // the listen socket, so that must not shut it down for the parent.
+  MetricRegistry metrics;
+  TcpTransport::Options options;
+  options.connect_attempts = 3;  // fail fast once the listener is gone
+  TcpTransport server(&metrics, options);
+  server.Bind();
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    server.Shutdown();
+    _exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+
+  server.Listen([](Connection* from, Frame frame) {
+    CreditMsg credit;
+    credit.reducer = ChunkMsg::Parse(frame).reducer;
+    from->Send(credit.ToFrame());
+  });
+  FrameLog replies;
+  auto conn = server.Connect(
+      [&](Connection*, Frame frame) { replies.Add(std::move(frame)); });
+  conn->Send(MakeChunk(0).ToFrame());
+  ASSERT_TRUE(replies.WaitFor(1));
+  EXPECT_EQ(CreditMsg::Parse(replies.Snapshot()[0]).reducer, 0);
+  server.Shutdown();
 }
 
 TEST(NetTransport, TcpInjectedDropRetransmitsExactlyOnce) {

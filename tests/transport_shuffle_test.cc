@@ -1,8 +1,7 @@
 // End-to-end transport equivalence: the same job over the in-process
-// engine, the loopback transport, real TCP sockets, and the epoll data
-// plane must produce the same answer — including with segment bytes
-// shipped inline (no shared filesystem) and under an injected
-// connection-drop fault plan.  This is the PR's acceptance property: the
+// engine, the loopback transport, and real TCP sockets must produce the
+// same answer — including with segment bytes shipped inline (no shared
+// filesystem) and under an injected connection-drop fault plan.  The
 // transport seam changes how bytes move, never what the job computes.
 #include <gtest/gtest.h>
 
@@ -12,8 +11,6 @@
 #include <vector>
 
 #include "core/opmr.h"
-#include "dataplane/block_cache.h"
-#include "dataplane/event_loop.h"
 #include "net/loopback.h"
 #include "net/tcp.h"
 #include "workloads/clickstream.h"
@@ -25,12 +22,10 @@ namespace {
 using Rows = std::vector<std::pair<std::string, std::string>>;
 
 enum class Mode {
-  kDirect,          // no transport: the seed engine's in-process path
-  kLoopback,        // frames through LoopbackTransport
-  kTcp,             // frames through real localhost sockets (self-dial)
-  kTcpShipBytes,    // TCP with shared_fs=false: segment bytes go inline
-  kEpoll,           // frames through the epoll event-loop data plane
-  kEpollShipBytes,  // epoll with shared_fs=false: segments via sendfile(2)
+  kDirect,        // no transport: the seed engine's in-process path
+  kLoopback,      // frames through LoopbackTransport
+  kTcp,           // frames through real localhost sockets (self-dial)
+  kTcpShipBytes,  // TCP with shared_fs=false: segment bytes go inline
 };
 
 struct Outcome {
@@ -61,30 +56,12 @@ Outcome RunMode(Mode mode, const JobOptions& options,
       out.result = platform.RunWithTransport(spec, options, &transport);
       break;
     }
-    case Mode::kTcp: {
-      net::TcpTransport transport(&platform.metrics());
-      transport.Bind();
-      out.result = platform.RunWithTransport(spec, options, &transport);
-      break;
-    }
+    case Mode::kTcp:
     case Mode::kTcpShipBytes: {
       net::TcpTransport transport(&platform.metrics());
       transport.Bind();
       out.result = platform.RunWithTransport(spec, options, &transport,
-                                             /*shared_fs=*/false);
-      break;
-    }
-    case Mode::kEpoll: {
-      dataplane::EventLoopTransport transport(&platform.metrics());
-      transport.Bind();
-      out.result = platform.RunWithTransport(spec, options, &transport);
-      break;
-    }
-    case Mode::kEpollShipBytes: {
-      dataplane::EventLoopTransport transport(&platform.metrics());
-      transport.Bind();
-      out.result = platform.RunWithTransport(spec, options, &transport,
-                                             /*shared_fs=*/false);
+                                             /*shared_fs=*/mode == Mode::kTcp);
       break;
     }
   }
@@ -106,12 +83,10 @@ TEST(TransportShuffle, PullJobIsByteIdenticalAcrossTransports) {
   const auto direct = RunMode(Mode::kDirect, HadoopOptions());
   const auto loopback = RunMode(Mode::kLoopback, HadoopOptions());
   const auto tcp = RunMode(Mode::kTcp, HadoopOptions());
-  const auto epoll = RunMode(Mode::kEpoll, HadoopOptions());
 
   ASSERT_GT(direct.rows.size(), 0u);
   EXPECT_EQ(loopback.rows, direct.rows);
   EXPECT_EQ(tcp.rows, direct.rows);
-  EXPECT_EQ(epoll.rows, direct.rows);
 
   // Only the transported runs moved frames.
   EXPECT_EQ(direct.result.net_frames_sent, 0);
@@ -120,11 +95,6 @@ TEST(TransportShuffle, PullJobIsByteIdenticalAcrossTransports) {
   EXPECT_GT(tcp.result.net_frames_sent, 0);
   EXPECT_GT(tcp.result.net_bytes_received, 0);
   EXPECT_EQ(tcp.result.net_retransmits, 0);
-  // The epoll run batched data frames into blocks; same answer regardless.
-  EXPECT_GT(epoll.result.net_frames_sent, 0);
-  EXPECT_GT(epoll.result.Bytes(dataplane::kBlocksSent), 0);
-  EXPECT_EQ(epoll.result.Bytes(dataplane::kBlocksSent),
-            epoll.result.Bytes(dataplane::kBlocksReceived));
 }
 
 TEST(TransportShuffle, PushJobComputesSameAnswerAcrossTransports) {
@@ -134,16 +104,13 @@ TEST(TransportShuffle, PushJobComputesSameAnswerAcrossTransports) {
   const auto direct = RunMode(Mode::kDirect, HashOnePassOptions());
   const auto loopback = RunMode(Mode::kLoopback, HashOnePassOptions());
   const auto tcp = RunMode(Mode::kTcp, HashOnePassOptions());
-  const auto epoll = RunMode(Mode::kEpoll, HashOnePassOptions());
 
   const auto truth = AsMap(direct.rows);
   ASSERT_GT(truth.size(), 0u);
   EXPECT_EQ(AsMap(loopback.rows), truth);
   EXPECT_EQ(AsMap(tcp.rows), truth);
-  EXPECT_EQ(AsMap(epoll.rows), truth);
   EXPECT_EQ(direct.result.output_records, loopback.result.output_records);
   EXPECT_EQ(direct.result.output_records, tcp.result.output_records);
-  EXPECT_EQ(direct.result.output_records, epoll.result.output_records);
 }
 
 TEST(TransportShuffle, InlineSegmentShippingMatchesSharedFilesystem) {
@@ -157,13 +124,6 @@ TEST(TransportShuffle, InlineSegmentShippingMatchesSharedFilesystem) {
   EXPECT_EQ(by_bytes.rows, by_ref.rows);
   EXPECT_GT(by_bytes.result.net_bytes_sent, by_ref.result.net_bytes_sent)
       << "inline segment payloads must outweigh path references";
-
-  // Over the epoll data plane the inline segment bodies leave through
-  // sendfile(2) — kernel-side copies, byte-identical on arrival.
-  const auto by_sendfile = RunMode(Mode::kEpollShipBytes, HadoopOptions());
-  EXPECT_EQ(by_sendfile.rows, by_ref.rows);
-  EXPECT_GT(by_sendfile.result.Bytes(dataplane::kSendfileFrames), 0);
-  EXPECT_GT(by_sendfile.result.Bytes(dataplane::kSendfileBytes), 0);
 }
 
 TEST(TransportShuffle, InjectedConnDropIsInvisibleInTheAnswer) {
@@ -180,27 +140,11 @@ TEST(TransportShuffle, InjectedConnDropIsInvisibleInTheAnswer) {
   EXPECT_GE(dropped.result.net_reconnects, 1);
 }
 
-TEST(TransportShuffle, InjectedConnDropOverEpollIsInvisibleInTheAnswer) {
-  // Same fault plan over the event-loop data plane.  The epoll client
-  // abandons batched-but-unflushed frames on a drop and relies on the
-  // shuffle layer's ack-window replay for redelivery, so this covers the
-  // at-least-once + seq-watermark dedup composition end to end.
-  const auto clean = RunMode(Mode::kDirect, HashOnePassOptions());
-  const auto dropped = RunMode(Mode::kEpoll, HashOnePassOptions(),
-                               "seed=7;conn_drop:record=2");
-
-  EXPECT_EQ(AsMap(dropped.rows), AsMap(clean.rows));
-  EXPECT_GE(dropped.result.faults_injected, 1);
-  EXPECT_GE(dropped.result.net_retransmits, 1);
-  EXPECT_GE(dropped.result.net_reconnects, 1);
-}
-
-TEST(TransportShuffle, CheckpointRestartServesReplayFromBlockCache) {
+TEST(TransportShuffle, CheckpointRestartReplaysRetentionSpills) {
   // A reduce crash inside a checkpointed push job forces a restart that
   // replays the retained shuffle suffix.  With the retention budget
-  // squeezed, retained payloads spill to disk AND are offered to the
-  // reducer-side block cache — so the replay must find at least some of
-  // them resident and skip the spill re-read.
+  // squeezed, retained payloads spill to disk, so the replay re-reads them
+  // from the retention spill files.
   PlatformOptions popts;
   popts.num_nodes = 3;
   popts.block_bytes = 256u << 10;
@@ -221,13 +165,9 @@ TEST(TransportShuffle, CheckpointRestartServesReplayFromBlockCache) {
 
   EXPECT_EQ(result.reduce_task_retries, 1);
   EXPECT_GT(result.replay_records, 0);
-  EXPECT_GT(result.block_cache_hits, 0)
-      << "checkpoint-seeded replay must hit the block cache";
-  EXPECT_EQ(result.block_cache_misses, 0)
-      << "nothing evicted at this scale: every spilled payload stays cached";
 
-  // The cached replay is invisible in the answer: same rows as a clean
-  // run with a roomy retention budget and no fault.
+  // The spill replay is invisible in the answer: same rows as a clean run
+  // with a roomy retention budget and no fault.
   PlatformOptions clean_popts;
   clean_popts.num_nodes = 3;
   clean_popts.block_bytes = 256u << 10;

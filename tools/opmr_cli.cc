@@ -6,22 +6,19 @@
 //                [--max-attempts=N] [--speculate] [--fault-plan=<file|spec>]
 //                [--checkpoint-interval=N] [--checkpoint-dir=PATH]
 //                [--checkpoint-retain=K] [--checkpoint-compress]
-//                [--transport=loopback|tcp|epoll|direct]
-//                [--shuffle-timeout=SECONDS] [--sock-buf-bytes=N]
+//                [--transport=loopback|tcp|direct]
+//                [--shuffle-timeout=SECONDS]
 //                [--ship-segments] [--coded-r=N] [--replication=N]
 //       Generates a synthetic dataset for <w>, runs it on runtime <r>, and
 //       prints the job report (wall/CPU/I-O/emission metrics).
 //       --transport picks how shuffle traffic moves (src/net): loopback
 //       (default) frames it through the in-process transport, tcp forks a
 //       separate map worker-group process that dials the reduce group over
-//       a localhost socket, epoll does the same over the event-loop data
-//       plane (src/dataplane: one epoll thread, block-batched frames,
-//       writev/sendfile), direct is the raw in-process seed path with no
-//       framing.  --shuffle-timeout bounds reduce-side silence in socket
-//       modes (mapper-process death detection), --sock-buf-bytes sizes
-//       SO_SNDBUF/SO_RCVBUF, and --ship-segments sends segment bytes
-//       inline instead of path descriptors, as a remote host would
-//       (over epoll the inline bytes go out via sendfile(2)).
+//       a localhost socket, direct is the raw in-process seed path with no
+//       framing.  --shuffle-timeout bounds reduce-side silence in tcp mode
+//       (mapper-process death detection), and --ship-segments sends
+//       segment bytes inline instead of path descriptors, as a remote host
+//       would.
 //       --fault-plan takes a FaultPlan spec string or plan file (see
 //       src/fault/fault.h), e.g. --fault-plan='seed=7;map_crash:task=0,record=500';
 //       --max-attempts enables task re-execution (pull shuffle only) and
@@ -165,7 +162,6 @@
 
 #include "coded/coded.h"
 #include "common/config.h"
-#include "dataplane/event_loop.h"
 #include "common/rng.h"
 #include "common/format.h"
 #include "coord/coordinator.h"
@@ -315,13 +311,6 @@ void PrintJobReport(const JobResult& r) {
         {"checkpoint bytes", HumanBytes(double(r.checkpoint_bytes))});
     table.AddRow({"replayed records", std::to_string(r.replay_records)});
     table.AddRow({"recover time", HumanSeconds(r.recover_seconds)});
-    if (r.block_cache_hits > 0 || r.block_cache_misses > 0) {
-      table.AddRow({"block cache (hits/misses)",
-                    std::to_string(r.block_cache_hits) + "/" +
-                        std::to_string(r.block_cache_misses)});
-      table.AddRow(
-          {"block cache evictions", std::to_string(r.block_cache_evictions)});
-    }
   }
   if (r.net_frames_sent > 0 || r.net_frames_received > 0) {
     table.AddRow({"net sent",
@@ -337,22 +326,6 @@ void PrintJobReport(const JobResult& r) {
       table.AddRow({"net syscalls (send/recv)",
                     std::to_string(r.Bytes(net::kNetSendSyscalls)) + "/" +
                         std::to_string(r.Bytes(net::kNetRecvSyscalls))});
-    }
-    if (r.Bytes(dataplane::kBlocksSent) > 0 ||
-        r.Bytes(dataplane::kBlocksReceived) > 0) {
-      table.AddRow({"blocks sent (compressed)",
-                    std::to_string(r.Bytes(dataplane::kBlocksSent)) + " (" +
-                        std::to_string(r.Bytes(dataplane::kBlocksCompressed)) +
-                        ")"});
-      table.AddRow({"blocks received",
-                    std::to_string(r.Bytes(dataplane::kBlocksReceived))});
-      if (r.Bytes(dataplane::kSendfileFrames) > 0) {
-        table.AddRow({"sendfile frames",
-                      std::to_string(r.Bytes(dataplane::kSendfileFrames)) +
-                          " (" +
-                          HumanBytes(double(r.Bytes(dataplane::kSendfileBytes))) +
-                          ")"});
-      }
     }
     if (r.shuffle_ack_replays > 0 || r.shuffle_dup_frames > 0) {
       table.AddRow({"ack replays (frames)",
@@ -390,37 +363,20 @@ void PrintJobReport(const JobResult& r) {
 }
 
 // Runs the job as two OS processes: a forked child executes the map worker
-// group and dials the parent's reduce group over a localhost socket —
-// thread-per-connection blocking TCP (`epoll` false) or the epoll
-// event-loop data plane with block batching (`epoll` true).  The fork
-// happens after input generation, so the child inherits the DFS block
+// group and dials the parent's reduce group over a localhost socket.  The
+// fork happens after input generation, so the child inherits the DFS block
 // metadata; it must _Exit so the parent-owned workspace cleanup never runs
 // twice (and so registered segment files survive until the reducers have
 // read them).
 JobResult RunOverSockets(Platform& platform, const JobSpec& spec,
                          const JobOptions& options, double idle_timeout_s,
-                         bool shared_fs, bool epoll, int sock_buf_bytes) {
-  net::TcpTransport::Options topts;
-  topts.sock_buf_bytes = sock_buf_bytes;
-  dataplane::EventLoopTransport::Options eopts;
-  eopts.sock_buf_bytes = sock_buf_bytes;
-  std::unique_ptr<net::Transport> server;
-  std::string endpoint;
-  // Bind before fork: the listen backlog holds the child's dial.  Both
-  // transports start their I/O threads lazily (Listen/Connect), so the
-  // fork below is safe.
-  if (epoll) {
-    auto t = std::make_unique<dataplane::EventLoopTransport>(
-        &platform.metrics(), eopts);
-    t->Bind();
-    endpoint = t->endpoint();
-    server = std::move(t);
-  } else {
-    auto t = std::make_unique<net::TcpTransport>(&platform.metrics(), topts);
-    t->Bind();
-    endpoint = t->endpoint();
-    server = std::move(t);
-  }
+                         bool shared_fs) {
+  // Bind before fork: the listen backlog holds the child's dial.  The
+  // transport starts its I/O threads lazily (Listen/Connect), so the fork
+  // below is safe.
+  net::TcpTransport server(&platform.metrics());
+  server.Bind();
+  const std::string endpoint = server.endpoint();
   std::fflush(stdout);
   std::fflush(stderr);
   const pid_t child = fork();
@@ -436,17 +392,9 @@ JobResult RunOverSockets(Platform& platform, const JobSpec& spec,
       // the parent no longer owns — the connection is never accepted and the
       // client's close-side EOF wait would hang forever.  With the fd closed,
       // redials get ECONNREFUSED and fail fast.
-      server->Shutdown();
-      server.reset();
-      std::unique_ptr<net::Transport> client;
-      if (epoll) {
-        client = std::make_unique<dataplane::EventLoopTransport>(
-            &platform.metrics(), endpoint, eopts);
-      } else {
-        client = std::make_unique<net::TcpTransport>(&platform.metrics(),
-                                                     endpoint, topts);
-      }
-      platform.RunMapGroup(spec, options, client.get(), shared_fs);
+      server.Shutdown();
+      net::TcpTransport client(&platform.metrics(), endpoint);
+      platform.RunMapGroup(spec, options, &client, shared_fs);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "map worker group: error: %s\n", e.what());
       std::fflush(stderr);
@@ -461,7 +409,7 @@ JobResult RunOverSockets(Platform& platform, const JobSpec& spec,
   std::exception_ptr failure;
   try {
     result =
-        platform.RunReduceGroup(spec, options, server.get(), idle_timeout_s);
+        platform.RunReduceGroup(spec, options, &server, idle_timeout_s);
   } catch (...) {
     failure = std::current_exception();
   }
@@ -527,11 +475,13 @@ int CmdRun(const Config& cfg) {
   }
 
   const auto transport = cfg.GetString("transport", "loopback");
+  if (transport != "loopback" && transport != "tcp" && transport != "direct") {
+    throw std::invalid_argument("unknown transport: " + transport +
+                                " (expected loopback, tcp, or direct)");
+  }
   const double shuffle_timeout = static_cast<double>(
       GetCheckedInt(cfg, "shuffle-timeout", 30, /*min_value=*/1));
   const bool ship_segments = cfg.GetBool("ship-segments", false);
-  popts.sock_buf_bytes = static_cast<int>(
-      GetCheckedInt(cfg, "sock-buf-bytes", 0, /*min_value=*/0));
 
   // Flag-combination validation: combinations that would silently do
   // nothing are rejected with a pointer at what the user probably wanted.
@@ -563,20 +513,14 @@ int CmdRun(const Config& cfg) {
       (cfg.Get("shuffle-timeout") || cfg.Get("ship-segments"))) {
     throw std::invalid_argument(
         "--shuffle-timeout/--ship-segments apply to framed transports only "
-        "(--transport=loopback, tcp, or epoll); with --transport=direct the "
+        "(--transport=loopback or tcp); with --transport=direct the "
         "shuffle never crosses a wire.");
-  }
-  if (popts.sock_buf_bytes > 0 && transport != "tcp" &&
-      transport != "epoll") {
-    throw std::invalid_argument(
-        "--sock-buf-bytes sizes SO_SNDBUF/SO_RCVBUF on shuffle sockets and "
-        "applies only to --transport=tcp or epoll.");
   }
   if (coded_r > 0 && transport == "direct") {
     throw std::invalid_argument(
         "--coded-r rides the framed shuffle as coded multicast frames and "
         "cannot work with --transport=direct (no wire, nothing to encode). "
-        "Use --transport=loopback, tcp, or epoll.");
+        "Use --transport=loopback or tcp.");
   }
   if (coded_r > 0 && popts.replication < coded_r) {
     throw std::invalid_argument(
@@ -630,15 +574,9 @@ int CmdRun(const Config& cfg) {
     net::LoopbackTransport loopback(&platform.metrics());
     result = platform.RunWithTransport(spec, options, &loopback,
                                        /*shared_fs=*/!ship_segments);
-  } else if (transport == "tcp" || transport == "epoll") {
-    result = RunOverSockets(platform, spec, options, shuffle_timeout,
-                            /*shared_fs=*/!ship_segments,
-                            /*epoll=*/transport == "epoll",
-                            popts.sock_buf_bytes);
   } else {
-    throw std::invalid_argument(
-        "unknown transport: " + transport +
-        " (expected loopback, tcp, epoll, or direct)");
+    result = RunOverSockets(platform, spec, options, shuffle_timeout,
+                            /*shared_fs=*/!ship_segments);
   }
   PrintJobReport(result);
   const auto dump = cfg.GetString("dump-output", "");
