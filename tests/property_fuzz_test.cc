@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -181,6 +182,10 @@ struct HolisticConfig {
   Shuffle shuffle;
   std::size_t buffers;
 };
+
+// Print the case by name: the default byte dump would embed the string's
+// heap pointer in the listed test name, so each build would name it anew.
+void PrintTo(const HolisticConfig& cfg, std::ostream* os) { *os << cfg.name; }
 
 class HolisticFuzz : public ::testing::TestWithParam<HolisticConfig> {};
 
