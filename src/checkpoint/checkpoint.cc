@@ -5,7 +5,7 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "common/slice.h"
+#include "common/bytes.h"
 #include "storage/codec.h"
 #include "storage/io.h"
 #include "storage/io_stats.h"
@@ -34,33 +34,6 @@ std::string SanitizeForFilename(const std::string& name) {
   return out;
 }
 
-// Cursor-style parser over the decoded payload; every read is
-// bounds-checked so a truncated or garbled (but CRC-colliding) payload
-// surfaces as a recoverable parse error, never as UB.
-class PayloadReader {
- public:
-  explicit PayloadReader(const std::string& body) : body_(body) {}
-
-  std::uint32_t U32() { return DecodeU32(Take(4)); }
-  std::uint64_t U64() { return DecodeU64(Take(8)); }
-  std::uint8_t U8() { return static_cast<std::uint8_t>(*Take(1)); }
-  std::string Bytes(std::size_t n) { return std::string(Take(n), n); }
-  [[nodiscard]] bool Exhausted() const { return pos_ == body_.size(); }
-
- private:
-  const char* Take(std::size_t n) {
-    if (pos_ + n > body_.size()) {
-      throw std::runtime_error("checkpoint payload truncated");
-    }
-    const char* p = body_.data() + pos_;
-    pos_ += n;
-    return p;
-  }
-
-  const std::string& body_;
-  std::size_t pos_ = 0;
-};
-
 }  // namespace
 
 std::string SerializeCheckpointImage(const CheckpointImage& image) {
@@ -73,14 +46,12 @@ std::string SerializeCheckpointImage(const CheckpointImage& image) {
   }
   AppendU32(body, static_cast<std::uint32_t>(image.spill_files.size()));
   for (const auto& spill : image.spill_files) {
-    AppendU32(body, static_cast<std::uint32_t>(spill.path.size()));
-    body.append(spill.path);
+    AppendBytes(body, spill.path);
     AppendU64(body, spill.committed_bytes);
   }
   AppendU32(body, static_cast<std::uint32_t>(image.sketch.size()));
   for (const auto& entry : image.sketch) {
-    AppendU32(body, static_cast<std::uint32_t>(entry.key.size()));
-    body.append(entry.key);
+    AppendBytes(body, entry.key);
     AppendU64(body, entry.count);
     AppendU64(body, entry.error);
   }
@@ -97,47 +68,37 @@ std::string SerializeCheckpointImage(const CheckpointImage& image) {
 }
 
 CheckpointImage ParseCheckpointImage(const std::string& body) {
-  PayloadReader in(body);
+  ByteReader in(body);
   CheckpointImage image;
   image.watermark = in.U64();
-  const std::uint32_t n_feeds = in.U32();
-  image.feeds.reserve(n_feeds);
-  for (std::uint32_t i = 0; i < n_feeds; ++i) {
-    const std::uint32_t feed = in.U32();
-    image.feeds.emplace_back(feed, in.U64());
+  // Every count is checked against the bytes left (each item's minimum
+  // encoded size) before anything is reserved from it.
+  image.feeds.resize(in.Count(4 + 8));
+  for (auto& [feed, records] : image.feeds) {
+    feed = in.U32();
+    records = in.U64();
   }
-  const std::uint32_t n_spills = in.U32();
-  image.spill_files.reserve(n_spills);
-  for (std::uint32_t i = 0; i < n_spills; ++i) {
-    CheckpointImage::SpillFile spill;
-    spill.path = in.Bytes(in.U32());
+  image.spill_files.resize(in.Count(4 + 8));
+  for (auto& spill : image.spill_files) {
+    spill.path = in.Bytes();
     spill.committed_bytes = in.U64();
-    image.spill_files.push_back(std::move(spill));
   }
-  const std::uint32_t n_sketch = in.U32();
-  image.sketch.reserve(n_sketch);
-  for (std::uint32_t i = 0; i < n_sketch; ++i) {
-    CheckpointImage::SketchEntry entry;
-    entry.key = in.Bytes(in.U32());
+  image.sketch.resize(in.Count(4 + 8 + 8));
+  for (auto& entry : image.sketch) {
+    entry.key = in.Bytes();
     entry.count = in.U64();
     entry.error = in.U64();
-    image.sketch.push_back(std::move(entry));
   }
   image.sketch_stream_length = in.U64();
-  const std::uint64_t n_entries = in.U64();
-  image.entries.reserve(n_entries);
-  for (std::uint64_t i = 0; i < n_entries; ++i) {
+  image.entries.resize(in.Count<std::uint64_t>(4 + 4 + 1));
+  for (auto& entry : image.entries) {
     const std::uint32_t klen = in.U32();
     const std::uint32_t slen = in.U32();
-    CheckpointImage::TableEntry entry;
     entry.early_emitted = in.U8() != 0;
     entry.key = in.Bytes(klen);
     entry.state = in.Bytes(slen);
-    image.entries.push_back(std::move(entry));
   }
-  if (!in.Exhausted()) {
-    throw std::runtime_error("checkpoint payload has trailing bytes");
-  }
+  in.ExpectExhausted("checkpoint image");
   return image;
 }
 

@@ -89,7 +89,8 @@ struct CheckpointImage {
 // out inside a file, and a replica parses the fetched bytes back.  Both
 // are deterministic, so identical images yield identical byte strings.
 [[nodiscard]] std::string SerializeCheckpointImage(const CheckpointImage& image);
-// Throws std::runtime_error on truncated / trailing bytes.
+// Throws DecodeError (a std::runtime_error) on truncated or trailing bytes
+// and on a count the payload cannot hold, before reserving anything.
 [[nodiscard]] CheckpointImage ParseCheckpointImage(const std::string& body);
 
 class CheckpointManager {

@@ -492,7 +492,7 @@ void ShuffleServer::HandleFrame(net::Connection* from, net::Frame frame) {
   try {
     switch (frame.type) {
       case net::FrameType::kHello: {
-        const auto msg = net::HelloMsg::Parse(frame);  // validates version
+        const auto msg = net::HelloMsg::Parse(frame);
         if (!secret_.empty() && !net::ConstantTimeEquals(secret_, msg.auth)) {
           auth_failures_->Increment();
           net::AbortMsg abort;

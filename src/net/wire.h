@@ -1,9 +1,9 @@
 // Typed shuffle-protocol messages carried in frame payloads.
 //
-// Encoding is the repo's little-endian run idiom (u32/u64 + length-prefixed
-// byte strings).  Parsing goes through WireReader, a bounds-checked cursor:
-// a payload that passed the frame CRC but is semantically truncated (or a
-// CRC collision) surfaces as a structured WireError, never as UB.
+// Each message's byte layout is one field list in wire.cc, encoded and
+// decoded by the shared codec in common/bytes.h.  A payload that passed the
+// frame CRC but is semantically truncated, padded or lying (or a CRC
+// collision) surfaces as a WireError, never as UB.
 //
 // Protocol sketch (one mapper-group connection per job):
 //
@@ -19,56 +19,18 @@
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/bytes.h"
 #include "net/frame.h"
 
 namespace opmr::net {
 
-class WireError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
+using WireError = DecodeError;
 
-// Bounds-checked cursor over a frame payload.
-class WireReader {
- public:
-  explicit WireReader(const std::string& payload) : body_(payload) {}
-
-  [[nodiscard]] std::uint8_t U8();
-  [[nodiscard]] std::uint32_t U32();
-  [[nodiscard]] std::uint64_t U64();
-  [[nodiscard]] std::int32_t I32();
-  // Length-prefixed (u32) byte string.
-  [[nodiscard]] std::string Bytes();
-
-  // Throws WireError unless the cursor consumed the payload exactly.
-  void ExpectExhausted(const char* what) const;
-
- private:
-  const char* Take(std::size_t n);
-
-  const std::string& body_;
-  std::size_t pos_ = 0;
-};
-
-// v8 drops the v7 block frames (Block / BlockAck, type bytes 25 and 26)
-// and the four block/sendfile counters v7 appended to Bye.  A v7 parser
-// rejects the shorter Bye payload, so the version bump is load-bearing.
-// v6 appends a trailing load vector to Heartbeat (slots held, queue depth
-// — the placement plane's load signal, src/placement).  A v5 parser
-// rejects the longer payload, so the version bump is load-bearing.
-// v5 adds the coded-shuffle frames (CodedChunk / CodedAck, src/coded)
-// and switches the frame checksum from CRC-32 (IEEE) to hardware-friendly
-// CRC-32C — a v4 peer's frames fail the CRC check, so the version bump is
-// load-bearing.
-// v4 added the coordinator-replication frames (LogAppend / LogAck /
-// SnapshotOffer / Vote / LeaderClaim) and the Membership leader fields
-// (leader replica id + leader epoch) used for stale-leader fencing.
-// v3 added the serving-plane frames (SnapshotAnnounce / SnapshotFetch /
-// Query / QueryResult) and the kFrontend worker role.
+// Hello carries it; a peer speaking any other version is refused.
 inline constexpr std::uint32_t kProtocolVersion = 8;
 
 // Constant-time string equality for shared-secret checks (Register /
@@ -88,7 +50,9 @@ enum class WireRole : std::uint8_t {
   kReduce = 1,
   kFrontend = 2,
 };
+constexpr WireRole LastValue(WireRole) { return WireRole::kFrontend; }
 
+// Parse throws WireError unless `version` is kProtocolVersion.
 struct HelloMsg {
   std::uint32_t version = kProtocolVersion;
   std::string job;
@@ -100,6 +64,7 @@ struct HelloMsg {
   std::string worker;
   std::string auth;
 
+  bool operator==(const HelloMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static HelloMsg Parse(const Frame& frame);
 };
@@ -119,6 +84,7 @@ struct ChunkMsg {
   std::uint64_t seq = 0;
   std::string bytes;
 
+  bool operator==(const ChunkMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static ChunkMsg Parse(const Frame& frame);
 };
@@ -135,6 +101,7 @@ struct SegmentRefMsg {
   std::uint64_t seq = 0;
   std::string path;
 
+  bool operator==(const SegmentRefMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static SegmentRefMsg Parse(const Frame& frame);
 };
@@ -149,6 +116,7 @@ struct SegmentDataMsg {
   std::uint64_t seq = 0;
   std::string bytes;
 
+  bool operator==(const SegmentDataMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static SegmentDataMsg Parse(const Frame& frame);
 };
@@ -159,6 +127,7 @@ struct MapDoneMsg {
   std::uint64_t output_records = 0;
   std::uint64_t seq = 0;
 
+  bool operator==(const MapDoneMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static MapDoneMsg Parse(const Frame& frame);
 };
@@ -167,6 +136,7 @@ struct CreditMsg {
   std::int32_t reducer = -1;
   std::uint32_t credits = 1;
 
+  bool operator==(const CreditMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static CreditMsg Parse(const Frame& frame);
 };
@@ -177,6 +147,7 @@ struct CreditMsg {
 struct AckMsg {
   std::uint64_t upto = 0;
 
+  bool operator==(const AckMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static AckMsg Parse(const Frame& frame);
 };
@@ -184,6 +155,7 @@ struct AckMsg {
 struct GoneMsg {
   std::int32_t reducer = -1;
 
+  bool operator==(const GoneMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static GoneMsg Parse(const Frame& frame);
 };
@@ -191,6 +163,7 @@ struct GoneMsg {
 struct AbortMsg {
   std::string reason;
 
+  bool operator==(const AbortMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static AbortMsg Parse(const Frame& frame);
 };
@@ -207,13 +180,14 @@ struct ByeMsg {
   std::uint64_t ack_replays = 0;          // ack-window replay events
   std::uint64_t ack_replayed_frames = 0;  // frames resent by those replays
 
+  bool operator==(const ByeMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static ByeMsg Parse(const Frame& frame);
 };
 
 // --- Coded-shuffle messages (src/coded) --------------------------------------
 //
-// Protocol sketch (v5): a map-side CodedEncoder ships each multicast
+// Protocol sketch: a map-side CodedEncoder ships each multicast
 // group's XOR-combined intermediate parts as CodedChunk frames through the
 // same per-sender sequence space as Chunk/MapDone, so the exactly-once
 // machinery (cumulative acks, ack-window replay, dedup watermark) covers
@@ -231,6 +205,8 @@ inline constexpr std::uint32_t kMaxCodedParts = 1024;
 struct CodedPart {
   std::uint32_t node = 0;      // receiving reducer / logical node id
   std::uint32_t part_len = 0;  // bytes of this receiver's part
+
+  bool operator==(const CodedPart&) const = default;
 };
 
 // Sender → group: one XOR-coded multicast payload.  `group` indexes the
@@ -246,6 +222,7 @@ struct CodedChunkMsg {
   std::vector<CodedPart> parts;
   std::string bytes;  // XOR of zero-padded parts; size == max part_len
 
+  bool operator==(const CodedChunkMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static CodedChunkMsg Parse(const Frame& frame);
 };
@@ -257,6 +234,7 @@ struct CodedAckMsg {
   std::uint64_t upto = 0;
   std::uint64_t decoded = 0;
 
+  bool operator==(const CodedAckMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static CodedAckMsg Parse(const Frame& frame);
 };
@@ -273,6 +251,7 @@ struct RegisterMsg {
   WireRole role = WireRole::kMap;
   std::string auth;      // shared secret (empty = no auth configured)
 
+  bool operator==(const RegisterMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static RegisterMsg Parse(const Frame& frame);
 };
@@ -292,16 +271,15 @@ inline constexpr std::size_t kLoadQueueDepth = 2;
 // Worker → coordinator: lease renewal.  `generation` must match the
 // registry's current generation for the worker (a stale generation means
 // the worker was evicted and re-registered elsewhere); `seq` is the
-// 1-based heartbeat ordinal within the generation.  `load` (v6) is the
-// worker's self-reported load vector — see the kLoad* indices above —
-// appended after `seq` so the byte offsets the frame fuzz suite probes for
-// the v2 fields stay where v2 put them.
+// 1-based heartbeat ordinal within the generation.  `load` is the
+// worker's self-reported load vector — see the kLoad* indices above.
 struct HeartbeatMsg {
   std::string worker;
   std::uint64_t generation = 0;
   std::uint64_t seq = 0;
   std::vector<std::uint32_t> load;
 
+  bool operator==(const HeartbeatMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static HeartbeatMsg Parse(const Frame& frame);
 };
@@ -316,18 +294,20 @@ struct MembershipMsg {
     WireRole role = WireRole::kMap;
     std::uint64_t generation = 0;
     bool alive = true;
+
+    bool operator==(const Entry&) const = default;
   };
 
   std::uint64_t epoch = 0;
   std::vector<Entry> entries;
-  // Trailing leadership fields (v4): fencing for replicated coordinators.
+  // Leadership fields: fencing for replicated coordinators.
   // `leader_epoch` bumps on every leadership transition; receivers drop
   // views carrying a lower one.  0 = unreplicated coordinator, never
-  // fenced.  Appended after the entries so the entry-count byte offsets
-  // the frame fuzz suite probes stay where v2 put them.
+  // fenced.
   std::uint64_t leader_epoch = 0;
   std::uint32_t leader = 0;  // sender's replica id (0 = unreplicated)
 
+  bool operator==(const MembershipMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static MembershipMsg Parse(const Frame& frame);
 };
@@ -362,6 +342,7 @@ struct LogAppendMsg {
   std::string record;            // LogRecord payload bytes
   std::string auth;              // group shared secret (empty = auth off)
 
+  bool operator==(const LogAppendMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static LogAppendMsg Parse(const Frame& frame);
 };
@@ -373,6 +354,7 @@ struct LogAckMsg {
   std::uint64_t index = 0;    // every record <= index is applied
   std::string auth;           // group shared secret (empty = auth off)
 
+  bool operator==(const LogAckMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static LogAckMsg Parse(const Frame& frame);
 };
@@ -386,6 +368,7 @@ struct SnapshotOfferMsg {
   std::string bytes;        // SerializeCheckpointImage of the registry
   std::string auth;         // group shared secret (empty = auth off)
 
+  bool operator==(const SnapshotOfferMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static SnapshotOfferMsg Parse(const Frame& frame);
 };
@@ -399,6 +382,7 @@ struct VoteMsg {
   std::uint64_t index = 0;
   std::string auth;  // group shared secret (empty = auth off)
 
+  bool operator==(const VoteMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static VoteMsg Parse(const Frame& frame);
 };
@@ -413,6 +397,7 @@ struct LeaderClaimMsg {
   // it too — only already-authenticated registrants receive them.
   std::string auth;
 
+  bool operator==(const LeaderClaimMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static LeaderClaimMsg Parse(const Frame& frame);
 };
@@ -444,6 +429,7 @@ struct SnapshotAnnounceMsg {
   std::uint64_t bytes = 0;
   std::uint32_t crc = 0;
 
+  bool operator==(const SnapshotAnnounceMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static SnapshotAnnounceMsg Parse(const Frame& frame);
 };
@@ -458,6 +444,7 @@ struct SnapshotFetchMsg {
   std::uint32_t crc = 0;
   std::string bytes;
 
+  bool operator==(const SnapshotFetchMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static SnapshotFetchMsg Parse(const Frame& frame);
 };
@@ -467,6 +454,7 @@ enum class QueryOp : std::uint8_t {
   kTopK = 1,   // highest aggregates first
   kScan = 2,   // key range [key, end_key), capped at `limit`
 };
+constexpr QueryOp LastValue(QueryOp) { return QueryOp::kScan; }
 
 enum class QueryStatus : std::uint8_t {
   kOk = 0,
@@ -475,6 +463,9 @@ enum class QueryStatus : std::uint8_t {
   kThrottled = 3,   // tenant token bucket empty
   kBadRequest = 4,  // malformed op / missing key
 };
+constexpr QueryStatus LastValue(QueryStatus) {
+  return QueryStatus::kBadRequest;
+}
 
 [[nodiscard]] const char* QueryStatusName(QueryStatus status) noexcept;
 
@@ -489,6 +480,7 @@ struct QueryMsg {
   std::uint32_t limit = 0;
   std::uint64_t staleness_budget = ~0ull;
 
+  bool operator==(const QueryMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static QueryMsg Parse(const Frame& frame);
 };
@@ -505,6 +497,7 @@ struct QueryResultMsg {
   std::vector<std::pair<std::string, std::string>> rows;
   std::string error;
 
+  bool operator==(const QueryResultMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static QueryResultMsg Parse(const Frame& frame);
 };

@@ -1,11 +1,9 @@
 #include "replica/changelog.h"
 
-#include <cstring>
 #include <stdexcept>
-#include <vector>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
-#include "common/slice.h"
 
 namespace opmr::replica {
 
@@ -13,59 +11,24 @@ namespace {
 
 constexpr std::size_t kEntryHeaderBytes = 4 + 1 + 8 + 4 + 4;
 
-std::uint64_t DoubleBits(double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-double BitsDouble(std::uint64_t bits) {
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-void AppendBytes(std::string* out, const std::string& bytes) {
-  AppendU32(*out, static_cast<std::uint32_t>(bytes.size()));
-  out->append(bytes);
-}
-
-// Minimal bounds-checked cursor (the wire layer's WireReader is frame-
-// typed; records travel both inside frames and inside the log file).
-class Cursor {
- public:
-  explicit Cursor(const std::string& body) : body_(body) {}
-
-  std::uint8_t U8() { return static_cast<std::uint8_t>(*Take(1)); }
-  std::uint32_t U32() { return DecodeU32(Take(4)); }
-  std::uint64_t U64() { return DecodeU64(Take(8)); }
-  std::string Bytes() {
-    const std::uint32_t n = U32();
-    return std::string(Take(n), n);
-  }
-  void ExpectExhausted(const char* what) const {
-    if (pos_ != body_.size()) {
-      throw std::runtime_error(std::string("changelog: trailing bytes in ") +
-                               what);
-    }
-  }
-
- private:
-  const char* Take(std::size_t n) {
-    if (body_.size() - pos_ < n) {
-      throw std::runtime_error("changelog: truncated record payload");
-    }
-    const char* p = body_.data() + pos_;
-    pos_ += n;
-    return p;
-  }
-
-  const std::string& body_;
-  std::size_t pos_ = 0;
-};
-
 }  // namespace
+
+// The payload layout of each record type (timestamps as IEEE-754 bits).
+// Namespace-scope so the codec's argument-dependent lookup finds it.
+static void Fields(Like<LogRecord> auto& r, auto& io) {
+  switch (r.type) {
+    case LogRecordType::kRegister:
+      return io(r.worker, r.endpoint, r.role, r.now_s);
+    case LogRecordType::kHeartbeat:
+      return io(r.worker, r.generation, r.now_s);
+    case LogRecordType::kExpire:
+      return io(r.now_s, r.lease_s);
+    case LogRecordType::kLost:
+      return io(r.worker);
+  }
+  throw DecodeError("changelog: unknown record type " +
+                    std::to_string(static_cast<int>(r.type)));
+}
 
 const char* LogRecordTypeName(LogRecordType type) noexcept {
   switch (type) {
@@ -77,60 +40,13 @@ const char* LogRecordTypeName(LogRecordType type) noexcept {
   return "unknown";
 }
 
-std::string LogRecord::EncodePayload() const {
-  std::string out;
-  switch (type) {
-    case LogRecordType::kRegister:
-      AppendBytes(&out, worker);
-      AppendBytes(&out, endpoint);
-      out.push_back(static_cast<char>(role));
-      AppendU64(out, DoubleBits(now_s));
-      break;
-    case LogRecordType::kHeartbeat:
-      AppendBytes(&out, worker);
-      AppendU64(out, generation);
-      AppendU64(out, DoubleBits(now_s));
-      break;
-    case LogRecordType::kExpire:
-      AppendU64(out, DoubleBits(now_s));
-      AppendU64(out, DoubleBits(lease_s));
-      break;
-    case LogRecordType::kLost:
-      AppendBytes(&out, worker);
-      break;
-  }
-  return out;
-}
+std::string LogRecord::EncodePayload() const { return EncodeFields(*this); }
 
 LogRecord LogRecord::DecodePayload(LogRecordType type,
                                    const std::string& body) {
   LogRecord rec;
   rec.type = type;
-  Cursor in(body);
-  switch (type) {
-    case LogRecordType::kRegister:
-      rec.worker = in.Bytes();
-      rec.endpoint = in.Bytes();
-      rec.role = in.U8();
-      rec.now_s = BitsDouble(in.U64());
-      break;
-    case LogRecordType::kHeartbeat:
-      rec.worker = in.Bytes();
-      rec.generation = in.U64();
-      rec.now_s = BitsDouble(in.U64());
-      break;
-    case LogRecordType::kExpire:
-      rec.now_s = BitsDouble(in.U64());
-      rec.lease_s = BitsDouble(in.U64());
-      break;
-    case LogRecordType::kLost:
-      rec.worker = in.Bytes();
-      break;
-    default:
-      throw std::runtime_error("changelog: unknown record type " +
-                               std::to_string(static_cast<int>(type)));
-  }
-  in.ExpectExhausted(LogRecordTypeName(type));
+  DecodeFields(body, rec, LogRecordTypeName(type));
   return rec;
 }
 

@@ -61,7 +61,8 @@ struct LogRecord {
 
   // Payload codec (the bytes carried in kLogAppend frames and on disk).
   [[nodiscard]] std::string EncodePayload() const;
-  // Throws std::runtime_error on truncated / trailing / unknown-type bytes.
+  // Throws DecodeError (a std::runtime_error) on truncated / trailing /
+  // unknown-type bytes.
   static LogRecord DecodePayload(LogRecordType type, const std::string& body);
 };
 

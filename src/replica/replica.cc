@@ -2,13 +2,23 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
-#include "common/slice.h"
 #include "net/wire.h"
+
+namespace opmr::coord {
+
+// A registry snapshot entry's state bytes (the entry key is the worker id).
+// In WorkerInfo's namespace so the codec's argument-dependent lookup finds
+// it.
+static void Fields(Like<WorkerInfo> auto& w, auto& io) {
+  io(w.endpoint, w.role, w.generation, w.last_heartbeat_s, w.alive);
+}
+
+}  // namespace opmr::coord
 
 namespace opmr::replica {
 
@@ -29,55 +39,6 @@ double NowWallSeconds() {
 // carries the replica id.  Distinct from any real job's namespace the same
 // way the serve plane's "<job>.serve" suffix is.
 constexpr const char* kReplicaSnapshotJob = "coord.replica";
-
-std::string EncodeWorkerState(const coord::WorkerInfo& w) {
-  std::string out;
-  AppendU32(out, static_cast<std::uint32_t>(w.endpoint.size()));
-  out.append(w.endpoint);
-  out.push_back(static_cast<char>(w.role));
-  AppendU64(out, w.generation);
-  std::uint64_t hb_bits = 0;
-  static_assert(sizeof(hb_bits) == sizeof(w.last_heartbeat_s));
-  std::memcpy(&hb_bits, &w.last_heartbeat_s, sizeof(hb_bits));
-  AppendU64(out, hb_bits);
-  out.push_back(w.alive ? 1 : 0);
-  return out;
-}
-
-coord::WorkerInfo DecodeWorkerState(const std::string& id,
-                                    const std::string& state) {
-  coord::WorkerInfo w;
-  w.id = id;
-  std::size_t pos = 0;
-  const auto need = [&](std::size_t n) {
-    if (state.size() - pos < n) {
-      throw std::runtime_error("replica: truncated worker state for '" + id +
-                               "'");
-    }
-  };
-  need(4);
-  const std::uint32_t ep_len = DecodeU32(state.data() + pos);
-  pos += 4;
-  need(ep_len);
-  w.endpoint.assign(state.data() + pos, ep_len);
-  pos += ep_len;
-  need(1 + 8 + 8 + 1);
-  const auto role = static_cast<std::uint8_t>(state[pos++]);
-  if (role > static_cast<std::uint8_t>(net::WireRole::kFrontend)) {
-    throw std::runtime_error("replica: unknown role in worker state");
-  }
-  w.role = static_cast<net::WireRole>(role);
-  w.generation = DecodeU64(state.data() + pos);
-  pos += 8;
-  std::uint64_t hb_bits = DecodeU64(state.data() + pos);
-  pos += 8;
-  std::memcpy(&w.last_heartbeat_s, &hb_bits, sizeof(hb_bits));
-  w.alive = state[pos++] != 0;
-  if (pos != state.size()) {
-    throw std::runtime_error("replica: trailing bytes in worker state");
-  }
-  return w;
-}
 
 }  // namespace
 
@@ -110,7 +71,7 @@ CheckpointImage ImageFromRegistry(const coord::WorkerRegistry& registry,
   for (const coord::WorkerInfo& w : registry.Dump()) {
     CheckpointImage::TableEntry e;
     e.key = w.id;
-    e.state = EncodeWorkerState(w);
+    e.state = EncodeFields(w);
     image.entries.push_back(std::move(e));
   }
   return image;
@@ -129,7 +90,9 @@ void RestoreRegistryFromImage(const CheckpointImage& image,
   std::vector<coord::WorkerInfo> workers;
   workers.reserve(image.entries.size());
   for (const CheckpointImage::TableEntry& e : image.entries) {
-    workers.push_back(DecodeWorkerState(e.key, e.state));
+    coord::WorkerInfo& w = workers.emplace_back();
+    w.id = e.key;
+    DecodeFields(e.state, w, "worker state");
   }
   registry->Restore(std::move(workers), registry_epoch);
 }

@@ -95,17 +95,23 @@ std::size_t SnapshotPublisher::subscribers() const {
 }
 
 void SnapshotPublisher::HandleFrame(net::Connection* from, net::Frame frame) {
-  switch (frame.type) {
-    case net::FrameType::kHello:
-      HandleHello(from, frame);
-      return;
-    case net::FrameType::kSnapshotFetch:
-      HandleFetch(from, frame);
-      return;
-    default:
-      // Tolerated (e.g. Bye on shutdown paths); the serving protocol only
-      // reacts to subscriptions and fetches.
-      return;
+  // Drop a malformed frame, never the process: this runs on the
+  // transport's reader thread, where an escaped exception is fatal.
+  try {
+    switch (frame.type) {
+      case net::FrameType::kHello:
+        HandleHello(from, frame);
+        return;
+      case net::FrameType::kSnapshotFetch:
+        HandleFetch(from, frame);
+        return;
+      default:
+        // Tolerated (e.g. Bye on shutdown paths); the serving protocol only
+        // reacts to subscriptions and fetches.
+        return;
+    }
+  } catch (const net::WireError&) {
+    metrics_->Get("serve.bad_frames")->Increment();
   }
 }
 

@@ -14,7 +14,9 @@
 //
 // Frontends subscribe by sending a Hello{job} on a fresh connection (the
 // same frame doubles as the TcpTransport reconnect preamble, so a dropped
-// subscription re-arms itself) and pull images with SnapshotFetch.
+// subscription re-arms itself) and pull images with SnapshotFetch.  A
+// frame that fails to parse (malformed, or a Hello from another protocol
+// version) is dropped and counted in `serve.bad_frames`.
 #pragma once
 
 #include <cstdint>

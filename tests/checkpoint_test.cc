@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -59,6 +60,44 @@ class CheckpointManagerTest : public ::testing::Test {
 TEST_F(CheckpointManagerTest, Crc32MatchesKnownVector) {
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(Crc32("", 0), 0u);
+}
+
+TEST_F(CheckpointManagerTest, ImageBytesAreStable) {
+  // Images outlive the process that wrote them: pin the payload layout.
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : SerializeCheckpointImage(SampleImage(777))) {
+    const auto b = static_cast<unsigned char>(c);
+    hex.push_back(kDigits[b >> 4]);
+    hex.push_back(kDigits[b & 0xF]);
+  }
+  EXPECT_EQ(hex,
+            "090300000000000002000000000000006400000000000000030000002a000000"
+            "0000000001000000090000002f746d702f72756e300010000000000000010000"
+            "0003000000686f74110000000000000002000000000000007b00000000000000"
+            "0200000000000000050000000300000000616c70686101007304000000090000"
+            "00016265746173746174652d74776f");
+}
+
+// A count the payload cannot hold is a std::runtime_error — the contract
+// replicas catch — raised before anything is reserved from it.
+TEST_F(CheckpointManagerTest, LyingCountsAreRejectedBeforeAllocation) {
+  // Empty image: watermark u64 | feeds u32 @8 | spills u32 @12 |
+  // sketch u32 @16 | sketch_stream_length u64 @20 | entries u64 @28.
+  const std::string empty = SerializeCheckpointImage(CheckpointImage{});
+  ASSERT_EQ(empty.size(), 36u);
+  const auto lie = [&empty](std::size_t offset, std::uint64_t count,
+                            std::size_t width) {
+    std::string body = empty;
+    std::memcpy(body.data() + offset, &count, width);
+    return body;
+  };
+  EXPECT_THROW((void)ParseCheckpointImage(lie(28, 1ull << 62, 8)),
+               std::runtime_error);
+  EXPECT_THROW((void)ParseCheckpointImage(lie(8, 0xFFFFFFFFull, 4)),
+               std::runtime_error);
+  EXPECT_THROW((void)ParseCheckpointImage(lie(16, 1ull << 28, 4)),
+               std::runtime_error);
 }
 
 TEST_F(CheckpointManagerTest, RoundTripPreservesEveryField) {

@@ -214,6 +214,55 @@ TEST(ReplicaState, ReplayedLogYieldsIdenticalRegistry) {
   EXPECT_EQ(info.endpoint, "r:2");
 }
 
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
+TEST(ReplicaState, RecordAndImageBytesAreStable) {
+  // Changelogs and registry snapshots outlive the process that wrote them:
+  // these bytes must keep loading, so their layout is pinned here.
+  LogRecord expire;
+  expire.type = LogRecordType::kExpire;
+  expire.now_s = 103.0;
+  expire.lease_s = 2.0;
+  LogRecord lost;
+  lost.type = LogRecordType::kLost;
+  lost.worker = "r-0";
+  const std::vector<std::pair<LogRecord, std::string>> records = {
+      {RegisterRecord("m-0", "h:1", 100.5),
+       "030000006d2d3003000000683a31000000000000205940"},
+      {HeartbeatRecord("m-0", 3, 101.0),
+       "030000006d2d3003000000000000000000000000405940"},
+      {expire, "0000000000c059400000000000000040"},
+      {lost, "03000000722d30"},
+  };
+  for (const auto& [rec, golden] : records) {
+    SCOPED_TRACE(replica::LogRecordTypeName(rec.type));
+    const std::string payload = rec.EncodePayload();
+    EXPECT_EQ(Hex(payload), golden);
+    EXPECT_EQ(LogRecord::DecodePayload(rec.type, payload).EncodePayload(),
+              payload);
+  }
+
+  coord::WorkerRegistry registry;
+  (void)registry.Register("m-0", "h:1", net::WireRole::kReduce, 50.25);
+  const std::string image = SerializeCheckpointImage(
+      replica::ImageFromRegistry(registry, /*applied_index=*/4,
+                                 /*leader_epoch=*/2));
+  EXPECT_EQ(Hex(image),
+            "0400000000000000020000000000000001000000000000000100000002000000"
+            "0000000000000000000000000000000000000000010000000000000003000000"
+            "19000000006d2d3003000000683a310101000000000000000000000000204940"
+            "01");
+}
+
 TEST(ReplicaState, ImageRoundTripsThroughCheckpointCodec) {
   coord::WorkerRegistry registry;
   (void)registry.Register("map-0", "-", net::WireRole::kMap, 50.25);

@@ -197,6 +197,40 @@ TEST_F(ServeTest, PublisherRejectsBadSecretAndAcceptsGoodOne) {
   EXPECT_EQ(publisher.subscribers(), 1u);
 }
 
+TEST_F(ServeTest, PublisherDropsMalformedHellosAndKeepsServing) {
+  net::LoopbackTransport wire(&metrics_);
+  serve::PublisherOptions popts;
+  popts.job = "clicks";
+  popts.dir = dir_;
+  popts.secret = "hunter2";
+  serve::SnapshotPublisher publisher(&wire, &metrics_, popts);
+  publisher.Publish(SumImage(10, {{"k", 1}}));
+
+  std::vector<net::Frame> got;
+  auto conn = wire.Connect([&](net::Connection*, net::Frame frame) {
+    got.push_back(std::move(frame));
+  });
+  // A CRC-clean Hello from an unauthenticated client with a 1-byte payload,
+  // then one from another protocol version: both fail to parse on the
+  // transport's reader thread, where an escaped exception is fatal.
+  EXPECT_NO_THROW(conn->Send(net::Frame{net::FrameType::kHello, "x"}));
+  net::HelloMsg hello;
+  hello.job = "clicks";
+  hello.worker = "probe";
+  hello.auth = "hunter2";
+  hello.version = net::kProtocolVersion - 1;
+  EXPECT_NO_THROW(conn->Send(hello.ToFrame()));
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(metrics_.Value("serve.bad_frames"), 2);
+  EXPECT_EQ(publisher.subscribers(), 0u);
+
+  hello.version = net::kProtocolVersion;
+  conn->Send(hello.ToFrame());
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].type, net::FrameType::kSnapshotAnnounce);
+  EXPECT_EQ(publisher.subscribers(), 1u);
+}
+
 // --- replica views -----------------------------------------------------------
 
 TEST_F(ServeTest, TwoFrontendsServeByteIdenticalViews) {
