@@ -30,6 +30,7 @@
 #include "metrics/counters.h"
 #include "metrics/stopwatch.h"
 #include "net/tcp.h"
+#include "opmrbench/harness.h"
 #include "replica/replica.h"
 
 namespace {
@@ -87,12 +88,6 @@ bool PollUntilMs(double timeout_ms, const std::function<bool()>& pred) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return true;
-}
-
-double Percentile(std::vector<double> sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const auto rank = static_cast<std::size_t>(p * (sorted.size() - 1));
-  return sorted[rank];
 }
 
 }  // namespace
@@ -178,8 +173,8 @@ int main(int argc, char** argv) {
 
   std::sort(elect_ms.begin(), elect_ms.end());
   std::sort(recover_ms.begin(), recover_ms.end());
-  const double elect_p50 = Percentile(elect_ms, 0.50);
-  const double recover_p50 = Percentile(recover_ms, 0.50);
+  const double elect_p50 = bench::Percentile(elect_ms, 0.50);
+  const double recover_p50 = bench::Percentile(recover_ms, 0.50);
   const double recover_max = recover_ms.empty() ? 0.0 : recover_ms.back();
 
   std::printf("\nelection  : p50 %.1f ms (timeout %.0f ms)\n", elect_p50,

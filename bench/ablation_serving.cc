@@ -23,6 +23,7 @@
 #include "metrics/counters.h"
 #include "metrics/stopwatch.h"
 #include "net/loopback.h"
+#include "opmrbench/harness.h"
 #include "serve/frontend.h"
 #include "serve/publisher.h"
 #include "serve/query_client.h"
@@ -42,17 +43,6 @@ double RunJob(const std::vector<std::string>& records, int workers,
   for (const auto& record : records) job.Ingest(record);
   (void)job.Finish();
   return timer.Seconds();
-}
-
-double MedianOf(std::vector<double> runs) {
-  std::sort(runs.begin(), runs.end());
-  return runs[runs.size() / 2];
-}
-
-double PercentileUs(const std::vector<double>& sorted_us, double p) {
-  if (sorted_us.empty()) return 0.0;
-  const auto rank = static_cast<std::size_t>(p * (sorted_us.size() - 1));
-  return sorted_us[rank];
 }
 
 }  // namespace
@@ -96,7 +86,7 @@ int main(int argc, char** argv) {
   for (int r = 0; r < runs; ++r) {
     baseline_runs.push_back(RunJob(records, workers, {}));
   }
-  const double baseline_s = MedianOf(baseline_runs);
+  const double baseline_s = bench::Summary::Of(baseline_runs).median;
   std::printf("baseline  : %s  (%.2f M rec/s, median of %d)\n",
               HumanSeconds(baseline_s).c_str(),
               records_n / baseline_s / 1e6, runs);
@@ -193,14 +183,14 @@ int main(int argc, char** argv) {
   }
   std::filesystem::remove_all(image_dir);
 
-  const double serving_s = MedianOf(serving_runs);
+  const double serving_s = bench::Summary::Of(serving_runs).median;
   const double perturbation_pct = (serving_s - baseline_s) / baseline_s * 100.0;
   const double queries_per_s =
       query_window_s > 0 ? total_queries / query_window_s : 0.0;
   std::sort(latencies_us.begin(), latencies_us.end());
-  const double p50 = PercentileUs(latencies_us, 0.50);
-  const double p90 = PercentileUs(latencies_us, 0.90);
-  const double p99 = PercentileUs(latencies_us, 0.99);
+  const double p50 = bench::Summary::Quantile(latencies_us, 0.50);
+  const double p90 = bench::Summary::Quantile(latencies_us, 0.90);
+  const double p99 = bench::Summary::Quantile(latencies_us, 0.99);
 
   std::printf("serving   : %s  (%d clients closed-loop, %lld us think, "
               "median of %d)\n",

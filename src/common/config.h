@@ -5,8 +5,10 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace opmr {
 
@@ -35,7 +37,11 @@ class Config {
     return cfg;
   }
 
+  // Every typed getter goes through Get, which records `key` as read.  That
+  // bookkeeping makes reads non-const in effect: use one Config from one
+  // thread.
   [[nodiscard]] std::optional<std::string> Get(const std::string& key) const {
+    read_.insert(key);
     auto it = values_.find(key);
     if (it == values_.end()) return std::nullopt;
     return it->second;
@@ -64,8 +70,20 @@ class Config {
     return *v == "true" || *v == "1" || *v == "yes";
   }
 
+  // Keys that were set but never read, in sorted order: a caller that has
+  // read every key it understands reports these as unknown (typos, removed
+  // flags) instead of silently running a different job.
+  [[nodiscard]] std::vector<std::string> UnreadKeys() const {
+    std::vector<std::string> unread;
+    for (const auto& [key, value] : values_) {
+      if (!read_.contains(key)) unread.push_back(key);
+    }
+    return unread;
+  }
+
  private:
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace opmr

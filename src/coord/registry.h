@@ -89,9 +89,9 @@ class WorkerRegistry {
   // ORDERING CONTRACT: the result is sorted ascending by worker id —
   // NOT registration order (that is Snapshot()/Dump()).  The sort is what
   // lets every participant derive the same worker -> logical-node mapping
-  // independently from a Membership view, so placement plans (CodedPlan
-  // holder sets, the placement plane's node bridge) agree across
-  // processes without any extra coordination.  Callers must not re-sort;
+  // independently from a Membership view, so placement plans (the
+  // placement plane's node bridge) agree across processes without any
+  // extra coordination.  Callers must not re-sort;
   // the coord_test suite pins this order.
   [[nodiscard]] std::vector<WorkerInfo> LiveWorkers(net::WireRole role) const;
   [[nodiscard]] bool Lookup(const std::string& id, WorkerInfo* out) const;

@@ -11,8 +11,6 @@
 #include <thread>
 
 #include "checkpoint/checkpoint.h"
-#include "coded/coded.h"
-#include "coded/plan.h"
 #include "common/rng.h"
 #include "coord/coordinator.h"
 #include "coord/member.h"
@@ -118,48 +116,6 @@ class MapSlotLease {
  private:
   const SchedHooks* hooks_;
   int node_;
-};
-
-// The coded decoder's always-accepting stand-in for the shuffle endpoint:
-// collects a re-mapped task's pushed chunks per partition, byte-identical
-// to what the map side's CodedShuffleClient buffers (both sit behind a
-// PushSink whose chunk boundaries are then a pure function of the record
-// stream).
-class CapturingEndpoint final : public ShuffleMapEndpoint {
- public:
-  explicit CapturingEndpoint(coded::UnitsByPartition* out) : out_(out) {}
-
-  void RegisterFile(const MapOutputFile& file) override {
-    (void)file;
-    throw std::logic_error("coded re-map must not register spill files");
-  }
-  void RegisterSegment(int map_task, const std::filesystem::path& path,
-                       int reducer, const Segment& segment,
-                       bool sorted) override {
-    (void)map_task;
-    (void)path;
-    (void)reducer;
-    (void)segment;
-    (void)sorted;
-    throw std::logic_error("coded re-map must not divert segments");
-  }
-  PushResult TryPush(int reducer, ShuffleItem chunk) override {
-    coded::CodedUnit unit;
-    unit.sorted = chunk.sorted;
-    unit.records = chunk.records;
-    unit.bytes = std::move(chunk.bytes);
-    out_->at(static_cast<std::size_t>(reducer)).push_back(std::move(unit));
-    return PushResult::kAccepted;
-  }
-  void MapTaskDone(int map_task, std::uint64_t input_records,
-                   std::uint64_t output_records) override {
-    (void)map_task;
-    (void)input_records;
-    (void)output_records;
-  }
-
- private:
-  coded::UnitsByPartition* out_;
 };
 
 class ReduceSlotLease {
@@ -348,41 +304,6 @@ void ClusterExecutor::Validate(const JobSpec& spec,
         "requires role == kMapOnly (the reduce group sees the full task "
         "count via MapDone frames)");
   }
-  if (cluster_.coded_r > 0) {
-    if (cluster_.shuffle_transport == nullptr) {
-      throw std::invalid_argument(
-          "coded shuffle (coded_r > 0) requires a framed shuffle transport: "
-          "kCodedChunk frames cannot ride the direct in-process endpoint — "
-          "re-run with --transport=loopback or --transport=tcp");
-    }
-    if (options.shuffle != Shuffle::kPush) {
-      throw std::invalid_argument(
-          "coded shuffle requires push (pipelined) shuffle: the encoder "
-          "buffers pushed chunks into multicast groups");
-    }
-    if (spec.num_reducers < cluster_.coded_r + 1) {
-      throw std::invalid_argument(
-          "coded shuffle with r=" + std::to_string(cluster_.coded_r) +
-          " requires num_reducers >= r + 1 (= " +
-          std::to_string(cluster_.coded_r + 1) +
-          "): every multicast group seats r holders plus one receiver");
-    }
-    if (dfs_->options().replication < cluster_.coded_r) {
-      throw std::invalid_argument(
-          "coded shuffle with r=" + std::to_string(cluster_.coded_r) +
-          " requires DFS replication >= r (have " +
-          std::to_string(dfs_->options().replication) +
-          "): every map block needs r replicas to seat its r co-located "
-          "mappers — raise replication to at least " +
-          std::to_string(cluster_.coded_r));
-    }
-    if (cluster_.map_partition_count > 1) {
-      throw std::invalid_argument(
-          "coded shuffle does not compose with a partitioned map group "
-          "(map_partition_count > 1): every sibling would re-encode the "
-          "whole group set");
-    }
-  }
 }
 
 void ClusterExecutor::RetryBackoff(int attempt, std::uint64_t salt) const {
@@ -420,12 +341,6 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
     const auto more = dfs_->ListBlocks(extra);
     blocks.insert(blocks.end(), more.begin(), more.end());
   }
-  // The coded plan derives holder sets from the pristine replica placement
-  // and both wire endpoints must agree on it, so snapshot the listing
-  // before fault-plane replica filtering degrades it.
-  const bool coded_enabled = cluster_.coded_r > 0;
-  std::vector<BlockInfo> coded_blocks;
-  if (coded_enabled) coded_blocks = blocks;
   if (fault != nullptr) {
     // Replica loss degrades locality metadata before scheduling; the block
     // data itself survives (the scheduler falls back to remote reads).
@@ -436,17 +351,12 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
   // Task ids are global: in a multi-worker map group each sibling filters
   // the same full listing down to its partition but numbers tasks off the
   // unfiltered index, so ids never collide on the shared reduce side.
-  // Coded mode forces global ids too — the plan speaks listing indices, so
-  // claim-order ids (nondeterministic across worker threads) would desync
-  // the encoder from the reduce-side re-map.
   const int num_maps = static_cast<int>(blocks.size());
   std::map<std::uint64_t, int> global_task_id;
-  if (cluster_.map_partition_count > 1 || coded_enabled) {
+  if (cluster_.map_partition_count > 1) {
     for (int i = 0; i < num_maps; ++i) {
       global_task_id[blocks[i].block_id] = i;
     }
-  }
-  if (cluster_.map_partition_count > 1) {
     std::vector<BlockInfo> mine;
     for (int i = 0; i < num_maps; ++i) {
       if (i % cluster_.map_partition_count == cluster_.map_partition_index) {
@@ -457,14 +367,6 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
   }
   const int local_map_tasks = static_cast<int>(blocks.size());
   const int num_reducers = spec.num_reducers;
-
-  // Both sides derive the identical coded plan from the same inputs, so
-  // group ids travel in frames as plain integers.
-  std::unique_ptr<coded::CodedPlan> coded_plan;
-  if (coded_enabled) {
-    coded_plan = std::make_unique<coded::CodedPlan>(coded::CodedPlan::Build(
-        coded_blocks, num_reducers, cluster_.coded_r, cluster_.coded_seed));
-  }
 
   WallTimer job_start;
   PhaseProfiler profiler;
@@ -498,37 +400,13 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
     });
   }
 
-  // The runtime environment is built before the shuffle endpoints because
-  // the coded decoder's Prepare() re-runs map tasks through it.
-  RuntimeEnv env;
-  env.dfs = dfs_;
-  env.files = files_;
-  env.metrics = metrics_;
-  env.profiler = &profiler;
-  env.shuffle = &shuffle;
-  env.timeline = &timeline;
-  env.emissions = &emissions;
-  env.job_start = &job_start;
-  env.fault = fault;
-  if (checkpoint_enabled) {
-    env.checkpoint_dir = options.checkpoint.dir.empty()
-                             ? files_->NewDir("checkpoints")
-                             : std::filesystem::path(options.checkpoint.dir);
-  }
-
   // Shuffle endpoint selection.  Without a transport the map side calls
   // the service directly (the seed's path, zero overhead).  With one, the
   // reduce side serves frames and the map side sends them — over loopback
-  // (same process) or sockets (split worker groups).  Coded mode layers
-  // over both halves: the decoder feeds the server's coded frames into the
-  // ordinary exactly-once pipeline, the encoder wraps the client as the
-  // map sinks' endpoint.  Declared before the transport guard so the
-  // transport's I/O threads are joined before either dies.
+  // (same process) or sockets (split worker groups).
   ShuffleMapEndpoint* endpoint = &shuffle;
   std::unique_ptr<ShuffleServer> shuffle_server;
   std::unique_ptr<ShuffleClient> shuffle_client;
-  std::unique_ptr<coded::CodedDecoder> coded_decoder;
-  std::unique_ptr<coded::CodedShuffleClient> coded_client;
   TransportShutdownGuard transport_guard;
   if (transport != nullptr) {
     transport_guard.transport = transport;
@@ -537,43 +415,6 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
           transport, &shuffle, files_, metrics_,
           /*merge_client_wire_stats=*/role == WorkerRole::kReduceOnly);
       shuffle_server->SetAuthSecret(cluster_.shuffle_secret);
-      if (coded_enabled) {
-        ShuffleService* service = &shuffle;
-        coded_decoder = std::make_unique<coded::CodedDecoder>(
-            coded_plan.get(),
-            /*remap=*/
-            [this, &spec, &options, &env, num_reducers](
-                int task, const BlockInfo& block,
-                coded::UnitsByPartition* out) {
-              CapturingEndpoint capture(out);
-              PushSink sink(task, files_, metrics_, &capture, num_reducers,
-                            options.push_chunk_bytes);
-              MapTask remap(task, spec, options, env, block, &sink);
-              remap.Run();
-            },
-            /*push=*/
-            [service](int reducer, int task, const coded::CodedUnit& unit) {
-              ShuffleItem item;
-              item.map_task = task;
-              item.sorted = unit.sorted;
-              item.records = unit.records;
-              item.bytes = unit.bytes;
-              service->ForcePush(reducer, std::move(item));
-            },
-            metrics_);
-        if (cluster_.coded_kill_node >= 0) {
-          coded_decoder->SetKill(cluster_.coded_kill_node,
-                                 cluster_.coded_kill_after_frames);
-        }
-        coded_decoder->Prepare(coded_blocks);
-        coded::CodedDecoder* decoder = coded_decoder.get();
-        shuffle_server->SetCodedFrameHandler(
-            [decoder](const net::CodedChunkMsg& msg) {
-              return decoder->OnCodedFrame(msg);
-            });
-        shuffle_server->SetMapDoneHook(
-            [decoder](int task) { decoder->OnMapDone(task); });
-      }
       shuffle_server->Start();
     }
     if (run_maps) {
@@ -588,21 +429,6 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
       shuffle_client = std::make_unique<ShuffleClient>(
           transport, metrics_, std::move(client_options));
       endpoint = shuffle_client.get();
-      if (coded_enabled) {
-        ShuffleClient* raw = shuffle_client.get();
-        coded_client = std::make_unique<coded::CodedShuffleClient>(
-            coded_plan.get(),
-            /*send=*/
-            [raw](const std::function<net::Frame(std::uint64_t)>& build) {
-              raw->SendSequencedFrame(build);
-            },
-            /*map_done=*/
-            [raw](int task, std::uint64_t in, std::uint64_t out) {
-              raw->MapTaskDone(task, in, out);
-            },
-            metrics_);
-        endpoint = coded_client.get();
-      }
     }
   }
 
@@ -627,6 +453,22 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
       }
     });
     coord_guard.coordinator = cluster_.coordinator;
+  }
+
+  RuntimeEnv env;
+  env.dfs = dfs_;
+  env.files = files_;
+  env.metrics = metrics_;
+  env.profiler = &profiler;
+  env.shuffle = &shuffle;
+  env.timeline = &timeline;
+  env.emissions = &emissions;
+  env.job_start = &job_start;
+  env.fault = fault;
+  if (checkpoint_enabled) {
+    env.checkpoint_dir = options.checkpoint.dir.empty()
+                             ? files_->NewDir("checkpoints")
+                             : std::filesystem::path(options.checkpoint.dir);
   }
 
   BlockScheduler scheduler(blocks, dfs_->options().num_nodes,
@@ -818,11 +660,10 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
   auto register_entry = [&](BlockInfo block) -> MapTaskEntry* {
     std::scoped_lock lock(entries_mu);
     MapTaskEntry& entry = task_entries.emplace_back();
-    // Partitioned map groups and coded mode use the globally-unique
-    // listing index (the coded plan addresses tasks by it); otherwise ids
-    // stay in claim order (the seed's behaviour, which fault plans target
-    // by task number).
-    entry.task_id = cluster_.map_partition_count > 1 || coded_enabled
+    // Partitioned map groups use the globally-unique listing index;
+    // otherwise ids stay in claim order (the seed's behaviour, which fault
+    // plans target by task number).
+    entry.task_id = cluster_.map_partition_count > 1
                         ? global_task_id.at(block.block_id)
                         : static_cast<int>(task_entries.size()) - 1;
     entry.block = std::move(block);
@@ -1023,16 +864,6 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
           failure_reason = "unknown error";
         }
       }
-    }
-    if (failure_reason.empty() && coded_client != nullptr &&
-        coded_client->PendingMapDones() > 0) {
-      // Every task completed yet some group never flushed: a bookkeeping
-      // bug that would otherwise hang the reduce side waiting on MapDones.
-      failure_reason = "coded shuffle: map group finished with " +
-                       std::to_string(coded_client->PendingMapDones()) +
-                       " undelivered MapDone(s)";
-      record_failure(
-          std::make_exception_ptr(std::runtime_error(failure_reason)));
     }
     if (failure_reason.empty()) {
       shuffle_client->Finish();

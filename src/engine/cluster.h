@@ -173,25 +173,6 @@ struct ClusterOptions {
   int map_partition_index = 0;
   int map_partition_count = 1;
 
-  // --- Coded shuffle (src/coded) --------------------------------------------
-  // Replication degree r of the coded shuffle plane; 0 (default) disables
-  // it.  With r >= 1 every map block is held by r logical nodes (the
-  // reducers' co-located mappers) and intermediate delivery goes out as
-  // XOR-coded multicast frames — ~r-fold fewer shuffle bytes for r-fold
-  // map CPU.  Requires a framed shuffle_transport, push shuffle,
-  // num_reducers >= r + 1, DFS replication >= r, and an unpartitioned map
-  // group; Validate enforces all of it with actionable errors.
-  int coded_r = 0;
-  // Seed completing holder sets beyond what DFS placement pins down; both
-  // sides must agree (they do: one process, one options struct).
-  std::uint64_t coded_seed = 1;
-  // Fault-plane test hook: after `coded_kill_after_frames` coded frames
-  // are applied reduce-side, logical node `coded_kill_node`'s re-mapped
-  // store is dropped, as if the worker hosting it died mid-job.  -1 (the
-  // default) kills nobody.
-  int coded_kill_node = -1;
-  std::uint64_t coded_kill_after_frames = 0;
-
   // Membership agent of a map-group worker (not owned).  When set, an
   // eviction/rejoin observed by the heartbeat thread fires
   // ShuffleClient::ReplayUnacked() — the reduce side may have lost this
@@ -357,14 +338,6 @@ class ClusterExecutor {
   void set_map_partition(int index, int count) {
     cluster_.map_partition_index = index;
     cluster_.map_partition_count = count;
-  }
-  void set_coded(int r, std::uint64_t seed = 1) {
-    cluster_.coded_r = r;
-    cluster_.coded_seed = seed;
-  }
-  void set_coded_kill(int node, std::uint64_t after_frames) {
-    cluster_.coded_kill_node = node;
-    cluster_.coded_kill_after_frames = after_frames;
   }
   void set_coord_client(coord::CoordClient* client) {
     cluster_.coord_client = client;

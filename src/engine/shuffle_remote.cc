@@ -78,19 +78,6 @@ void ShuffleClient::HandleReply(net::Connection* /*from*/, net::Frame frame) {
       cv_.notify_all();
       break;
     }
-    case net::FrameType::kCodedAck: {
-      // Same window-pruning meaning as kAck; the decode counter is
-      // observability-only.
-      const auto msg = net::CodedAckMsg::Parse(frame);
-      {
-        std::scoped_lock lock(mu_);
-        while (!window_.empty() && window_.front().seq <= msg.upto) {
-          window_.pop_front();
-        }
-      }
-      cv_.notify_all();
-      break;
-    }
     case net::FrameType::kGone: {
       const auto msg = net::GoneMsg::Parse(frame);
       std::scoped_lock lock(mu_);
@@ -229,12 +216,6 @@ void ShuffleClient::SendSegmentData(int map_task,
         WindowEntry{seq, net::Frame{}, [rebuild, seq] { return rebuild(seq); }});
   }
   conn_->Send(rebuild(seq));
-}
-
-void ShuffleClient::SendSequencedFrame(
-    const std::function<net::Frame(std::uint64_t)>& build) {
-  CheckAborted();
-  SendSequenced(build);
 }
 
 void ShuffleClient::MapTaskDone(int map_task, std::uint64_t input_records,
@@ -571,36 +552,8 @@ void ShuffleServer::HandleFrame(net::Connection* from, net::Frame frame) {
           map_input_records_ += msg.input_records;
           map_output_records_ += msg.output_records;
         }
-        // The coded decoder delivers the task's locally-held units before
-        // the service learns the task is done (ordering matters: MapTaskDone
-        // may unblock reducers waiting for the last item).
-        if (map_done_hook_) map_done_hook_(msg.map_task);
         shuffle_->MapTaskDone(msg.map_task);
         AckApplied(from, msg.seq);
-        break;
-      }
-      case net::FrameType::kCodedChunk: {
-        const auto msg = net::CodedChunkMsg::Parse(frame);
-        if (!coded_handler_) {
-          throw net::WireError(
-              "shuffle server: coded frame without a coded decoder attached "
-              "(run with --coded-r on both sides)");
-        }
-        if (!AdmitSequenced(from, msg.seq)) break;
-        const std::uint64_t decoded = coded_handler_(msg);
-        // Advance the watermark like AckApplied, but answer with CodedAck
-        // so the map side sees decode progress.
-        std::uint64_t upto = 0;
-        {
-          std::scoped_lock lock(mu_);
-          ClientState& st = clients_[conn_worker_[from]];
-          st.applied_upto = std::max(st.applied_upto, msg.seq);
-          upto = st.applied_upto;
-        }
-        net::CodedAckMsg ack;
-        ack.upto = upto;
-        ack.decoded = decoded;
-        SendTo(from, ack.ToFrame());
         break;
       }
       case net::FrameType::kBye: {

@@ -107,13 +107,6 @@ class ShuffleClient final : public ShuffleMapEndpoint {
   // instead of waiting out its idle timeout.  Idempotent with Finish.
   void SendAbort(const std::string& reason);
 
-  // Sends a caller-built frame through the exactly-once sequenced replay
-  // window (the coded shuffle plane ships its kCodedChunk frames this
-  // way, sharing the seq space with Chunk/MapDone so ordering, dedup,
-  // and ack-window retransmit cover them unchanged).
-  void SendSequencedFrame(
-      const std::function<net::Frame(std::uint64_t)>& build);
-
  private:
   // One delivered-but-unacked frame.  SegmentData frames are not held in
   // memory: `rebuild` re-reads the immutable spill file when a replay needs
@@ -183,21 +176,6 @@ class ShuffleServer {
   // (default) disables authentication.
   void SetAuthSecret(std::string secret) { secret_ = std::move(secret); }
 
-  // Handler for admitted (deduplicated, in-order) kCodedChunk frames;
-  // returns the cumulative decoded-unit count echoed in CodedAck.  Set
-  // before Start(); unset, coded frames are a protocol error.
-  void SetCodedFrameHandler(
-      std::function<std::uint64_t(const net::CodedChunkMsg&)> handler) {
-    coded_handler_ = std::move(handler);
-  }
-
-  // Invoked for every admitted MapDone frame, before the task is marked
-  // done on the ShuffleService (the coded decoder must deliver the
-  // task's locally-held units first).  Set before Start().
-  void SetMapDoneHook(std::function<void(int)> hook) {
-    map_done_hook_ = std::move(hook);
-  }
-
   // Installs the consume/gone probes on the ShuffleService and starts
   // listening on the transport.
   void Start();
@@ -251,8 +229,6 @@ class ShuffleServer {
   Counter* dup_frames_ = nullptr;
   Counter* auth_failures_ = nullptr;
   std::string secret_;
-  std::function<std::uint64_t(const net::CodedChunkMsg&)> coded_handler_;
-  std::function<void(int)> map_done_hook_;
 
   mutable std::mutex mu_;
   std::condition_variable bye_cv_;

@@ -31,15 +31,13 @@ const char* FrameTypeName(FrameType type) noexcept {
     case FrameType::kSnapshotOffer: return "snapshot_offer";
     case FrameType::kVote: return "vote";
     case FrameType::kLeaderClaim: return "leader_claim";
-    case FrameType::kCodedChunk: return "coded_chunk";
-    case FrameType::kCodedAck: return "coded_ack";
   }
   return "unknown";
 }
 
 bool IsKnownFrameType(std::uint8_t type) noexcept {
   return type >= static_cast<std::uint8_t>(FrameType::kHello) &&
-         type <= static_cast<std::uint8_t>(FrameType::kCodedAck);
+         type <= static_cast<std::uint8_t>(FrameType::kLeaderClaim);
 }
 
 void AppendFrame(std::string* out, const Frame& frame) {

@@ -51,8 +51,6 @@ enum class FrameType : std::uint8_t {
   kSnapshotOffer = 20, // leader -> standby: full registry image (catch-up)
   kVote = 21,          // replica <-> replica: liveness ping for election
   kLeaderClaim = 22,   // new leader announcement / standby redirect
-  kCodedChunk = 23,    // XOR-coded multicast shuffle payload (src/coded)
-  kCodedAck = 24,      // cumulative ack + decode progress for coded frames
 };
 
 [[nodiscard]] const char* FrameTypeName(FrameType type) noexcept;

@@ -1,7 +1,5 @@
 #include "net/wire.h"
 
-#include <algorithm>
-
 namespace opmr::net {
 
 bool ConstantTimeEquals(const std::string& secret,
@@ -44,30 +42,6 @@ void CheckDecoded(const HelloMsg& msg) {
     throw WireError("wire: peer speaks protocol v" +
                     std::to_string(msg.version) + ", this build speaks v" +
                     std::to_string(kProtocolVersion));
-  }
-}
-
-void CheckDecoded(const CodedChunkMsg& msg) {
-  if (msg.parts.empty()) {
-    throw WireError("coded chunk: empty part list");
-  }
-  std::uint32_t longest = 0;
-  for (std::size_t i = 0; i < msg.parts.size(); ++i) {
-    const CodedPart& part = msg.parts[i];
-    if (i > 0 && part.node <= msg.parts[i - 1].node) {
-      throw WireError("coded chunk: receiver list not strictly increasing");
-    }
-    if (part.part_len > msg.bytes.size()) {
-      throw WireError("coded chunk: part length " +
-                      std::to_string(part.part_len) + " exceeds payload " +
-                      std::to_string(msg.bytes.size()));
-    }
-    longest = std::max(longest, part.part_len);
-  }
-  if (longest != msg.bytes.size()) {
-    throw WireError("coded chunk: payload length " +
-                    std::to_string(msg.bytes.size()) +
-                    " does not match longest part " + std::to_string(longest));
   }
 }
 
@@ -150,20 +124,6 @@ static void Fields(Like<ByeMsg> auto& m, auto& io) {
      m.ack_replays, m.ack_replayed_frames);
 }
 OPMR_WIRE_MESSAGE(ByeMsg, kBye)
-
-static void Fields(Like<CodedPart> auto& m, auto& io) {
-  io(m.node, m.part_len);
-}
-
-static void Fields(Like<CodedChunkMsg> auto& m, auto& io) {
-  io(m.group, m.sender, m.seq, Capped{m.parts, kMaxCodedParts}, m.bytes);
-}
-OPMR_WIRE_MESSAGE(CodedChunkMsg, kCodedChunk)
-
-static void Fields(Like<CodedAckMsg> auto& m, auto& io) {
-  io(m.upto, m.decoded);
-}
-OPMR_WIRE_MESSAGE(CodedAckMsg, kCodedAck)
 
 static void Fields(Like<RegisterMsg> auto& m, auto& io) {
   io(m.worker, m.endpoint, m.role, m.auth);

@@ -185,60 +185,6 @@ struct ByeMsg {
   static ByeMsg Parse(const Frame& frame);
 };
 
-// --- Coded-shuffle messages (src/coded) --------------------------------------
-//
-// Protocol sketch: a map-side CodedEncoder ships each multicast
-// group's XOR-combined intermediate parts as CodedChunk frames through the
-// same per-sender sequence space as Chunk/MapDone, so the exactly-once
-// machinery (cumulative acks, ack-window replay, dedup watermark) covers
-// them unchanged.  The reduce-side CodedDecoder peels every frame for all
-// r+1 receivers in the group using locally recomputed intermediates and
-// answers with CodedAck.
-
-// Upper bound on the per-frame part list: a part per receiver in one
-// multicast group, so anything past a few dozen is a lying length field.
-inline constexpr std::uint32_t kMaxCodedParts = 1024;
-
-// One receiver's slice of a coded payload: reducer `node` recovers a part
-// of `part_len` bytes from this frame (the payload is the XOR of all
-// parts, each zero-padded to the longest).
-struct CodedPart {
-  std::uint32_t node = 0;      // receiving reducer / logical node id
-  std::uint32_t part_len = 0;  // bytes of this receiver's part
-
-  bool operator==(const CodedPart&) const = default;
-};
-
-// Sender → group: one XOR-coded multicast payload.  `group` indexes the
-// deterministic CodedPlan both sides derived from the same placement;
-// `sender` is the logical node whose parts are XOR-combined here.  Parse
-// rejects lying fields: an empty or oversized part list, a part length
-// past the payload, a payload longer than its longest part, or an
-// unsorted receiver list.
-struct CodedChunkMsg {
-  std::uint32_t group = 0;
-  std::uint32_t sender = 0;
-  std::uint64_t seq = 0;
-  std::vector<CodedPart> parts;
-  std::string bytes;  // XOR of zero-padded parts; size == max part_len
-
-  bool operator==(const CodedChunkMsg&) const = default;
-  [[nodiscard]] Frame ToFrame() const;
-  static CodedChunkMsg Parse(const Frame& frame);
-};
-
-// Reduce side → sender: cumulative ack for sequenced frames (same meaning
-// as AckMsg::upto) plus the receiver's running decoded-unit count for
-// observability.
-struct CodedAckMsg {
-  std::uint64_t upto = 0;
-  std::uint64_t decoded = 0;
-
-  bool operator==(const CodedAckMsg&) const = default;
-  [[nodiscard]] Frame ToFrame() const;
-  static CodedAckMsg Parse(const Frame& frame);
-};
-
 // --- Coordination-plane messages (src/coord) ---------------------------------
 
 // Worker → coordinator: join (or rejoin) the worker-group registry.  The

@@ -49,6 +49,20 @@ TEST(Config, LaterValueWins) {
   EXPECT_EQ(cfg.GetInt("k", 0), 2);
 }
 
+TEST(Config, UnreadKeysNamesEveryKeyNoGetterRead) {
+  const auto cfg = ParseArgs({"records=100", "--sock-buf-bytes=4096",
+                              "--speculate", "typo=1", "dump-output=o.tsv"});
+  EXPECT_EQ(cfg.GetInt("records", 0), 100);
+  EXPECT_TRUE(cfg.Get("speculate").has_value());
+  // Reading a key nobody set leaves nothing behind to report.
+  EXPECT_FALSE(cfg.GetBool("speculate-reduce", false));
+  EXPECT_EQ(cfg.UnreadKeys(), (std::vector<std::string>{
+                                  "dump-output", "sock-buf-bytes", "typo"}));
+  EXPECT_EQ(cfg.GetString("dump-output", ""), "o.tsv");
+  EXPECT_DOUBLE_EQ(cfg.GetDouble("typo", 0), 1.0);
+  EXPECT_EQ(cfg.UnreadKeys(), std::vector<std::string>{"sock-buf-bytes"});
+}
+
 TEST(Format, HumanBytesUnits) {
   EXPECT_EQ(HumanBytes(0), "0 B");
   EXPECT_EQ(HumanBytes(512), "512 B");

@@ -155,32 +155,6 @@ std::vector<Sample> Samples() {
                      "000000000000404b4c000000000001000000000000000400000000"
                      "000000"));
 
-  CodedChunkMsg coded;
-  coded.group = 9;
-  coded.sender = 4;
-  coded.seq = 0xFEEDFACEull;
-  coded.parts = {{1, 3}, {3, 2}, {8, 3}};
-  coded.bytes = std::string("x\0y", 3);  // length == longest part
-  rows.push_back(Row("coded_chunk", coded,
-                     "170900000004000000cefaedfe0000000003000000010000000300"
-                     "00000300000002000000080000000300000003000000780079"));
-
-  // A group whose receivers are all owed nothing still ships its frames:
-  // the decoder needs every member frame to know the group completed.
-  CodedChunkMsg coded_empty;
-  coded_empty.sender = 2;
-  coded_empty.seq = 1;
-  coded_empty.parts = {{0, 0}, {1, 0}};
-  rows.push_back(Row("coded_chunk_empty_parts", coded_empty,
-                     "170000000002000000010000000000000002000000000000000000"
-                     "0000010000000000000000000000"));
-
-  CodedAckMsg coded_ack;
-  coded_ack.upto = 123;
-  coded_ack.decoded = 456;
-  rows.push_back(Row("coded_ack", coded_ack,
-                     "187b00000000000000c801000000000000"));
-
   RegisterMsg reg;
   reg.worker = "m-1";
   reg.endpoint = "h:91";
@@ -326,7 +300,7 @@ TEST(NetFrame, EveryMessageTypeRoundTrips) {
     EXPECT_EQ(Hex(typed), row.golden);
     EXPECT_TRUE(row.parses_to_message(DecodeOne(EncodeFrame(row.frame))));
   }
-  EXPECT_EQ(covered.size(), 24u) << "every message type has a sample";
+  EXPECT_EQ(covered.size(), 22u) << "every message type has a sample";
 }
 
 TEST(NetFrame, EveryPayloadPrefixAndOverrunIsWireError) {
@@ -830,135 +804,6 @@ TEST(NetFrame, ServingPayloadSemanticCorruptionIsWireError) {
                WireError);
 }
 
-// --- Coded-shuffle frames (v5: kCodedChunk/kCodedAck) get the same
-// four-way fuzz treatment: round-trip, every truncation, every bit flip,
-// and CRC-clean semantic lies (lying part counts, part lengths past the
-// payload, receiver lists out of order).
-
-std::vector<std::string> CodedWires() {
-  std::vector<std::string> wires;
-  CodedChunkMsg chunk;
-  chunk.group = 3;
-  chunk.sender = 1;
-  chunk.seq = 42;
-  chunk.parts.push_back({0, 5});
-  chunk.parts.push_back({2, 3});
-  chunk.bytes = std::string("\x01\x00\x03\xFF\x05", 5);
-  wires.push_back(EncodeFrame(chunk.ToFrame()));
-  CodedAckMsg ack;
-  ack.upto = 41;
-  ack.decoded = 17;
-  wires.push_back(EncodeFrame(ack.ToFrame()));
-  return wires;
-}
-
-TEST(NetFrame, CodedMessagesRoundTrip) {
-  CodedChunkMsg chunk;
-  chunk.group = 9;
-  chunk.sender = 4;
-  chunk.seq = 0xFEEDFACEull;
-  chunk.parts = {{1, 700}, {3, 600}, {8, 700}};
-  chunk.bytes = std::string(700, '\xA5');  // length == longest part
-  EXPECT_TRUE(RoundTrips(chunk));
-
-  CodedAckMsg ack;
-  ack.upto = 123;
-  ack.decoded = 456;
-  EXPECT_TRUE(RoundTrips(ack));
-}
-
-TEST(NetFrame, CodedFrameEveryTruncationIsNeedMore) {
-  for (const std::string& wire : CodedWires()) {
-    for (std::size_t cut = 0; cut < wire.size(); ++cut) {
-      FrameDecoder decoder;
-      decoder.Feed(wire.data(), cut);
-      Frame frame;
-      EXPECT_EQ(decoder.Next(&frame), DecodeStatus::kNeedMore)
-          << "truncated to " << cut << " bytes";
-      EXPECT_FALSE(decoder.poisoned());
-    }
-  }
-}
-
-TEST(NetFrame, CodedFrameEverySingleBitFlipIsDetected) {
-  for (const std::string& wire : CodedWires()) {
-    for (std::size_t byte = 0; byte < wire.size(); ++byte) {
-      for (int bit = 0; bit < 8; ++bit) {
-        std::string corrupt = wire;
-        corrupt[byte] = static_cast<char>(corrupt[byte] ^ (1 << bit));
-        FrameDecoder decoder;
-        decoder.Feed(corrupt.data(), corrupt.size());
-        Frame frame;
-        EXPECT_NE(decoder.Next(&frame), DecodeStatus::kOk)
-            << "flip of bit " << bit << " in byte " << byte
-            << " decoded as a valid frame";
-      }
-    }
-  }
-}
-
-TEST(NetFrame, CodedPayloadSemanticCorruptionIsWireError) {
-  // An empty part list is structurally meaningless.
-  CodedChunkMsg no_parts;
-  no_parts.group = 1;
-  EXPECT_THROW(
-      (void)CodedChunkMsg::Parse(DecodeOne(EncodeFrame(no_parts.ToFrame()))),
-      WireError);
-
-  // A part length pointing past the payload.
-  CodedChunkMsg oversold;
-  oversold.parts.push_back({0, 9});
-  oversold.bytes = "short";
-  EXPECT_THROW(
-      (void)CodedChunkMsg::Parse(DecodeOne(EncodeFrame(oversold.ToFrame()))),
-      WireError);
-
-  // Payload longer than the longest advertised part: padding nobody owns.
-  CodedChunkMsg padded_parts;
-  padded_parts.parts.push_back({0, 2});
-  padded_parts.parts.push_back({1, 3});
-  padded_parts.bytes = "12345";
-  EXPECT_THROW((void)CodedChunkMsg::Parse(
-                   DecodeOne(EncodeFrame(padded_parts.ToFrame()))),
-               WireError);
-
-  // Receiver list must be strictly increasing (it mirrors the group's
-  // sorted node order with the sender skipped).
-  CodedChunkMsg unsorted;
-  unsorted.parts.push_back({2, 1});
-  unsorted.parts.push_back({2, 1});
-  unsorted.bytes = "x";
-  EXPECT_THROW(
-      (void)CodedChunkMsg::Parse(DecodeOne(EncodeFrame(unsorted.ToFrame()))),
-      WireError);
-
-  // The length-field lie: group(u32) sender(u32) seq(u64) then
-  // part count(u32) at offset 16 — claim 2^30 parts with a tiny body.
-  CodedChunkMsg chunk;
-  chunk.parts.push_back({0, 1});
-  chunk.bytes = "z";
-  Frame lying = chunk.ToFrame();
-  ASSERT_GE(lying.payload.size(), 20u);
-  lying.payload[16] = '\x00';
-  lying.payload[17] = '\x00';
-  lying.payload[18] = '\x00';
-  lying.payload[19] = '\x40';
-  EXPECT_THROW((void)CodedChunkMsg::Parse(DecodeOne(EncodeFrame(lying))),
-               WireError);
-
-  // Truncated body and trailing junk after a CRC-clean re-encode.
-  Frame truncated = chunk.ToFrame();
-  truncated.payload.resize(truncated.payload.size() / 2);
-  EXPECT_THROW((void)CodedChunkMsg::Parse(DecodeOne(EncodeFrame(truncated))),
-               WireError);
-  CodedAckMsg ack;
-  ack.upto = 1;
-  Frame junk = ack.ToFrame();
-  junk.payload += "junk";
-  EXPECT_THROW((void)CodedAckMsg::Parse(DecodeOne(EncodeFrame(junk))),
-               WireError);
-}
-
 TEST(NetFrame, ByteAtATimeFeedReassembles) {
   ChunkMsg msg;
   msg.map_task = 0;
@@ -1135,9 +980,9 @@ TEST(NetFrame, ConstantTimeEqualsMatchesOnlyExactSecrets) {
 }
 
 TEST(NetFrame, UnknownTypeByteIsBadType) {
-  // 0x63 is far outside the known range; 25 and 26 were the block frames
-  // protocol v8 removed.
-  for (const std::uint8_t type : {0x63, 25, 26}) {
+  // 0x63 is far outside the known range; 23 and 24 were the XOR multicast
+  // shuffle frames and 25 and 26 the block frames, all removed.
+  for (const std::uint8_t type : {0x63, 23, 24, 25, 26}) {
     MapDoneMsg msg;
     std::string wire = EncodeFrame(msg.ToFrame());
     wire[4] = static_cast<char>(type);
@@ -1150,7 +995,7 @@ TEST(NetFrame, UnknownTypeByteIsBadType) {
   }
   EXPECT_TRUE(IsKnownFrameType(static_cast<std::uint8_t>(FrameType::kBye)));
   EXPECT_TRUE(
-      IsKnownFrameType(static_cast<std::uint8_t>(FrameType::kCodedAck)));
+      IsKnownFrameType(static_cast<std::uint8_t>(FrameType::kLeaderClaim)));
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 //                [--checkpoint-retain=K] [--checkpoint-compress]
 //                [--transport=loopback|tcp|direct]
 //                [--shuffle-timeout=SECONDS]
-//                [--ship-segments] [--coded-r=N] [--replication=N]
+//                [--ship-segments] [--replication=N]
 //       Generates a synthetic dataset for <w>, runs it on runtime <r>, and
 //       prints the job report (wall/CPU/I-O/emission metrics).
 //       --transport picks how shuffle traffic moves (src/net): loopback
@@ -23,12 +23,6 @@
 //       src/fault/fault.h), e.g. --fault-plan='seed=7;map_crash:task=0,record=500';
 //       --max-attempts enables task re-execution (pull shuffle only) and
 //       --speculate turns on straggler backup attempts.
-//       --coded-r=N turns on the coded shuffle plane (push runtimes over a
-//       framed transport only): every map block is replicated to r
-//       co-located mappers and intermediates travel as XOR-coded multicast
-//       frames, cutting shuffle bytes ~r-fold for r-fold map CPU.
-//       Requires --replication>=N (defaults to N when unset) and
-//       reducers>=N+1.
 //       --checkpoint-interval=N checkpoints reducer state every N folded
 //       records, making reduce failures recoverable even under the pipelined
 //       push shuffle; --checkpoint-dir overrides the image directory,
@@ -160,7 +154,6 @@
 #include <thread>
 #include <vector>
 
-#include "coded/coded.h"
 #include "common/config.h"
 #include "common/rng.h"
 #include "common/format.h"
@@ -334,26 +327,6 @@ void PrintJobReport(const JobResult& r) {
       table.AddRow(
           {"dup frames absorbed", std::to_string(r.shuffle_dup_frames)});
     }
-    // Over --transport=tcp the map group forks: the sender-side frame
-    // counters live in the child, so the reduce-side report keys on the
-    // decoder counters too.
-    if (r.Bytes(coded::kCodedFrames) > 0 ||
-        r.Bytes(coded::kCodedDecodedUnits) > 0) {
-      table.AddRow({"coded frames",
-                    std::to_string(r.Bytes(coded::kCodedFrames)) + " (" +
-                        HumanBytes(double(r.Bytes(coded::kCodedPayloadBytes))) +
-                        " payload)"});
-      table.AddRow({"coded units (wire/local)",
-                    std::to_string(r.Bytes(coded::kCodedDecodedUnits)) + "/" +
-                        std::to_string(r.Bytes(coded::kCodedLocalUnits))});
-      table.AddRow({"coded re-maps",
-                    std::to_string(r.Bytes(coded::kCodedRemapTasks))});
-      if (r.Bytes(coded::kCodedReconstructedSegments) > 0) {
-        table.AddRow(
-            {"coded reconstructions",
-             std::to_string(r.Bytes(coded::kCodedReconstructedSegments))});
-      }
-    }
   }
   std::printf("%s", table.ToString().c_str());
   std::printf("\nper-phase CPU seconds:\n");
@@ -436,12 +409,8 @@ int CmdRun(const Config& cfg) {
       static_cast<int>(GetCheckedInt(cfg, "nodes", 4, /*min_value=*/1));
   popts.block_bytes = static_cast<std::uint64_t>(
       GetCheckedInt(cfg, "block_bytes", 4 << 20, /*min_value=*/1));
-  const int coded_r =
-      static_cast<int>(GetCheckedInt(cfg, "coded-r", 0, /*min_value=*/0));
-  // Coded mode needs r DFS replicas per block; default the replication
-  // factor up to r so the common invocation is just --coded-r=N.
-  popts.replication = static_cast<int>(GetCheckedInt(
-      cfg, "replication", coded_r > 0 ? coded_r : 1, /*min_value=*/1));
+  popts.replication = static_cast<int>(
+      GetCheckedInt(cfg, "replication", 1, /*min_value=*/1));
   popts.max_task_attempts = static_cast<int>(
       GetCheckedInt(cfg, "max-attempts", 1, /*min_value=*/1));
   popts.speculative_execution = cfg.GetBool("speculate", false);
@@ -516,27 +485,6 @@ int CmdRun(const Config& cfg) {
         "(--transport=loopback or tcp); with --transport=direct the "
         "shuffle never crosses a wire.");
   }
-  if (coded_r > 0 && transport == "direct") {
-    throw std::invalid_argument(
-        "--coded-r rides the framed shuffle as coded multicast frames and "
-        "cannot work with --transport=direct (no wire, nothing to encode). "
-        "Use --transport=loopback or tcp.");
-  }
-  if (coded_r > 0 && popts.replication < coded_r) {
-    throw std::invalid_argument(
-        "--coded-r=" + std::to_string(coded_r) +
-        " requires --replication>=" + std::to_string(coded_r) + " (have " +
-        std::to_string(popts.replication) +
-        "): every map block must be held by r co-located mappers to XOR "
-        "against. Pass --replication=" + std::to_string(coded_r) +
-        " or lower --coded-r.");
-  }
-  if (coded_r > 0 && options.shuffle != Shuffle::kPush) {
-    throw std::invalid_argument(
-        "--coded-r needs a push (pipelined) runtime to buffer chunks into "
-        "multicast groups; runtime '" + runtime +
-        "' pulls. Use runtime=hash, hotkey, mr_online, or checkpoint.");
-  }
   if (cfg.Get("publish-snapshots") || cfg.Get("snapshot-interval") ||
       cfg.Get("snapshot-retain")) {
     throw std::invalid_argument(
@@ -555,8 +503,20 @@ int CmdRun(const Config& cfg) {
         "`opmr_cli query`.");
   }
 
+  const auto dump = cfg.GetString("dump-output", "");
+  // Every key `run` understands has been read by now; anything left is a
+  // typo or a removed flag, and running anyway would run a different job.
+  if (const auto unread = cfg.UnreadKeys(); !unread.empty()) {
+    std::string names;
+    for (const auto& key : unread) {
+      names += (names.empty() ? "--" : ", --") + key;
+    }
+    throw std::invalid_argument(
+        "run: unknown option(s) " + names +
+        "; see the header of tools/opmr_cli.cc for the flags `run` takes");
+  }
+
   Platform platform(popts);
-  if (coded_r > 0) platform.executor().set_coded(coded_r);
   if (platform.fault_injector() != nullptr) {
     std::printf("fault plan: %s\n",
                 platform.fault_injector()->plan().ToString().c_str());
@@ -579,7 +539,6 @@ int CmdRun(const Config& cfg) {
                             /*shared_fs=*/!ship_segments);
   }
   PrintJobReport(result);
-  const auto dump = cfg.GetString("dump-output", "");
   if (!dump.empty()) {
     auto rows = platform.ReadOutput("output", reducers);
     std::sort(rows.begin(), rows.end());
