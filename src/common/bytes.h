@@ -17,8 +17,8 @@
 //
 // EncodeFields (sizing pass, one reserve, write) and DecodeFields are built
 // from that list, so encoder and decoder cannot drift apart.  A field is
-// any of the scalars above, std::string, std::pair, std::vector, Capped,
-// or a type with its own Fields.  An enum field's decoder rejects bytes
+// any of the scalars above, std::string, std::pair, std::vector, or a
+// type with its own Fields.  An enum field's decoder rejects bytes
 // past `LastValue(E{})`, which the enum's namespace declares.
 #pragma once
 
@@ -111,16 +111,6 @@ class ByteReader {
 template <typename T, typename U>
 concept Like = std::same_as<std::remove_const_t<T>, U>;
 
-// A list field whose count may not exceed `cap`; the encoder and the
-// decoder both enforce it.
-template <typename V>
-struct Capped {
-  V& items;
-  std::uint32_t cap;
-};
-template <typename V>
-Capped(V&, std::uint32_t) -> Capped<V>;
-
 namespace bytes_detail {
 
 template <typename T>
@@ -131,10 +121,6 @@ template <typename T>
 inline constexpr bool kIsPair = false;
 template <typename A, typename B>
 inline constexpr bool kIsPair<std::pair<A, B>> = true;
-template <typename T>
-inline constexpr bool kIsCapped = false;
-template <typename V>
-inline constexpr bool kIsCapped<Capped<V>> = true;
 
 template <typename T>
 inline constexpr bool kIsFourBytes =
@@ -142,13 +128,6 @@ inline constexpr bool kIsFourBytes =
 template <typename T>
 inline constexpr bool kIsEightBytes =
     std::is_same_v<T, std::uint64_t> || std::is_same_v<T, double>;
-
-inline void CheckCap(std::size_t n, std::uint32_t cap) {
-  if (n > cap) {
-    throw DecodeError(std::to_string(n) + " items exceed the cap of " +
-                      std::to_string(cap));
-  }
-}
 
 // Sink that only counts, for the sizing pass.
 struct ByteCounter {
@@ -193,9 +172,6 @@ class FieldWriter {
     } else if constexpr (kIsVector<T>) {
       Raw(static_cast<std::uint32_t>(v.size()));
       for (const auto& item : v) Put(item);
-    } else if constexpr (kIsCapped<T>) {
-      CheckCap(v.items.size(), v.cap);
-      Put(v.items);
     } else {
       Fields(v, *this);
     }
@@ -254,23 +230,15 @@ class FieldReader {
       Get(v.first);
       Get(v.second);
     } else if constexpr (kIsVector<T>) {
-      GetList(v, ~std::uint32_t{0});
-    } else if constexpr (kIsCapped<T>) {
-      GetList(v.items, v.cap);
+      const std::uint32_t n =
+          in_.Count(EncodedSize(typename T::value_type{}));
+      v.clear();
+      v.reserve(n);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        Get(v.emplace_back());
+      }
     } else {
       Fields(v, *this);
-    }
-  }
-
-  template <typename V>
-  void GetList(V& items, std::uint32_t cap) {
-    using Item = typename V::value_type;
-    const std::uint32_t n = in_.Count(EncodedSize(Item{}));
-    bytes_detail::CheckCap(n, cap);
-    items.clear();
-    items.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      Get(items.emplace_back());
     }
   }
 

@@ -89,8 +89,7 @@ void Coordinator::HandleFrame(net::Connection* from, net::Frame frame) {
       }
       case net::FrameType::kHeartbeat: {
         const net::HeartbeatMsg msg = net::HeartbeatMsg::Parse(frame);
-        if (registry_.Heartbeat(msg.worker, msg.generation, NowSeconds(),
-                                msg.load)) {
+        if (registry_.Heartbeat(msg.worker, msg.generation, NowSeconds())) {
           heartbeats_->Increment();
         } else {
           // Stale generation or evicted worker: answer with the current

@@ -337,12 +337,6 @@ void CoordClient::HeartbeatLoop() {
       msg.worker = options_.worker_id;
       msg.generation = generation;
       msg.seq = ordinal;
-      if (options_.load_probe) {
-        msg.load = options_.load_probe();
-        if (msg.load.size() > net::kMaxLoadEntries) {
-          msg.load.resize(net::kMaxLoadEntries);
-        }
-      }
       try {
         conn_->Send(msg.ToFrame());
         heartbeats_sent_->Increment();

@@ -3,7 +3,7 @@
 // Owns the client connection to the coordinator, performs the
 // authenticated Register handshake, renews the lease from a background
 // heartbeat thread, and maintains the latest Membership view for the rest
-// of the process to consult (shuffle endpoint discovery, placement ranks).
+// of the process to consult (shuffle endpoint discovery).
 //
 // Both outbound paths run through the process-global NetFaultHook:
 // OnRegisterSend can swallow a registration (registry_partition faults)
@@ -66,12 +66,6 @@ class CoordClient {
     // Consecutive heartbeat send failures before rotating endpoints (only
     // meaningful with > 1 endpoint).
     int failover_threshold = 2;
-    // Load probe (v6): polled on every heartbeat tick, outside any
-    // CoordClient lock, to fill HeartbeatMsg::load (net::kLoad* indices,
-    // at most net::kMaxLoadEntries).  Unset sends an empty vector — the
-    // coordinator's placement view then reads this worker as unloaded.
-    // Must be thread-safe: it runs on the heartbeat thread.
-    std::function<std::vector<std::uint32_t>()> load_probe;
   };
 
   CoordClient(MetricRegistry* metrics, Options options);

@@ -16,10 +16,6 @@ std::uint64_t WorkerRegistry::Register(const std::string& id,
     ++w.generation;
     w.last_heartbeat_s = now_s;
     w.alive = true;
-    // Pre-eviction load is stale; the next v6 heartbeat re-reports it.
-    // suspect_count survives re-registration — it is the flappiness
-    // history the placement ranker scores health by.
-    w.load.clear();
     return w.generation;
   }
   WorkerInfo w;
@@ -45,20 +41,6 @@ bool WorkerRegistry::Heartbeat(const std::string& id, std::uint64_t generation,
   return false;
 }
 
-bool WorkerRegistry::Heartbeat(const std::string& id, std::uint64_t generation,
-                               double now_s,
-                               const std::vector<std::uint32_t>& load) {
-  std::scoped_lock lock(mu_);
-  for (WorkerInfo& w : workers_) {
-    if (w.id != id) continue;
-    if (!w.alive || w.generation != generation) return false;
-    w.last_heartbeat_s = std::max(w.last_heartbeat_s, now_s);
-    w.load = load;
-    return true;
-  }
-  return false;
-}
-
 std::vector<std::string> WorkerRegistry::ExpireLeases(double now_s,
                                                       double lease_s) {
   std::scoped_lock lock(mu_);
@@ -66,7 +48,6 @@ std::vector<std::string> WorkerRegistry::ExpireLeases(double now_s,
   for (WorkerInfo& w : workers_) {
     if (w.alive && now_s - w.last_heartbeat_s > lease_s) {
       w.alive = false;
-      ++w.suspect_count;
       expired.push_back(w.id);
     }
   }
@@ -115,17 +96,6 @@ std::size_t WorkerRegistry::LiveCount(net::WireRole role) const {
     if (w.alive && w.role == role) ++n;
   }
   return n;
-}
-
-std::vector<WorkerInfo> WorkerRegistry::LiveWorkers(net::WireRole role) const {
-  std::scoped_lock lock(mu_);
-  std::vector<WorkerInfo> out;
-  for (const WorkerInfo& w : workers_) {
-    if (w.alive && w.role == role) out.push_back(w);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const WorkerInfo& a, const WorkerInfo& b) { return a.id < b.id; });
-  return out;
 }
 
 bool WorkerRegistry::Lookup(const std::string& id, WorkerInfo* out) const {

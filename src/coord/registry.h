@@ -35,17 +35,6 @@ struct WorkerInfo {
   std::uint64_t generation = 0;
   double last_heartbeat_s = 0.0;
   bool alive = false;
-  // Soft placement state (src/placement), refreshed by every heartbeat and
-  // NOT replicated by the HA control plane: a new leader re-learns it from
-  // the next heartbeat round, so shipping it in snapshots/changelogs would
-  // only replicate staleness.
-  std::vector<std::uint32_t> load;     // net::kLoad* indices; missing = 0
-  std::uint64_t suspect_count = 0;     // lease expiries survived (flappiness)
-
-  // Convenience over `load` (missing entries read as 0).
-  [[nodiscard]] std::uint32_t LoadAt(std::size_t index) const noexcept {
-    return index < load.size() ? load[index] : 0;
-  }
 };
 
 class WorkerRegistry {
@@ -57,17 +46,12 @@ class WorkerRegistry {
 
   // Renews the lease iff `generation` matches the current registration and
   // the worker is alive.  Returns false for unknown / evicted / stale.
-  // The three-argument form leaves the stored load vector untouched; the
-  // four-argument form (a v6 heartbeat) replaces it.
   bool Heartbeat(const std::string& id, std::uint64_t generation,
                  double now_s);
-  bool Heartbeat(const std::string& id, std::uint64_t generation, double now_s,
-                 const std::vector<std::uint32_t>& load);
 
   // The deterministic failure detector: marks every live worker whose last
-  // heartbeat is older than `lease_s` as dead (bumping its suspect_count)
-  // and returns their ids in registration order.  Bumps the epoch iff
-  // anything changed.
+  // heartbeat is older than `lease_s` as dead and returns their ids in
+  // registration order.  Bumps the epoch iff anything changed.
   std::vector<std::string> ExpireLeases(double now_s, double lease_s);
 
   // Membership view for broadcasting (entries in registration order).
@@ -84,16 +68,6 @@ class WorkerRegistry {
 
   [[nodiscard]] std::uint64_t epoch() const;
   [[nodiscard]] std::size_t LiveCount(net::WireRole role) const;
-  // Live workers of `role` in the canonical placement order.
-  //
-  // ORDERING CONTRACT: the result is sorted ascending by worker id —
-  // NOT registration order (that is Snapshot()/Dump()).  The sort is what
-  // lets every participant derive the same worker -> logical-node mapping
-  // independently from a Membership view, so placement plans (the
-  // placement plane's node bridge) agree across processes without any
-  // extra coordination.  Callers must not re-sort;
-  // the coord_test suite pins this order.
-  [[nodiscard]] std::vector<WorkerInfo> LiveWorkers(net::WireRole role) const;
   [[nodiscard]] bool Lookup(const std::string& id, WorkerInfo* out) const;
 
  private:

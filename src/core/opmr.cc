@@ -65,8 +65,6 @@ Platform::Platform(PlatformOptions options) {
   dfs_options.num_nodes = options.num_nodes;
   dfs_options.block_bytes = options.block_bytes;
   dfs_options.replication = options.replication;
-  dfs_options.placement_skew = options.placement_skew;
-  dfs_options.remote_read_penalty_us = options.remote_read_penalty_us;
   dfs_ = std::make_unique<Dfs>(files_.get(), metrics_.get(), dfs_options);
 
   ClusterOptions cluster;

@@ -34,10 +34,6 @@ struct PlatformOptions {
   int map_slots_per_node = 2;
   std::uint64_t block_bytes = 4ull << 20;  // laptop-scale default block
   int replication = 1;
-  // Skewed block placement + remote-read cost (see DfsOptions); defaults
-  // keep the seed's uniform, cost-free layout.
-  double placement_skew = 0.0;
-  std::uint64_t remote_read_penalty_us = 0;
   // Task re-execution attempts (pull shuffle only; see ClusterOptions).
   int max_task_attempts = 1;
   // Retry pacing and straggler backup attempts (see ClusterOptions).

@@ -1,10 +1,7 @@
 #include "dfs/dfs.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <stdexcept>
-#include <thread>
 
 namespace opmr {
 
@@ -58,53 +55,14 @@ std::unique_ptr<DfsBlockReader> Dfs::OpenBlock(const BlockInfo& block) const {
   return std::make_unique<DfsBlockReader>(block, ReadChannel());
 }
 
-std::unique_ptr<DfsBlockReader> Dfs::OpenBlock(const BlockInfo& block,
-                                               int reader_node) const {
-  if (reader_node >= 0) {
-    const bool local =
-        std::find(block.replica_nodes.begin(), block.replica_nodes.end(),
-                  reader_node) != block.replica_nodes.end();
-    if (local) {
-      metrics_->Get("dfs.local_block_reads")->Increment();
-    } else {
-      metrics_->Get("dfs.remote_block_reads")->Increment();
-      if (options_.remote_read_penalty_us > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(options_.remote_read_penalty_us));
-      }
-    }
-  }
-  return OpenBlock(block);
-}
-
 std::vector<int> Dfs::PlaceBlock() {
   // Random distinct nodes; with replication 1 this is a uniform spread that
   // matches HDFS's default placement closely enough for locality stats.
-  // With placement_skew > 0 the first replica is Zipf-weighted toward
-  // low-numbered nodes instead.  Concurrent reducers each drive their own
-  // writer, so the shared placement RNG needs the namespace lock.
+  // Concurrent reducers each drive their own writer, so the shared placement
+  // RNG needs the namespace lock.
   std::scoped_lock lock(mu_);
   std::vector<int> nodes;
   nodes.reserve(options_.replication);
-  if (options_.placement_skew > 0.0) {
-    // Inverse-CDF draw over w_i = 1/(i+1)^theta, seeded by the shared RNG
-    // so layouts stay reproducible per placement_seed.
-    double total = 0.0;
-    for (int i = 0; i < options_.num_nodes; ++i) {
-      total += 1.0 / std::pow(static_cast<double>(i + 1),
-                              options_.placement_skew);
-    }
-    double u = placement_rng_.NextDouble() * total;
-    int first = options_.num_nodes - 1;
-    for (int i = 0; i < options_.num_nodes; ++i) {
-      u -= 1.0 / std::pow(static_cast<double>(i + 1), options_.placement_skew);
-      if (u <= 0.0) {
-        first = i;
-        break;
-      }
-    }
-    nodes.push_back(first);
-  }
   while (static_cast<int>(nodes.size()) < options_.replication) {
     const int n = static_cast<int>(placement_rng_.Uniform(options_.num_nodes));
     if (std::find(nodes.begin(), nodes.end(), n) == nodes.end()) {

@@ -38,15 +38,6 @@ struct DfsOptions {
   int replication = 1;                      // the paper turned 3 down to 1
   int num_nodes = 10;                       // paper: 10 compute nodes
   std::uint64_t placement_seed = 42;
-  // Block-placement skew: 0 keeps the seed's uniform spread; theta > 0
-  // draws each block's first replica from a Zipf(theta) over node rank
-  // (low-numbered nodes hoard blocks — the hot-rack layout the placement
-  // bench stresses).  Remaining replicas stay uniform distinct.
-  double placement_skew = 0.0;
-  // Cost of opening a block from a node that holds no replica, charged by
-  // the node-aware OpenBlock overload (microseconds of sleep per open).
-  // 0 keeps remote reads free, the seed behaviour.
-  std::uint64_t remote_read_penalty_us = 0;
 };
 
 class Dfs;
@@ -110,15 +101,6 @@ class Dfs {
 
   [[nodiscard]] std::unique_ptr<DfsBlockReader> OpenBlock(
       const BlockInfo& block) const;
-
-  // Node-aware open (the placement plane's residence query made honest):
-  // when `reader_node` >= 0 and holds no replica of `block`, the open
-  // counts as a remote read ("dfs.remote_block_reads") and pays
-  // remote_read_penalty_us before returning; a replica holder counts
-  // under "dfs.local_block_reads" and pays nothing.  reader_node < 0 is
-  // the legacy node-blind open above.
-  [[nodiscard]] std::unique_ptr<DfsBlockReader> OpenBlock(
-      const BlockInfo& block, int reader_node) const;
 
   [[nodiscard]] const DfsOptions& options() const noexcept { return options_; }
   [[nodiscard]] MetricRegistry* metrics() const noexcept { return metrics_; }

@@ -100,14 +100,14 @@ struct MapTaskEntry {
 // shared pool grants a slot.
 class MapSlotLease {
  public:
-  MapSlotLease(const SchedHooks* hooks, int node) : hooks_(hooks), node_(node) {
+  explicit MapSlotLease(const SchedHooks* hooks) : hooks_(hooks) {
     if (hooks_ != nullptr && hooks_->acquire_map_slot) {
-      hooks_->acquire_map_slot(node_);
+      hooks_->acquire_map_slot();
     }
   }
   ~MapSlotLease() {
     if (hooks_ != nullptr && hooks_->release_map_slot) {
-      hooks_->release_map_slot(node_);
+      hooks_->release_map_slot();
     }
   }
   MapSlotLease(const MapSlotLease&) = delete;
@@ -115,7 +115,6 @@ class MapSlotLease {
 
  private:
   const SchedHooks* hooks_;
-  int node_;
 };
 
 class ReduceSlotLease {
@@ -141,12 +140,10 @@ class ReduceSlotLease {
 
 // --- BlockScheduler ----------------------------------------------------------
 
-BlockScheduler::BlockScheduler(std::vector<BlockInfo> blocks, int num_nodes,
-                               const SchedHooks* hooks)
+BlockScheduler::BlockScheduler(std::vector<BlockInfo> blocks, int num_nodes)
     : blocks_(std::move(blocks)),
       taken_(blocks_.size(), false),
-      by_node_(num_nodes),
-      hooks_(hooks) {
+      by_node_(num_nodes) {
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
     for (int n : blocks_[i].replica_nodes) {
       if (n >= 0 && n < num_nodes) by_node_[n].push_back(i);
@@ -156,29 +153,6 @@ BlockScheduler::BlockScheduler(std::vector<BlockInfo> blocks, int num_nodes,
 
 std::optional<BlockInfo> BlockScheduler::Next(int node, bool* was_local) {
   std::scoped_lock lock(mu_);
-  if (hooks_ != nullptr && hooks_->place_map_block) {
-    // Placement-plane seam: offer the untaken blocks (listing order) and
-    // honour an override; -1 falls through to the built-in order.
-    std::vector<const BlockInfo*> pending;
-    std::vector<std::size_t> indices;
-    pending.reserve(blocks_.size());
-    for (std::size_t i = 0; i < blocks_.size(); ++i) {
-      if (taken_[i]) continue;
-      pending.push_back(&blocks_[i]);
-      indices.push_back(i);
-    }
-    if (pending.empty()) return std::nullopt;
-    const int pick = hooks_->place_map_block(node, pending);
-    if (pick >= 0 && pick < static_cast<int>(pending.size())) {
-      const std::size_t idx = indices[static_cast<std::size_t>(pick)];
-      taken_[idx] = true;
-      const auto& holders = blocks_[idx].replica_nodes;
-      *was_local =
-          std::find(holders.begin(), holders.end(), node) != holders.end();
-      if (*was_local) ++local_count_;
-      return blocks_[idx];
-    }
-  }
   if (node >= 0 && node < static_cast<int>(by_node_.size())) {
     for (std::size_t idx : by_node_[node]) {
       if (!taken_[idx]) {
@@ -471,8 +445,7 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
                              : std::filesystem::path(options.checkpoint.dir);
   }
 
-  BlockScheduler scheduler(blocks, dfs_->options().num_nodes,
-                           cluster_.sched_hooks);
+  BlockScheduler scheduler(blocks, dfs_->options().num_nodes);
 
   std::mutex failure_mu;
   std::exception_ptr first_failure;
@@ -723,9 +696,7 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
             task_id, files_, metrics_, endpoint, num_reducers,
             options.map_buffer_bytes, cluster_.sync_map_output);
       }
-      RuntimeEnv task_env = env;
-      task_env.map_node = node;
-      MapTask task(task_id, spec, options, task_env, entry->block, sink.get());
+      MapTask task(task_id, spec, options, env, entry->block, sink.get());
       MapTask::Stats stats;
       try {
         stats = task.Run();
@@ -819,7 +790,7 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
             if (block) {
               // Lease a shared slot per task, after claiming the block:
               // an idle worker never sits on a slot another job could use.
-              MapSlotLease lease(cluster_.sched_hooks, node);
+              MapSlotLease lease(cluster_.sched_hooks);
               run_map_attempts(register_entry(std::move(*block)), node,
                                /*speculative=*/false);
               continue;
@@ -827,7 +798,7 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
             if (!cluster_.speculative_execution) break;
             if (all_entries_done()) break;
             if (MapTaskEntry* victim = pick_straggler()) {
-              MapSlotLease lease(cluster_.sched_hooks, node);
+              MapSlotLease lease(cluster_.sched_hooks);
               spec_launched.fetch_add(1, std::memory_order_relaxed);
               metrics_->Get("speculation.launched")->Increment();
               run_map_attempts(victim, node, /*speculative=*/true);

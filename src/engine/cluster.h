@@ -53,20 +53,12 @@ enum class WorkerRole {
 // reducer-thread lifetime.  The progress probes feed shortest-remaining-
 // work admission policies.
 struct SchedHooks {
-  std::function<void(int node)> acquire_map_slot;
-  std::function<void(int node)> release_map_slot;
+  std::function<void()> acquire_map_slot;
+  std::function<void()> release_map_slot;
   std::function<void()> acquire_reduce_slot;
   std::function<void()> release_reduce_slot;
   std::function<void(int done, int total)> on_map_progress;
   std::function<void(int done, int total)> on_reduce_progress;
-  // Operation-level placement seam (src/placement): a freed map slot on
-  // `node` asks which of `pending` (this job's untaken blocks, listing
-  // order) it should run.  Return an index into `pending` to override the
-  // executor's built-in local-first order, or -1 to keep it.  Must be
-  // thread-safe; called under the block scheduler's lock, so it must not
-  // call back into BlockScheduler.
-  std::function<int(int node, const std::vector<const BlockInfo*>& pending)>
-      place_map_block;
 };
 
 // Straggler predicate shared by map speculation and the reduce-speculation
@@ -265,13 +257,10 @@ struct JobResult {
 };
 
 // Locality-aware block scheduler: a freed map slot on node n prefers an
-// unprocessed block with a replica on n, falling back to any block.  When
-// `hooks->place_map_block` is installed, the placement plane overrides
-// that built-in order (see SchedHooks).
+// unprocessed block with a replica on n, falling back to any block.
 class BlockScheduler {
  public:
-  BlockScheduler(std::vector<BlockInfo> blocks, int num_nodes,
-                 const SchedHooks* hooks = nullptr);
+  BlockScheduler(std::vector<BlockInfo> blocks, int num_nodes);
 
   // Returns the next block for `node` (and whether it was node-local), or
   // nullopt when all blocks are taken.
@@ -284,7 +273,6 @@ class BlockScheduler {
   std::vector<BlockInfo> blocks_;
   std::vector<bool> taken_;
   std::vector<std::vector<std::size_t>> by_node_;
-  const SchedHooks* hooks_;
   std::size_t next_any_ = 0;
   int local_count_ = 0;
 };

@@ -104,10 +104,7 @@ MapTask::MapTask(int task_id, const JobSpec& spec, const JobOptions& options,
       sink_(sink) {}
 
 MapTask::Stats MapTask::Run() {
-  // Node-aware open: counts the read as local/remote for the node this
-  // attempt runs on and pays the configured remote penalty.
-  const std::unique_ptr<DfsBlockReader> owned =
-      env_.dfs->OpenBlock(block_, env_.map_node);
+  const std::unique_ptr<DfsBlockReader> owned = env_.dfs->OpenBlock(block_);
   DfsBlockReader& reader = *owned;
   if (options_.group_by == GroupBy::kSortMerge) {
     RunSortPath(reader);

@@ -102,10 +102,6 @@ struct RuntimeEnv {
   // speculation seed.
   std::atomic<bool>* reduce_preempt = nullptr;
   bool speculative_attempt = false;
-  // Logical node a map attempt runs on (-1 outside the cluster executor).
-  // MapTask opens its block through the node-aware Dfs::OpenBlock with it,
-  // so remote reads are counted — and charged — per DfsOptions.
-  int map_node = -1;
 };
 
 // Writes one reducer's output into the DFS and logs emission times.

@@ -114,23 +114,4 @@ inline std::vector<std::string> WireCsvCells(
           std::to_string(stall_seconds), std::to_string(ack_replays)};
 }
 
-// Placement columns (src/placement plane + scheduler deferral reasons),
-// same contract again.  The three *_deferrals reasons sum to
-// placement_deferrals; the op counters are zero with placement=engine.
-inline std::vector<std::string> PlacementCsvHeader() {
-  return {"placement_deferrals", "no_map_worker_deferrals",
-          "no_reduce_worker_deferrals", "quota_deferrals", "ops_planned",
-          "ops_planned_local", "ops_replaced", "ops_stolen"};
-}
-
-inline std::vector<std::string> PlacementCsvCells(
-    std::int64_t deferrals, std::int64_t no_map, std::int64_t no_reduce,
-    std::int64_t quota, std::int64_t planned, std::int64_t planned_local,
-    std::int64_t replaced, std::int64_t stolen) {
-  return {std::to_string(deferrals),     std::to_string(no_map),
-          std::to_string(no_reduce),     std::to_string(quota),
-          std::to_string(planned),       std::to_string(planned_local),
-          std::to_string(replaced),      std::to_string(stolen)};
-}
-
 }  // namespace opmr

@@ -131,7 +131,7 @@ static void Fields(Like<RegisterMsg> auto& m, auto& io) {
 OPMR_WIRE_MESSAGE(RegisterMsg, kRegister)
 
 static void Fields(Like<HeartbeatMsg> auto& m, auto& io) {
-  io(m.worker, m.generation, m.seq, Capped{m.load, kMaxLoadEntries});
+  io(m.worker, m.generation, m.seq);
 }
 OPMR_WIRE_MESSAGE(HeartbeatMsg, kHeartbeat)
 

@@ -31,7 +31,7 @@ namespace opmr::net {
 using WireError = DecodeError;
 
 // Hello carries it; a peer speaking any other version is refused.
-inline constexpr std::uint32_t kProtocolVersion = 8;
+inline constexpr std::uint32_t kProtocolVersion = 9;
 
 // Constant-time string equality for shared-secret checks (Register /
 // Hello auth).  An early-exit comparison leaks, through response timing,
@@ -202,28 +202,14 @@ struct RegisterMsg {
   static RegisterMsg Parse(const Frame& frame);
 };
 
-// Upper bound on the Heartbeat load vector: the well-known indices stop
-// at kLoadQueueDepth and a few spares cover future signals, so anything
-// past this is a lying length field, not a bigger worker.
-inline constexpr std::uint32_t kMaxLoadEntries = 16;
-
-// Well-known Heartbeat load-vector indices (see src/placement).  The
-// vector may be shorter (missing entries read as 0) but never longer than
-// kMaxLoadEntries.
-inline constexpr std::size_t kLoadMapSlotsHeld = 0;
-inline constexpr std::size_t kLoadReduceSlotsHeld = 1;
-inline constexpr std::size_t kLoadQueueDepth = 2;
-
 // Worker → coordinator: lease renewal.  `generation` must match the
 // registry's current generation for the worker (a stale generation means
 // the worker was evicted and re-registered elsewhere); `seq` is the
-// 1-based heartbeat ordinal within the generation.  `load` is the
-// worker's self-reported load vector — see the kLoad* indices above.
+// 1-based heartbeat ordinal within the generation.
 struct HeartbeatMsg {
   std::string worker;
   std::uint64_t generation = 0;
   std::uint64_t seq = 0;
-  std::vector<std::uint32_t> load;
 
   bool operator==(const HeartbeatMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;

@@ -16,13 +16,7 @@ JobScheduler::JobScheduler(Dfs* dfs, FileManager* files,
       options_(std::move(options)),
       pool_tree_(options_.pools.empty()
                      ? nullptr
-                     : std::make_unique<placement::PoolTree>(options_.pools)),
-      plane_(options_.placement_mode == placement::PlacementMode::kEngine
-                 ? nullptr
-                 : std::make_unique<placement::PlacementPlane>(
-                       placement::PlacementPlane::Options{
-                           options_.placement_mode, options_.placement_seed,
-                           options_.num_nodes, options_.registry})),
+                     : std::make_unique<PoolTree>(options_.pools)),
       pool_(options_.map_slots, options_.reduce_slots,
             options_.memory_budget_bytes, options_.policy),
       dispatcher_([this](std::stop_token stop) { DispatchLoop(stop); }) {
@@ -175,22 +169,6 @@ void JobScheduler::DispatchLoop(const std::stop_token& stop) {
       pool_tree_->JoinJob(handle, job->request.pool);
       pool_tree_->OnJobStart(job->request.pool);
     }
-    if (plane_ != nullptr) {
-      // Plan here, on the dispatcher thread: jobs are planned in dispatch
-      // order, which is FIFO-deterministic — the property the seeded
-      // assignment-log tests pin.  A missing input stays unplanned and
-      // fails inside the executor as before.
-      try {
-        std::vector<BlockInfo> blocks =
-            dfs_->ListBlocks(job->request.spec.input_file);
-        for (const auto& extra : job->request.spec.extra_inputs) {
-          const auto more = dfs_->ListBlocks(extra);
-          blocks.insert(blocks.end(), more.begin(), more.end());
-        }
-        plane_->PlanJob(handle, blocks);
-      } catch (...) {
-      }
-    }
     job->runner = std::jthread([this, job] { RunJob(job); });
   }
 }
@@ -201,20 +179,12 @@ void JobScheduler::RunJob(Job* job) {
   // jobs interleave.  Transports charge their wire metrics here too.
   job->metrics = std::make_unique<MetricRegistry>();
 
-  job->hooks.acquire_map_slot = [this, handle](int node) {
+  job->hooks.acquire_map_slot = [this, handle] {
     pool_.Acquire(handle, SlotPool::SlotKind::kMap);
-    if (plane_ != nullptr) plane_->OnSlotAcquired(node);
   };
-  job->hooks.release_map_slot = [this, handle](int node) {
-    if (plane_ != nullptr) plane_->OnSlotReleased(node);
+  job->hooks.release_map_slot = [this, handle] {
     pool_.Release(handle, SlotPool::SlotKind::kMap);
   };
-  if (plane_ != nullptr) {
-    job->hooks.place_map_block =
-        [this, handle](int node, const std::vector<const BlockInfo*>& pending) {
-          return plane_->PickPending(handle, node, pending);
-        };
-  }
   job->hooks.acquire_reduce_slot = [this, handle] {
     pool_.Acquire(handle, SlotPool::SlotKind::kReduce);
   };
@@ -278,7 +248,6 @@ void JobScheduler::RunJob(Job* job) {
   // All slot leases were released when Run() unwound its task threads.
   pool_.UnregisterJob(handle);
   pool_.ReleaseMemory(job->memory_bytes);
-  if (plane_ != nullptr) plane_->JobDone(handle);
   if (pool_tree_ != nullptr) {
     pool_tree_->OnJobFinish(job->request.pool);
     pool_tree_->LeaveJob(handle);
@@ -334,7 +303,6 @@ SchedulerStats JobScheduler::stats() const {
   s.no_reduce_worker_deferrals = no_reduce_worker_deferrals_;
   s.quota_deferrals = quota_deferrals_;
   s.frontend_only_deferrals = frontend_only_deferrals_;
-  if (plane_ != nullptr) s.placement = plane_->stats();
   if (pool_tree_ != nullptr) s.pools = pool_tree_->Stats();
   s.makespan_s =
       first_submit_s_ >= 0.0 ? last_finish_s_ - first_submit_s_ : 0.0;

@@ -40,9 +40,8 @@
 #include "engine/job.h"
 #include "metrics/stopwatch.h"
 #include "net/transport.h"
-#include "placement/placement.h"
-#include "placement/pool_tree.h"
 #include "sched/policy.h"
+#include "sched/pool_tree.h"
 #include "sched/slot_pool.h"
 #include "storage/file_manager.h"
 
@@ -74,19 +73,12 @@ struct SchedulerOptions {
   // registrations are NOT slots: a registry of only frontends still
   // defers placement.
   coord::WorkerRegistry* registry = nullptr;
-  // Operation-level placement plane (src/placement).  kEngine keeps the
-  // seed behaviour (each executor's built-in local-first order, no plane);
-  // the other modes build one shared PlacementPlane that plans every
-  // admitted job's map operations against the registry's locality / load /
-  // health view, seed-deterministically.
-  placement::PlacementMode placement_mode = placement::PlacementMode::kEngine;
-  std::uint64_t placement_seed = 42;
-  // Hierarchical fair-share pools (src/placement).  Empty = no pool tree:
+  // Hierarchical fair-share pools (sched/pool_tree.h).  Empty = no pool tree:
   // the SchedPolicy alone orders contended slots.  Non-empty builds a
   // PoolTree; jobs name their pool in JobRequest::pool, contended slots go
   // to the tree's usage/weight pick, and a pool at its max_running_jobs
   // quota holds its next job in the queue (quota_deferrals).
-  std::vector<placement::PoolConfig> pools;
+  std::vector<PoolConfig> pools;
 };
 
 enum class JobTransport {
@@ -143,10 +135,8 @@ struct SchedulerStats {
   // slots, so they never satisfy the placement gate — heavy read traffic
   // cannot perturb placement (the OS4M operation-level separation).
   std::int64_t frontend_only_deferrals = 0;
-  // Placement-plane activity (all zero with placement_mode == kEngine).
-  placement::PlacementPlane::Stats placement;
   // Per-pool usage, root first (empty without a pool tree).
-  std::vector<placement::PoolTree::PoolStats> pools;
+  std::vector<PoolTree::PoolStats> pools;
   SlotPool::Stats slots;
 };
 
@@ -176,13 +166,8 @@ class JobScheduler {
   // plotted against each other.
   [[nodiscard]] std::vector<TaskInterval> Timeline() const;
 
-  // The placement plane (nullptr with placement_mode == kEngine) — the
-  // assignment log and per-node load probes live here.
-  [[nodiscard]] placement::PlacementPlane* placement_plane() noexcept {
-    return plane_.get();
-  }
   // The fair-share tree (nullptr without pools).
-  [[nodiscard]] placement::PoolTree* pool_tree() noexcept {
+  [[nodiscard]] PoolTree* pool_tree() noexcept {
     return pool_tree_.get();
   }
 
@@ -211,10 +196,9 @@ class JobScheduler {
   FileManager* files_;
   SchedulerOptions options_;
   WallTimer clock_;
-  // Declared before pool_ (which borrows the tree) and dispatcher_ (which
-  // consults both), so they outlive every user.
-  std::unique_ptr<placement::PoolTree> pool_tree_;
-  std::unique_ptr<placement::PlacementPlane> plane_;
+  // Declared before pool_ (which borrows it) and dispatcher_ (which
+  // consults it), so it outlives every user.
+  std::unique_ptr<PoolTree> pool_tree_;
   SlotPool pool_;
 
   mutable std::mutex mu_;

@@ -23,7 +23,7 @@ SlotPool::JobState& SlotPool::StateLocked(int job) {
   return it->second;
 }
 
-void SlotPool::SetPoolTree(placement::PoolTree* tree) {
+void SlotPool::SetPoolTree(PoolTree* tree) {
   std::scoped_lock lock(mu_);
   tree_ = tree;
 }
@@ -70,7 +70,7 @@ bool SlotPool::RanksBefore(const JobState& a,
 int SlotPool::BestWaiterLocked(SlotKind kind) const {
   const int k = static_cast<int>(kind);
   if (tree_ != nullptr) {
-    std::vector<placement::PoolTree::Waiter> waiters;
+    std::vector<PoolTree::Waiter> waiters;
     for (const auto& [id, state] : jobs_) {
       if (state.waiting[k] == 0) continue;
       waiters.push_back({id, state.seq});

@@ -12,8 +12,8 @@
 #include <map>
 #include <mutex>
 
-#include "placement/pool_tree.h"
 #include "sched/policy.h"
+#include "sched/pool_tree.h"
 
 namespace opmr::sched {
 
@@ -39,7 +39,7 @@ class SlotPool {
   // jobs the tree cannot tell apart (same pool, same admission seq can't
   // happen, so effectively the tree decides).  Job -> pool membership is
   // the tree's (JoinJob), not the slot pool's.
-  void SetPoolTree(placement::PoolTree* tree);
+  void SetPoolTree(PoolTree* tree);
 
   // Jobs register with an initial remaining-operations estimate (map tasks
   // + reducers); progress hooks keep it current so kSrw ranks on live
@@ -80,7 +80,7 @@ class SlotPool {
 
   const SchedPolicy policy_;
   const int capacity_[2];
-  placement::PoolTree* tree_ = nullptr;
+  PoolTree* tree_ = nullptr;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   int free_[2];

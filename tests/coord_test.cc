@@ -112,98 +112,15 @@ TEST(WorkerRegistry, SnapshotAndPlacementOrder) {
   (void)registry.Register("map-a", "a:1", net::WireRole::kMap, 0.0);
   (void)registry.Register("reduce-0", "r:1", net::WireRole::kReduce, 0.0);
 
-  // Snapshot keeps registration order (the broadcast view)...
+  // Snapshot keeps registration order (the broadcast view).
   const auto view = registry.Snapshot();
   ASSERT_EQ(view.entries.size(), 3u);
   EXPECT_EQ(view.entries[0].worker, "map-b");
-
-  // ...while LiveWorkers sorts by id: the canonical placement order every
-  // participant derives independently from the same view.
-  const auto maps = registry.LiveWorkers(net::WireRole::kMap);
-  ASSERT_EQ(maps.size(), 2u);
-  EXPECT_EQ(maps[0].id, "map-a");
-  EXPECT_EQ(maps[1].id, "map-b");
 
   coord::WorkerInfo info;
   ASSERT_TRUE(registry.Lookup("reduce-0", &info));
   EXPECT_EQ(info.endpoint, "r:1");
   EXPECT_FALSE(registry.Lookup("nope", &info));
-}
-
-TEST(WorkerRegistry, LiveWorkersOrderingContractIsSortedById) {
-  // The registry.h ORDERING CONTRACT, pinned: LiveWorkers returns live
-  // workers of the role sorted ascending by id — never registration order,
-  // never heartbeat recency — and stays sorted across evictions and
-  // rejoins.  The placement plane derives its worker<->node bridge from
-  // this order; reordering it silently re-places every operation.
-  coord::WorkerRegistry registry;
-  (void)registry.Register("map-c", "c:1", net::WireRole::kMap, 0.0);
-  (void)registry.Register("map-a", "a:1", net::WireRole::kMap, 0.0);
-  (void)registry.Register("map-d", "d:1", net::WireRole::kMap, 0.0);
-  (void)registry.Register("map-b", "b:1", net::WireRole::kMap, 0.0);
-
-  const auto ids = [&] {
-    std::vector<std::string> out;
-    for (const auto& w : registry.LiveWorkers(net::WireRole::kMap)) {
-      out.push_back(w.id);
-    }
-    return out;
-  };
-  EXPECT_EQ(ids(), (std::vector<std::string>{"map-a", "map-b", "map-c",
-                                             "map-d"}));
-
-  // Heartbeat recency must not perturb the order...
-  (void)registry.Heartbeat("map-d", 1, 1.0);
-  (void)registry.Heartbeat("map-a", 1, 1.2);
-  EXPECT_EQ(ids(), (std::vector<std::string>{"map-a", "map-b", "map-c",
-                                             "map-d"}));
-
-  // ...an eviction removes its entry without reordering the rest...
-  (void)registry.Heartbeat("map-b", 1, 2.0);
-  (void)registry.Heartbeat("map-c", 1, 2.0);
-  (void)registry.Heartbeat("map-d", 1, 2.0);
-  const auto expired = registry.ExpireLeases(3.5, 2.0);  // map-a last at 1.2
-  ASSERT_EQ(expired, (std::vector<std::string>{"map-a"}));
-  EXPECT_EQ(ids(), (std::vector<std::string>{"map-b", "map-c", "map-d"}));
-
-  // ...and a rejoin re-inserts at its sorted position, not at the tail.
-  (void)registry.Register("map-a", "a:1", net::WireRole::kMap, 4.0);
-  EXPECT_EQ(ids(), (std::vector<std::string>{"map-a", "map-b", "map-c",
-                                             "map-d"}));
-}
-
-TEST(WorkerRegistry, HeartbeatLoadVectorAndSuspectCount) {
-  coord::WorkerRegistry registry;
-  (void)registry.Register("w1", "h:1", net::WireRole::kMap, 0.0);
-
-  // The v6 heartbeat overload stores the reported load; LoadAt reads
-  // missing indices as zero.
-  EXPECT_TRUE(registry.Heartbeat("w1", 1, 1.0, {2, 0, 5}));
-  coord::WorkerInfo info;
-  ASSERT_TRUE(registry.Lookup("w1", &info));
-  EXPECT_EQ(info.LoadAt(net::kLoadMapSlotsHeld), 2u);
-  EXPECT_EQ(info.LoadAt(net::kLoadReduceSlotsHeld), 0u);
-  EXPECT_EQ(info.LoadAt(net::kLoadQueueDepth), 5u);
-  EXPECT_EQ(info.LoadAt(99), 0u);  // out of range reads as unloaded
-  EXPECT_EQ(info.suspect_count, 0u);
-
-  // A stale-generation heartbeat must not smuggle load in.
-  EXPECT_FALSE(registry.Heartbeat("w1", 0, 1.5, {9, 9, 9}));
-  ASSERT_TRUE(registry.Lookup("w1", &info));
-  EXPECT_EQ(info.LoadAt(net::kLoadMapSlotsHeld), 2u);
-
-  // Lease expiry bumps suspect_count — the flappiness history the
-  // placement ranking reads — and a re-register clears the stale load but
-  // keeps the history.
-  ASSERT_EQ(registry.ExpireLeases(4.0, 2.0),
-            (std::vector<std::string>{"w1"}));
-  ASSERT_TRUE(registry.Lookup("w1", &info));
-  EXPECT_EQ(info.suspect_count, 1u);
-  (void)registry.Register("w1", "h:1", net::WireRole::kMap, 5.0);
-  ASSERT_TRUE(registry.Lookup("w1", &info));
-  EXPECT_TRUE(info.alive);
-  EXPECT_TRUE(info.load.empty());
-  EXPECT_EQ(info.suspect_count, 1u);
 }
 
 // --- Coordinator + CoordClient over real TCP ---------------------------------

@@ -35,7 +35,7 @@ bool RoundTrips(const Msg& msg) {
 // --- One sample table for every message type ---------------------------------
 //
 // Each row is one message, its frame and the frame's bytes (type byte, then
-// payload, in hex) as the protocol-v8 encoder wrote them.  The table drives
+// payload, in hex) as the protocol-v9 encoder wrote them.  The table drives
 // three checks: the encoding matches the golden bytes, Parse(ToFrame(m)) == m
 // through the frame codec, and every proper prefix of every payload — and the
 // payload plus one trailing byte — is a WireError.
@@ -75,7 +75,7 @@ std::vector<Sample> Samples() {
   hello.worker = "r-0";
   hello.auth = std::string("s\0t", 3);
   rows.push_back(Row("hello", hello,
-                     "0108000000030000006a6f62070000000300000003000000722d30"
+                     "0109000000030000006a6f62070000000300000003000000722d30"
                      "03000000730074"));
 
   ChunkMsg chunk;
@@ -167,17 +167,8 @@ std::vector<Sample> Samples() {
   hb.worker = "m-1";
   hb.generation = 3;
   hb.seq = 99;
-  hb.load = {2, 1, 7};
   rows.push_back(Row("heartbeat", hb,
-                     "0b030000006d2d3103000000000000006300000000000000030000"
-                     "00020000000100000007000000"));
-
-  // A loadless heartbeat carries an empty vector (LoadAt reads 0s).
-  HeartbeatMsg bare_hb;
-  bare_hb.worker = "m-2";
-  rows.push_back(Row("heartbeat_no_load", bare_hb,
-                     "0b030000006d2d3200000000000000000000000000000000000000"
-                     "00"));
+                     "0b030000006d2d3103000000000000006300000000000000"));
 
   MembershipMsg view;
   view.epoch = 12;
@@ -318,16 +309,20 @@ TEST(NetFrame, EveryPayloadPrefixAndOverrunIsWireError) {
 }
 
 TEST(NetFrame, HelloFromAnotherProtocolVersionIsWireError) {
-  HelloMsg hello;
-  hello.version = 7;
-  try {
-    (void)HelloMsg::Parse(hello.ToFrame());
-    FAIL() << "a v7 hello parsed";
-  } catch (const WireError& err) {
-    const std::string what = err.what();
-    EXPECT_NE(what.find('7'), std::string::npos) << what;
-    EXPECT_NE(what.find(std::to_string(kProtocolVersion)), std::string::npos)
-        << what;
+  for (const std::uint32_t version : {7u, 8u}) {
+    HelloMsg hello;
+    hello.version = version;
+    try {
+      (void)HelloMsg::Parse(hello.ToFrame());
+      FAIL() << "a v" << version << " hello parsed";
+    } catch (const WireError& err) {
+      const std::string what = err.what();
+      EXPECT_NE(what.find(std::to_string(version)), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(std::to_string(kProtocolVersion)),
+                std::string::npos)
+          << what;
+    }
   }
 }
 
@@ -356,9 +351,6 @@ TEST(NetFrame, CoordinationMessagesRoundTrip) {
   hb.worker = "map-1";
   hb.generation = 3;
   hb.seq = 99;
-  hb.load = {2, 1, 7};
-  EXPECT_TRUE(RoundTrips(hb));
-  hb.load.assign(kMaxLoadEntries, 4);  // a full load vector is in cap
   EXPECT_TRUE(RoundTrips(hb));
 
   MembershipMsg view;
@@ -383,7 +375,6 @@ TEST(NetFrame, CoordinationFrameEveryTruncationIsNeedMore) {
   hb.worker = "map-0";
   hb.generation = 2;
   hb.seq = 17;
-  hb.load = {1, 0, 3};  // the v6 extension gets the same truncation sweep
   wires.push_back(EncodeFrame(hb.ToFrame()));
   for (const std::string& wire : wires) {
     for (std::size_t cut = 0; cut < wire.size(); ++cut) {
@@ -410,7 +401,6 @@ TEST(NetFrame, CoordinationFrameEverySingleBitFlipIsDetected) {
   hb.worker = "map-0";
   hb.generation = 2;
   hb.seq = 17;
-  hb.load = {3, 0, 5};
   wires.push_back(EncodeFrame(hb.ToFrame()));
   MembershipMsg view;
   view.epoch = 3;
@@ -464,43 +454,6 @@ TEST(NetFrame, CoordinationPayloadSemanticCorruptionIsWireError) {
   lying.payload[11] = '\x40';
   EXPECT_THROW((void)MembershipMsg::Parse(DecodeOne(EncodeFrame(lying))),
                WireError);
-
-  // v6 heartbeat load-vector lies.  Payload layout: worker len(u32) +
-  // "map-0"(5) + generation(u64) + seq(u64) puts the load count at byte 25.
-  HeartbeatMsg hb;
-  hb.worker = "map-0";
-  Frame hb_lying = hb.ToFrame();
-  ASSERT_GE(hb_lying.payload.size(), 29u);
-  // Claim kMaxLoadEntries + 1 entries with an empty body: over-cap is
-  // rejected before any allocation or read.
-  hb_lying.payload[25] = static_cast<char>(kMaxLoadEntries + 1);
-  EXPECT_THROW((void)HeartbeatMsg::Parse(DecodeOne(EncodeFrame(hb_lying))),
-               WireError);
-  // Claim 2^30 entries: same rejection, no preallocation from the lie.
-  hb_lying.payload[25] = '\x00';
-  hb_lying.payload[28] = '\x40';
-  EXPECT_THROW((void)HeartbeatMsg::Parse(DecodeOne(EncodeFrame(hb_lying))),
-               WireError);
-  // An in-cap count pointing past the payload must be a clean WireError.
-  hb_lying.payload[25] = '\x02';
-  hb_lying.payload[28] = '\x00';
-  EXPECT_THROW((void)HeartbeatMsg::Parse(DecodeOne(EncodeFrame(hb_lying))),
-               WireError);
-  // Trailing junk after a well-formed load vector is rejected too.
-  HeartbeatMsg hb_loaded;
-  hb_loaded.worker = "map-0";
-  hb_loaded.load = {1, 2};
-  Frame hb_padded = hb_loaded.ToFrame();
-  hb_padded.payload += "junk";
-  EXPECT_THROW((void)HeartbeatMsg::Parse(DecodeOne(EncodeFrame(hb_padded))),
-               WireError);
-
-  // The encode side enforces the same cap the parser does: a load vector
-  // past kMaxLoadEntries never reaches the wire.
-  HeartbeatMsg oversized;
-  oversized.worker = "map-3";
-  oversized.load.assign(kMaxLoadEntries + 1, 1);
-  EXPECT_THROW((void)oversized.ToFrame(), WireError);
 }
 
 // --- Replication frames (v4: kLogAppend/kLogAck/kSnapshotOffer/kVote/

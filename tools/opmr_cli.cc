@@ -121,23 +121,24 @@
 //   opmr_cli serve spool=<dir|-> [map-slots=N] [reduce-slots=N]
 //                  [policy=fifo|fair|srw] [memory-budget=BYTES]
 //                  [max-concurrent=N] [nodes=N]
-//                  [placement=engine|registration|locality]
-//                  [placement-seed=N] [pool=name:weight[:max_jobs][,...]]
+//                  [pool=name:weight[:max_jobs][,...]]
 //       Multi-job mode: drains `*.job` spool files from <dir> (renaming
 //       each to `*.job.done`), or blank-line-separated key=value blocks
 //       from stdin with spool=-, and runs them all through the shared-slot
 //       JobScheduler (src/sched).  Each job gets its own `<id>.in` dataset
 //       and `<id>.out` output; the chosen policy arbitrates contended map/
-//       reduce slots.  placement=locality routes every map operation
-//       through the src/placement plane (locality -> load -> health
-//       ranking, seed-deterministic); pool= declares hierarchical
+//       reduce slots, and each job's map tasks run local-first on the
+//       nodes holding their blocks.  pool= declares hierarchical
 //       fair-share pools ("parent/" prefix nests; declare parents first)
 //       that spool jobs join with their pool= key.  Prints per-job
-//       reports, scheduler stats (with deferral reasons, placement
-//       counters, and per-pool grants), and a cross-job task timeline.
+//       reports, scheduler stats (with deferral reasons and per-pool
+//       grants), and a cross-job task timeline.
 //       Spool keys: workload, runtime, transport (direct|loopback|tcp),
 //       records, reducers, memory_bytes, speculative_reduce,
 //       checkpoint_interval, checkpoint_retain, pool.
+//
+// Every subcommand rejects a key it does not read (a typo or a removed
+// flag) with exit 1 before it does any work.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -212,6 +213,21 @@ std::int64_t GetCheckedInt(const Config& cfg, const std::string& key,
                                 std::to_string(min_value) + ", got " + *raw);
   }
   return value;
+}
+
+// Call once `command` has read every key it understands, before it does
+// any work: anything left is a typo or a removed flag, and running anyway
+// would run something other than what was asked for.
+void RejectUnreadKeys(const Config& cfg, const std::string& command) {
+  const auto unread = cfg.UnreadKeys();
+  if (unread.empty()) return;
+  std::string names;
+  for (const auto& key : unread) {
+    names += (names.empty() ? "--" : ", --") + key;
+  }
+  throw std::invalid_argument(command + ": unknown option(s) " + names +
+                              "; see the header of tools/opmr_cli.cc for "
+                              "the flags `" + command + "` takes");
 }
 
 // Generates the right dataset and returns the job spec for `workload`.
@@ -504,17 +520,7 @@ int CmdRun(const Config& cfg) {
   }
 
   const auto dump = cfg.GetString("dump-output", "");
-  // Every key `run` understands has been read by now; anything left is a
-  // typo or a removed flag, and running anyway would run a different job.
-  if (const auto unread = cfg.UnreadKeys(); !unread.empty()) {
-    std::string names;
-    for (const auto& key : unread) {
-      names += (names.empty() ? "--" : ", --") + key;
-    }
-    throw std::invalid_argument(
-        "run: unknown option(s) " + names +
-        "; see the header of tools/opmr_cli.cc for the flags `run` takes");
-  }
+  RejectUnreadKeys(cfg, "run");
 
   Platform platform(popts);
   if (platform.fault_injector() != nullptr) {
@@ -598,6 +604,42 @@ int CmdServe(const Config& cfg) {
     throw std::invalid_argument(
         "serve: spool=<dir> (or spool=- for stdin) is required");
   }
+  PlatformOptions popts;
+  popts.num_nodes =
+      static_cast<int>(GetCheckedInt(cfg, "nodes", 4, /*min_value=*/1));
+
+  sched::SchedulerOptions sopts;
+  sopts.map_slots =
+      static_cast<int>(GetCheckedInt(cfg, "map-slots", 8, /*min_value=*/1));
+  sopts.reduce_slots =
+      static_cast<int>(GetCheckedInt(cfg, "reduce-slots", 8, /*min_value=*/1));
+  sopts.memory_budget_bytes = static_cast<std::size_t>(GetCheckedInt(
+      cfg, "memory-budget", 256ll << 20, /*min_value=*/1));
+  sopts.max_concurrent = static_cast<int>(
+      GetCheckedInt(cfg, "max-concurrent", 4, /*min_value=*/1));
+  sopts.num_nodes = popts.num_nodes;
+  const auto policy_name = cfg.GetString("policy", "fifo");
+  const auto policy = sched::ParseSchedPolicy(policy_name);
+  if (!policy) {
+    throw std::invalid_argument("unknown policy: " + policy_name +
+                                " (expected fifo, fair, or srw)");
+  }
+  sopts.policy = *policy;
+  // Fair-share pools: pool=name:weight[:max_jobs][,more...] with an
+  // optional "parent/" prefix on each name (parents listed first).
+  if (const auto pool_list = cfg.GetString("pool", ""); !pool_list.empty()) {
+    std::size_t begin = 0;
+    while (begin <= pool_list.size()) {
+      auto end = pool_list.find(',', begin);
+      if (end == std::string::npos) end = pool_list.size();
+      const std::string spec = pool_list.substr(begin, end - begin);
+      if (!spec.empty()) sopts.pools.push_back(sched::ParsePoolConfig(spec));
+      begin = end + 1;
+    }
+  }
+  // Before the spool is drained: a rejected flag leaves its jobs queued.
+  RejectUnreadKeys(cfg, "serve");
+
   std::vector<sched::SpoolSpec> specs;
   if (spool == "-") {
     // Blank-line-separated key=value blocks on stdin.
@@ -627,47 +669,7 @@ int CmdServe(const Config& cfg) {
     std::printf("serve: no job specs found in %s\n", spool.c_str());
     return 0;
   }
-
-  PlatformOptions popts;
-  popts.num_nodes =
-      static_cast<int>(GetCheckedInt(cfg, "nodes", 4, /*min_value=*/1));
   Platform platform(popts);
-
-  sched::SchedulerOptions sopts;
-  sopts.map_slots =
-      static_cast<int>(GetCheckedInt(cfg, "map-slots", 8, /*min_value=*/1));
-  sopts.reduce_slots =
-      static_cast<int>(GetCheckedInt(cfg, "reduce-slots", 8, /*min_value=*/1));
-  sopts.memory_budget_bytes = static_cast<std::size_t>(GetCheckedInt(
-      cfg, "memory-budget", 256ll << 20, /*min_value=*/1));
-  sopts.max_concurrent = static_cast<int>(
-      GetCheckedInt(cfg, "max-concurrent", 4, /*min_value=*/1));
-  sopts.num_nodes = popts.num_nodes;
-  const auto policy_name = cfg.GetString("policy", "fifo");
-  const auto policy = sched::ParseSchedPolicy(policy_name);
-  if (!policy) {
-    throw std::invalid_argument("unknown policy: " + policy_name +
-                                " (expected fifo, fair, or srw)");
-  }
-  sopts.policy = *policy;
-  // Operation-level placement plane: placement=engine keeps the seed
-  // behaviour; registration/locality route every map op through the plane.
-  sopts.placement_mode =
-      placement::ParsePlacementMode(cfg.GetString("placement", "engine"));
-  sopts.placement_seed = static_cast<std::uint64_t>(
-      GetCheckedInt(cfg, "placement-seed", 42, /*min_value=*/0));
-  // Fair-share pools: pool=name:weight[:max_jobs][,more...] with an
-  // optional "parent/" prefix on each name (parents listed first).
-  if (const auto pool_list = cfg.GetString("pool", ""); !pool_list.empty()) {
-    std::size_t begin = 0;
-    while (begin <= pool_list.size()) {
-      auto end = pool_list.find(',', begin);
-      if (end == std::string::npos) end = pool_list.size();
-      const std::string spec = pool_list.substr(begin, end - begin);
-      if (!spec.empty()) sopts.pools.push_back(placement::ParsePoolConfig(spec));
-      begin = end + 1;
-    }
-  }
 
   sched::JobScheduler scheduler(&platform.dfs(), &platform.files(), sopts);
   for (const auto& s : specs) {
@@ -728,15 +730,6 @@ int CmdServe(const Config& cfg) {
                 static_cast<long long>(stats.no_reduce_worker_deferrals),
                 static_cast<long long>(stats.quota_deferrals));
   }
-  if (sopts.placement_mode != placement::PlacementMode::kEngine) {
-    std::printf("placement %s: %lld ops planned (%lld data-local), "
-                "%lld re-placed, %lld stolen\n",
-                placement::PlacementModeName(sopts.placement_mode),
-                static_cast<long long>(stats.placement.planned),
-                static_cast<long long>(stats.placement.planned_local),
-                static_cast<long long>(stats.placement.replacements),
-                static_cast<long long>(stats.placement.steals));
-  }
   for (const auto& pool : stats.pools) {
     std::printf("pool %-12s weight %.1f | %lld slot grants\n",
                 pool.name.c_str(), pool.weight,
@@ -776,6 +769,7 @@ int CmdSim(const Config& cfg) {
     config.storage = sim::StorageArch::kSeparate;
     w.input_bytes /= 2;
   }
+  RejectUnreadKeys(cfg, "sim");
 
   const auto r = sim::SimulateJob(w, config);
   std::printf("completion %s | map phase end %.0f s | merges %d | "
@@ -799,6 +793,7 @@ int CmdTopK(const Config& cfg) {
   const auto k = static_cast<std::size_t>(cfg.GetInt("k", 10));
   const auto records =
       static_cast<std::uint64_t>(cfg.GetInt("records", 1'000'000));
+  RejectUnreadKeys(cfg, "topk");
 
   Platform platform({.num_nodes = 4});
   const auto spec = PrepareWorkload(platform, workload, records, 4);
@@ -817,6 +812,7 @@ int CmdSort(const Config& cfg) {
   const auto records =
       static_cast<std::uint64_t>(cfg.GetInt("records", 1'000'000));
   const int reducers = static_cast<int>(cfg.GetInt("reducers", 8));
+  RejectUnreadKeys(cfg, "sort");
 
   Platform platform({.num_nodes = 4});
   Rng rng(1);
@@ -913,9 +909,28 @@ int CmdStream(const Config& cfg) {
       cfg, "session-gap", static_cast<std::int64_t>(kDefaultSessionGap),
       /*min_value=*/1));
 
+  StreamingOptions sopts;
+  sopts.hot_key_capacity = static_cast<std::size_t>(
+      GetCheckedInt(cfg, "hot-keys", 0, /*min_value=*/0));
+  serve::PublisherOptions pub;
+  pub.job = workload;
+  pub.dir = cfg.GetString("snapshot-dir", "serve_images");
+  pub.retain = static_cast<int>(
+      GetCheckedInt(cfg, "snapshot-retain", 4, /*min_value=*/1));
+  pub.secret = cfg.GetString("secret", "");
+  if (!publish.empty()) {
+    sopts.snapshot_interval_records = static_cast<std::uint64_t>(
+        GetCheckedInt(cfg, "snapshot-interval",
+                      static_cast<std::int64_t>(
+                          std::max<std::uint64_t>(records / 10, 1)),
+                      /*min_value=*/1));
+  }
+  const auto linger = GetCheckedInt(cfg, "linger", 0, /*min_value=*/0);
+
   PlatformOptions popts;
   popts.num_nodes =
       static_cast<int>(GetCheckedInt(cfg, "nodes", 4, /*min_value=*/1));
+  RejectUnreadKeys(cfg, "stream");
   Platform platform(popts);
   std::printf("generating %s click stream (%llu records)...\n",
               workload.c_str(), static_cast<unsigned long long>(records));
@@ -928,9 +943,6 @@ int CmdStream(const Config& cfg) {
   MetricRegistry metrics;
   std::unique_ptr<net::TcpTransport> server;
   std::unique_ptr<serve::SnapshotPublisher> publisher;
-  StreamingOptions sopts;
-  sopts.hot_key_capacity = static_cast<std::size_t>(
-      GetCheckedInt(cfg, "hot-keys", 0, /*min_value=*/0));
   if (!publish.empty()) {
     const auto [host, port] = SplitHostPort(publish, "publish-snapshots");
     net::TcpTransport::Options topts;
@@ -938,19 +950,8 @@ int CmdStream(const Config& cfg) {
     topts.bind_port = port;
     server = std::make_unique<net::TcpTransport>(&metrics, topts);
     server->Bind();
-    serve::PublisherOptions pub;
-    pub.job = workload;
-    pub.dir = cfg.GetString("snapshot-dir", "serve_images");
-    pub.retain = static_cast<int>(
-        GetCheckedInt(cfg, "snapshot-retain", 4, /*min_value=*/1));
-    pub.secret = cfg.GetString("secret", "");
     publisher = std::make_unique<serve::SnapshotPublisher>(server.get(),
                                                            &metrics, pub);
-    sopts.snapshot_interval_records = static_cast<std::uint64_t>(
-        GetCheckedInt(cfg, "snapshot-interval",
-                      static_cast<std::int64_t>(
-                          std::max<std::uint64_t>(records / 10, 1)),
-                      /*min_value=*/1));
     sopts.publish_snapshot = [&pub_ref = *publisher](CheckpointImage image) {
       pub_ref.Publish(std::move(image));
     };
@@ -978,8 +979,6 @@ int CmdStream(const Config& cfg) {
                 static_cast<unsigned long long>(publisher->latest_version()),
                 publisher->subscribers());
     std::fflush(stdout);
-    const auto linger =
-        GetCheckedInt(cfg, "linger", 0, /*min_value=*/0);
     if (linger > 0) {
       std::printf("stream: lingering %llds for late fetches...\n",
                   static_cast<long long>(linger));
@@ -1023,15 +1022,10 @@ int CmdFrontend(const Config& cfg) {
       /*min_value=*/1));
   const double wait_s =
       static_cast<double>(GetCheckedInt(cfg, "wait", 60, /*min_value=*/1));
-
-  MetricRegistry metrics;
   net::TcpTransport::Options bopts;
   bopts.bind_address = lhost;
   bopts.bind_port = lport;
   bopts.advertise_address = cfg.GetString("advertise", "");
-  net::TcpTransport server(&metrics, bopts);
-  server.Bind();
-  net::TcpTransport link(&metrics, publisher_ep);
 
   serve::FrontendOptions fopts;
   fopts.job = workload;
@@ -1048,6 +1042,25 @@ int CmdFrontend(const Config& cfg) {
       GetCheckedInt(cfg, "rate", 0, /*min_value=*/0));
   fopts.default_policy.burst = static_cast<double>(
       GetCheckedInt(cfg, "burst", 0, /*min_value=*/0));
+  // Optional membership: frontends register read-only — the scheduler's
+  // placement gate never counts them as job slots.
+  const auto join = cfg.GetString("join", "");
+  coord::CoordClient::Options mopts;
+  if (!join.empty()) {
+    (void)SplitHostPort(join, "join");
+    mopts.coordinator = join;
+    mopts.worker_id = fopts.worker;
+    mopts.role = net::WireRole::kFrontend;
+    mopts.secret = cfg.GetString("coord-secret", fopts.secret);
+  }
+  const double join_timeout = static_cast<double>(
+      GetCheckedInt(cfg, "join-timeout", 30, /*min_value=*/1));
+  RejectUnreadKeys(cfg, "frontend");
+
+  MetricRegistry metrics;
+  net::TcpTransport server(&metrics, bopts);
+  server.Bind();
+  net::TcpTransport link(&metrics, publisher_ep);
   serve::SnapshotFrontend frontend(&server, &link, &metrics, fopts);
   std::printf("frontend '%s': serving '%s' at %s, snapshots from %s "
               "(staleness budget %s, rate %s)\n",
@@ -1063,21 +1076,11 @@ int CmdFrontend(const Config& cfg) {
                   : "unlimited");
   std::fflush(stdout);
 
-  // Optional membership: frontends register read-only — the scheduler's
-  // placement gate never counts them as job slots.
   std::unique_ptr<coord::CoordClient> member;
-  const auto join = cfg.GetString("join", "");
   if (!join.empty()) {
-    (void)SplitHostPort(join, "join");
-    coord::CoordClient::Options mopts;
-    mopts.coordinator = join;
-    mopts.worker_id = fopts.worker;
     mopts.endpoint = server.endpoint();
-    mopts.role = net::WireRole::kFrontend;
-    mopts.secret = cfg.GetString("coord-secret", fopts.secret);
     member = std::make_unique<coord::CoordClient>(&metrics, mopts);
-    member->Join(static_cast<double>(
-        GetCheckedInt(cfg, "join-timeout", 30, /*min_value=*/1)));
+    member->Join(join_timeout);
     std::printf("frontend '%s': joined %s as role frontend (gen %llu)\n",
                 fopts.worker.c_str(), join.c_str(),
                 static_cast<unsigned long long>(member->generation()));
@@ -1140,9 +1143,12 @@ int CmdQuery(const Config& cfg) {
                                 "' (expected point, topk or scan)");
   }
 
+  const auto tenant = cfg.GetString("tenant", "cli");
+  RejectUnreadKeys(cfg, "query");
+
   MetricRegistry metrics;
   net::TcpTransport transport(&metrics, at);
-  serve::QueryClient client(&transport, cfg.GetString("tenant", "cli"));
+  serve::QueryClient client(&transport, tenant);
   const auto result = client.Query(std::move(q));
   std::printf("status %s | answered from v%llu (watermark %llu, lag %llu)\n",
               net::QueryStatusName(result.status),
@@ -1205,21 +1211,13 @@ std::vector<replica::CoordinatorReplica::Peer> ParsePeers(
 // It serves workers only while leading; as a standby it tails the leader's
 // changelog and answers worker Registers with a redirect.  Runs until the
 // job's workers have all departed (observed while leading) or `wait`
-// elapses.
-int RunCoordinatorReplica(const Config& cfg, net::TcpTransport& transport,
+// elapses.  `ropts` carries the parsed replica flags; the endpoint comes
+// from the bound transport.
+int RunCoordinatorReplica(replica::CoordinatorReplica::Options ropts,
+                          net::TcpTransport& transport,
                           MetricRegistry& metrics, int want_maps,
-                          int want_reduces, double lease_s, double grace_s,
-                          double wait_s) {
-  replica::CoordinatorReplica::Options ropts;
-  ropts.replica_id = static_cast<std::uint32_t>(
-      GetCheckedInt(cfg, "replica-id", 1, /*min_value=*/1));
-  ropts.peers = ParsePeers(cfg.GetString("peers", ""));
+                          int want_reduces, double wait_s) {
   ropts.endpoint = transport.endpoint();
-  ropts.changelog_dir = cfg.GetString(
-      "changelog-dir", "opmr_replica_" + std::to_string(ropts.replica_id));
-  ropts.secret = cfg.GetString("secret", "");
-  ropts.lease_s = lease_s;
-  ropts.rejoin_grace_s = grace_s;
   const std::uint32_t self = ropts.replica_id;
   ropts.on_worker_lost = [](const std::string& id) {
     std::printf("coordinator: worker '%s' LOST (lease + rejoin grace "
@@ -1304,6 +1302,24 @@ int CmdCoordinator(const Config& cfg) {
       static_cast<double>(GetCheckedInt(cfg, "grace-ms", 2000, 1)) / 1e3;
   const double wait_s =
       static_cast<double>(GetCheckedInt(cfg, "wait", 120, /*min_value=*/1));
+  const auto secret = cfg.GetString("secret", "");
+  // Any replica key makes this process one member of a replicated group.
+  const auto replica_id = cfg.Get("replica-id");
+  const auto peers = cfg.Get("peers");
+  const auto changelog_dir = cfg.Get("changelog-dir");
+  const bool replicated = replica_id || peers || changelog_dir;
+  replica::CoordinatorReplica::Options ropts;
+  if (replicated) {
+    ropts.replica_id = static_cast<std::uint32_t>(
+        GetCheckedInt(cfg, "replica-id", 1, /*min_value=*/1));
+    ropts.peers = ParsePeers(peers.value_or(""));
+    ropts.changelog_dir = changelog_dir.value_or(
+        "opmr_replica_" + std::to_string(ropts.replica_id));
+    ropts.secret = secret;
+    ropts.lease_s = lease_s;
+    ropts.rejoin_grace_s = grace_s;
+  }
+  RejectUnreadKeys(cfg, "coordinator");
 
   MetricRegistry metrics;
   net::TcpTransport::Options topts;
@@ -1312,13 +1328,13 @@ int CmdCoordinator(const Config& cfg) {
   net::TcpTransport transport(&metrics, topts);
   transport.Bind();
 
-  if (cfg.Get("replica-id") || cfg.Get("peers") || cfg.Get("changelog-dir")) {
-    return RunCoordinatorReplica(cfg, transport, metrics, want_maps,
-                                 want_reduces, lease_s, grace_s, wait_s);
+  if (replicated) {
+    return RunCoordinatorReplica(std::move(ropts), transport, metrics,
+                                 want_maps, want_reduces, wait_s);
   }
 
   coord::Coordinator::Options copts;
-  copts.secret = cfg.GetString("secret", "");
+  copts.secret = secret;
   copts.lease_s = lease_s;
   copts.rejoin_grace_s = grace_s;
   copts.on_worker_lost = [](const std::string& id) {
@@ -1429,6 +1445,14 @@ int CmdWorker(const Config& cfg) {
   popts.num_nodes =
       static_cast<int>(GetCheckedInt(cfg, "nodes", 4, /*min_value=*/1));
   popts.fault_plan = cfg.GetString("fault-plan", "");
+  JobOptions options = RuntimeByName(runtime);
+  options.map_side_combine = cfg.GetBool("combine", true);
+  net::TcpTransport::Options server_opts;  // reduce role's shuffle server
+  server_opts.bind_address = cfg.GetString("bind", "127.0.0.1");
+  server_opts.advertise_address = cfg.GetString("advertise", "");
+  const auto dump = cfg.GetString("dump-output", "");
+  RejectUnreadKeys(cfg, "worker");
+
   Platform platform(popts);
   if (platform.fault_injector() != nullptr) {
     std::printf("worker '%s': fault plan: %s\n", id.c_str(),
@@ -1442,15 +1466,10 @@ int CmdWorker(const Config& cfg) {
   // block metadata (ids, order) agrees across the group without a shared
   // filesystem; map workers then run only their partition of the blocks.
   const auto spec = PrepareWorkload(platform, workload, records, reducers);
-  JobOptions options = RuntimeByName(runtime);
-  options.map_side_combine = cfg.GetBool("combine", true);
 
   int rc = 0;
   if (is_reduce) {
-    net::TcpTransport::Options sopts;
-    sopts.bind_address = cfg.GetString("bind", "127.0.0.1");
-    sopts.advertise_address = cfg.GetString("advertise", "");
-    net::TcpTransport shuffle_server(&platform.metrics(), sopts);
+    net::TcpTransport shuffle_server(&platform.metrics(), server_opts);
     shuffle_server.Bind();
 
     coord::CoordClient::Options mopts;
@@ -1473,7 +1492,6 @@ int CmdWorker(const Config& cfg) {
         platform.RunReduceGroup(spec, options, &shuffle_server,
                                 shuffle_timeout);
     PrintJobReport(result);
-    const auto dump = cfg.GetString("dump-output", "");
     if (!dump.empty()) {
       auto rows = platform.ReadOutput("output", reducers);
       std::sort(rows.begin(), rows.end());
