@@ -69,7 +69,8 @@ int main(int argc, char** argv) {
                 "Replayed", "Recover", "Output"});
   bench::CsvSink csv("ablation_checkpoint.csv");
   csv.Row("interval", "fault", "status", "wall_s", "output_matches",
-          CheckpointCsvHeader());
+          "checkpoints_written", "checkpoints_loaded", "checkpoint_bytes",
+          "replay_records", "recover_seconds");
 
   for (const auto interval : intervals) {
     for (const auto& [fault_name, faulty] : fault_modes) {
@@ -90,9 +91,8 @@ int main(int argc, char** argv) {
                     std::to_string(r.replay_records),
                     HumanSeconds(r.recover_seconds), output});
       csv.Row(interval, fault_name, status, r.wall_seconds, output,
-              CheckpointCsvCells(r.checkpoints_written, r.checkpoints_loaded,
-                                 r.checkpoint_bytes, r.replay_records,
-                                 r.recover_seconds));
+              r.checkpoints_written, r.checkpoints_loaded, r.checkpoint_bytes,
+              r.replay_records, r.recover_seconds);
     }
   }
   std::printf("%s", table.ToString().c_str());

@@ -42,7 +42,9 @@ int main(int argc, char** argv) {
   table.AddRow({"Fault rate", "Policy", "Status", "Wall time", "Map retries",
                 "Reduce retries", "Spec (wins)", "Faults"});
   bench::CsvSink csv("ablation_faults.csv");
-  csv.Row("rate", "policy", "status", "wall_s", RecoveryCsvHeader());
+  csv.Row("rate", "policy", "status", "wall_s", "map_task_retries",
+          "reduce_task_retries", "speculative_launched", "speculative_wins",
+          "faults_injected");
 
   for (double rate : rates) {
     for (const auto& policy : policies) {
@@ -80,10 +82,9 @@ int main(int argc, char** argv) {
                     std::to_string(r.speculative_launched) + " (" +
                         std::to_string(r.speculative_wins) + ")",
                     std::to_string(r.faults_injected)});
-      csv.Row(rate, policy.name, status, r.wall_seconds,
-              RecoveryCsvCells(r.map_task_retries, r.reduce_task_retries,
-                               r.speculative_launched, r.speculative_wins,
-                               r.faults_injected));
+      csv.Row(rate, policy.name, status, r.wall_seconds, r.map_task_retries,
+              r.reduce_task_retries, r.speculative_launched,
+              r.speculative_wins, r.faults_injected);
     }
   }
   std::printf("%s", table.ToString().c_str());

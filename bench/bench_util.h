@@ -22,9 +22,9 @@ inline std::filesystem::path OutDir() {
   return dir;
 }
 
-// CSV sink that flattens mixed cell types — strings, numbers, and whole
-// column groups (RecoveryCsvCells & co.) — into one row.  Replaces the
-// header/row splice boilerplate every ablation binary used to hand-roll.
+// CSV sink that flattens mixed cell types — strings and numbers — into one
+// row, formatting numbers with std::to_string.  Replaces the header/row
+// splice boilerplate every ablation binary used to hand-roll.
 class CsvSink {
  public:
   explicit CsvSink(const std::string& file) : csv_(OutDir() / file) {}
@@ -42,10 +42,6 @@ class CsvSink {
   }
   static void Append(std::vector<std::string>* row, const char* cell) {
     row->emplace_back(cell);
-  }
-  static void Append(std::vector<std::string>* row,
-                     const std::vector<std::string>& cells) {
-    row->insert(row->end(), cells.begin(), cells.end());
   }
   template <typename T,
             typename = std::enable_if_t<std::is_arithmetic_v<T>>>

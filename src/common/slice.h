@@ -18,7 +18,9 @@ namespace opmr {
 // (byte order), which is the order Hadoop's sort-merge path uses for raw keys.
 class Slice {
  public:
-  constexpr Slice() noexcept : data_(nullptr), size_(0) {}
+  // Points at an empty literal, never nullptr, so a default Slice is a valid
+  // memcpy/memcmp source (as in LevelDB's Slice).
+  constexpr Slice() noexcept : data_(""), size_(0) {}
   constexpr Slice(const char* data, std::size_t size) noexcept
       : data_(data), size_(size) {}
   // NOLINTNEXTLINE(google-explicit-constructor): mirrors string_view ergonomics.

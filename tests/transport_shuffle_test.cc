@@ -13,6 +13,7 @@
 #include "core/opmr.h"
 #include "net/loopback.h"
 #include "net/tcp.h"
+#include "storage/io_stats.h"
 #include "workloads/clickstream.h"
 #include "workloads/tasks.h"
 
@@ -77,24 +78,41 @@ std::map<std::string, std::string> AsMap(const Rows& rows) {
   return m;
 }
 
-TEST(TransportShuffle, PullJobIsByteIdenticalAcrossTransports) {
-  // Pull shuffle + sort-merge reduce is fully deterministic, so the
-  // comparison is exact rows, order included.
-  const auto direct = RunMode(Mode::kDirect, HadoopOptions());
-  const auto loopback = RunMode(Mode::kLoopback, HadoopOptions());
-  const auto tcp = RunMode(Mode::kTcp, HadoopOptions());
+TEST(TransportShuffle, SortMergeJobIsByteIdenticalAcrossTransports) {
+  // A sort-merge reduce is fully deterministic whether its input was
+  // pulled or pushed, so the comparison is exact rows, order included.
+  // The push set uses chunks small enough, and a credit window short
+  // enough, that some chunks divert to map-output files.
+  JobOptions push = MapReduceOnlineOptions();
+  push.push_chunk_bytes = 4u << 10;
+  push.push_queue_chunks = 2;
+  const std::pair<const char*, JobOptions> option_sets[] = {
+      {"pull", HadoopOptions()}, {"push", push}};
 
-  ASSERT_GT(direct.rows.size(), 0u);
-  EXPECT_EQ(loopback.rows, direct.rows);
-  EXPECT_EQ(tcp.rows, direct.rows);
+  for (const auto& [name, options] : option_sets) {
+    SCOPED_TRACE(name);
+    const auto direct = RunMode(Mode::kDirect, options);
+    const auto loopback = RunMode(Mode::kLoopback, options);
+    const auto tcp = RunMode(Mode::kTcp, options);
 
-  // Only the transported runs moved frames.
-  EXPECT_EQ(direct.result.net_frames_sent, 0);
-  EXPECT_GT(loopback.result.net_frames_sent, 0);
-  EXPECT_GT(loopback.result.net_bytes_sent, 0);
-  EXPECT_GT(tcp.result.net_frames_sent, 0);
-  EXPECT_GT(tcp.result.net_bytes_received, 0);
-  EXPECT_EQ(tcp.result.net_retransmits, 0);
+    ASSERT_GT(direct.rows.size(), 0u);
+    EXPECT_EQ(loopback.rows, direct.rows);
+    EXPECT_EQ(tcp.rows, direct.rows);
+
+    // Only the transported runs moved frames.
+    EXPECT_EQ(direct.result.net_frames_sent, 0);
+    EXPECT_GT(loopback.result.net_frames_sent, 0);
+    EXPECT_GT(loopback.result.net_bytes_sent, 0);
+    EXPECT_GT(tcp.result.net_frames_sent, 0);
+    EXPECT_GT(tcp.result.net_bytes_received, 0);
+    EXPECT_EQ(tcp.result.net_retransmits, 0);
+
+    // The push case really pushed over tcp, and really diverted.
+    if (options.shuffle == Shuffle::kPush) {
+      EXPECT_GT(tcp.result.Bytes(device::kPushedChunks), 0);
+      EXPECT_GT(tcp.result.Bytes(device::kDivertedChunks), 0);
+    }
+  }
 }
 
 TEST(TransportShuffle, PushJobComputesSameAnswerAcrossTransports) {
