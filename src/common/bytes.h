@@ -51,6 +51,10 @@ inline void AppendBytes(std::string& out, std::string_view bytes) {
 class ByteReader {
  public:
   explicit ByteReader(std::string_view body) noexcept : body_(body) {}
+  // Over a buffer the reader may consume: a byte string that runs to the
+  // end of the buffer is taken by moving the buffer, not copied out of it.
+  explicit ByteReader(std::string&& owned) noexcept
+      : body_(owned), owned_(&owned) {}
 
   [[nodiscard]] std::uint8_t U8() {
     return static_cast<std::uint8_t>(*Take(1));
@@ -61,7 +65,13 @@ class ByteReader {
   // The next `n` bytes.
   [[nodiscard]] std::string Bytes(std::size_t n) { return {Take(n), n}; }
   // A u32 length-prefixed byte string.
-  [[nodiscard]] std::string Bytes() { return Bytes(U32()); }
+  [[nodiscard]] std::string Bytes() {
+    const std::uint32_t n = U32();
+    if (owned_ == nullptr || n != remaining()) return Bytes(n);
+    owned_->erase(0, pos_);
+    pos_ = body_.size();
+    return std::move(*owned_);
+  }
 
   // Reads an element count (a u32, or a u64 for N = std::uint64_t) and
   // rejects it unless the remaining bytes can hold that many items of at
@@ -102,6 +112,7 @@ class ByteReader {
 
   std::string_view body_;
   std::size_t pos_ = 0;
+  std::string* owned_ = nullptr;
 };
 
 // --- Field lists --------------------------------------------------------------
@@ -260,6 +271,15 @@ template <typename T>
 template <typename T>
 void DecodeFields(std::string_view body, T& value, const char* what) {
   ByteReader in(body);
+  FieldReader reader(in);
+  reader(value);
+  in.ExpectExhausted(what);
+}
+
+// As above, consuming `body`: a trailing byte-string field takes its buffer.
+template <typename T>
+void DecodeFields(std::string&& body, T& value, const char* what) {
+  ByteReader in(std::move(body));
   FieldReader reader(in);
   reader(value);
   in.ExpectExhausted(what);

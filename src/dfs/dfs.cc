@@ -108,8 +108,8 @@ void DfsFileWriter::StartBlock() {
   block.replica_nodes = dfs_->PlaceBlock();
   block.path = dfs_->files_->NewFile("dfs_block");
   blocks_.push_back(block);
-  current_ = std::make_unique<SequentialWriter>(
-      block.path, dfs_->WriteChannel(), 1 << 16);
+  current_ = std::make_unique<SequentialWriter>(block.path,
+                                                dfs_->WriteChannel());
   current_bytes_ = 0;
 }
 
@@ -143,11 +143,16 @@ std::uint64_t DfsFileWriter::Close() {
 }
 
 DfsBlockReader::DfsBlockReader(const BlockInfo& block, IoChannel channel)
-    : reader_(block.path, channel, 1 << 16) {}
+    : reader_(block.path, channel) {}
 
 bool DfsBlockReader::Next(Slice* record) {
   std::uint32_t len = 0;
   if (!reader_.ReadU32(&len)) return false;
+  if (!reader_.HasBytes(len)) {
+    throw std::runtime_error("DfsBlockReader: truncated record (" +
+                             std::to_string(len) +
+                             " bytes declared past the end of the block)");
+  }
   buffer_.resize(len);
   if (len > 0 && !reader_.ReadExact(buffer_.data(), len)) {
     throw std::runtime_error("DfsBlockReader: truncated record");

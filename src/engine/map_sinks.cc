@@ -2,6 +2,7 @@
 
 #include "metrics/stopwatch.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace opmr {
@@ -157,12 +158,15 @@ PushSink::PushSink(int map_task, FileManager* files, MetricRegistry* metrics,
       shuffle_(shuffle),
       metrics_(metrics),
       chunk_bytes_(chunk_bytes),
+      chunk_reserve_(chunk_bytes),
       chunks_(num_partitions),
       chunk_records_(num_partitions, 0) {
   // HOP persists all map output too, but asynchronously — no fdatasync.
+  // Every chunk is flushed as soon as it is appended, so the writer needs
+  // no buffer: each chunk goes straight to the file.
   writer_ = std::make_unique<SequentialWriter>(
       files->NewFile("map_out_push"),
-      IoChannel(metrics, device::kMapOutputWrite));
+      IoChannel(metrics, device::kMapOutputWrite), /*buffer_bytes=*/0);
 }
 
 void PushSink::BeginBatch(bool sorted) { batch_sorted_ = sorted; }
@@ -186,6 +190,7 @@ void PushSink::AppendStreaming(std::uint32_t partition, Slice key,
 
 void PushSink::AppendRecord(std::uint32_t partition, Slice key, Slice value) {
   std::string& chunk = chunks_.at(partition);
+  if (chunk.empty()) chunk.reserve(chunk_reserve_);
   FrameRecord(chunk, key, value);
   ++chunk_records_[partition];
   bytes_out_ += key.size() + value.size();
@@ -196,36 +201,46 @@ void PushSink::EmitChunk(std::uint32_t partition) {
   std::string& chunk = chunks_[partition];
   if (chunk.empty()) return;
 
-  // Persist the chunk first (fault-tolerance copy; also the divert target).
-  const std::uint64_t offset = writer_->bytes_written();
+  // Persist and flush the chunk first: the copy on disk is the fault-
+  // tolerance copy, the divert target and what a remote endpoint re-reads
+  // to replay the push.  The writer has no buffer, so the chunk is written
+  // straight through and the flush adds no write.
+  Segment seg;
+  seg.offset = writer_->bytes_written();
+  seg.bytes = chunk.size();
+  seg.records = chunk_records_[partition];
   writer_->Append(chunk);
+  writer_->Flush();
+  // Size the next chunk for the largest yet (within 2x, the capacity a
+  // doubling string would reach), so the record that fills it does not
+  // reallocate.
+  chunk_reserve_ =
+      std::max(chunk_reserve_, std::min(chunk.size(), 2 * chunk_bytes_));
 
   ShuffleItem item;
   item.map_task = map_task_;
   item.sorted = batch_sorted_;
-  item.records = chunk_records_[partition];
-  item.bytes = chunk;
+  item.records = seg.records;
+  item.bytes = std::move(chunk);
+  item.path = writer_->path();
+  item.segment = seg;
+  chunk.clear();
+  chunk_records_[partition] = 0;
 
   switch (shuffle_->TryPush(static_cast<int>(partition), std::move(item))) {
     case PushResult::kAccepted:
       ++pushed_;
       metrics_->Get(device::kPushedChunks)->Increment();
       break;
-    case PushResult::kBusy: {
+    case PushResult::kBusy:
       // Back-pressure: reducer is behind; leave the bytes on disk and let
       // the reducer pull them later (paper §III-D adaptive mechanism).
       ++diverted_;
       metrics_->Get(device::kDivertedChunks)->Increment();
-      writer_->Flush();
-      Segment seg;
-      seg.offset = offset;
-      seg.bytes = chunk.size();
-      seg.records = chunk_records_[partition];
       shuffle_->RegisterSegment(map_task_, writer_->path(),
                                 static_cast<int>(partition), seg,
                                 batch_sorted_);
       break;
-    }
     case PushResult::kReducerGone:
       throw ReducerGoneError(
           "push shuffle: reducer " + std::to_string(partition) +
@@ -233,8 +248,6 @@ void PushSink::EmitChunk(std::uint32_t partition) {
           "chunks cannot be recalled, so the job must fail (paper Table "
           "III: pipelining trades away reduce-side fault tolerance)");
   }
-  chunk.clear();
-  chunk_records_[partition] = 0;
 }
 
 void PushSink::EmitAllPartialChunks() {

@@ -6,8 +6,9 @@
 //   * PushSink — MapReduce Online: output is cut into chunks of the
 //     configured pipelining granularity and pushed to reducers eagerly;
 //     every chunk is also appended to a local file (HOP persists map output
-//     with asynchronous I/O), and chunks rejected by back-pressure are
-//     registered as file segments to be pulled later.
+//     with asynchronous I/O) and each pushed item names that copy, so a
+//     remote endpoint replays from disk; chunks rejected by back-pressure
+//     are registered as file segments to be pulled later.
 #pragma once
 
 #include <memory>
@@ -140,6 +141,7 @@ class PushSink final : public MapOutputSink {
   ShuffleMapEndpoint* shuffle_;
   MetricRegistry* metrics_;
   std::size_t chunk_bytes_;
+  std::size_t chunk_reserve_;  // capacity a new chunk starts with
   bool batch_sorted_ = false;
 
   std::unique_ptr<SequentialWriter> writer_;  // persistence + divert backing

@@ -68,7 +68,10 @@ struct ShuffleItem {
   // In-memory payload (push path); empty when the item is a file segment.
   std::string bytes;
 
-  // File segment (pull path / diverted push chunks).
+  // File segment (pull path / diverted push chunks).  A pushed chunk
+  // (from_file false) also names its persisted copy here, so a remote
+  // endpoint can replay it from disk; the in-process ShuffleService ignores
+  // path and segment on such items.
   bool from_file = false;
   std::filesystem::path path;
   Segment segment;
@@ -99,8 +102,9 @@ class ShuffleMapEndpoint {
                                int reducer, const Segment& segment,
                                bool sorted) = 0;
 
-  // Attempts to push an in-memory chunk to `reducer`.  kBusy means the
-  // reducer's bounded queue is full (back-pressure) — the caller must
+  // Attempts to push an in-memory chunk to `reducer`; `chunk.path` and
+  // `chunk.segment` name a flushed on-disk copy of its bytes.  kBusy means
+  // the reducer's bounded queue is full (back-pressure) — the caller must
   // divert the chunk to disk.  kReducerGone means the reducer terminally
   // failed: the caller should raise ReducerGoneError.
   virtual PushResult TryPush(int reducer, ShuffleItem chunk) = 0;

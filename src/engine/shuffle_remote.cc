@@ -7,6 +7,23 @@
 
 namespace opmr {
 
+namespace {
+// Reads a segment's bytes back from its map output file.  Not charged to a
+// device channel: it is the wire's copy, not an engine I/O the cost model
+// tracks (net.bytes_sent covers it).
+std::string ReadSegment(const std::filesystem::path& path,
+                        const Segment& segment) {
+  std::string bytes(segment.bytes, '\0');
+  SequentialReader reader(path, IoChannel());
+  reader.Seek(segment.offset);
+  if (!reader.ReadExact(bytes.data(), bytes.size())) {
+    throw std::runtime_error("shuffle client: segment vanished: " +
+                             path.string());
+  }
+  return bytes;
+}
+}  // namespace
+
 // --- ShuffleClient -----------------------------------------------------------
 
 ShuffleClient::ShuffleClient(net::Transport* transport,
@@ -99,22 +116,21 @@ void ShuffleClient::HandleReply(net::Connection* /*from*/, net::Frame frame) {
   }
 }
 
-void ShuffleClient::SendSequenced(
-    const std::function<net::Frame(std::uint64_t)>& build) {
+void ShuffleClient::SendSequenced(const FrameBuilder& first,
+                                  FrameBuilder rebuild) {
   // seq_mu_ serialises seq assignment WITH the send, so frames hit the
   // wire in seq order (the server discards out-of-order gaps unacked).
   // mu_ is never held across Send: a send can block in the transport's
   // reconnect path, which joins the reader thread — and the reader may be
   // waiting on mu_ to deliver an Ack.
   std::scoped_lock send_order(seq_mu_);
-  net::Frame frame;
+  std::uint64_t seq = 0;
   {
     std::scoped_lock lock(mu_);
-    const std::uint64_t seq = ++next_seq_;
-    frame = build(seq);
-    window_.push_back(WindowEntry{seq, frame, nullptr});
+    seq = ++next_seq_;
+    window_.push_back(WindowEntry{seq, std::move(rebuild)});
   }
-  conn_->Send(frame);
+  conn_->Send(first(seq));
 }
 
 PushResult ShuffleClient::TryPush(int reducer, ShuffleItem chunk) {
@@ -133,11 +149,25 @@ PushResult ShuffleClient::TryPush(int reducer, ShuffleItem chunk) {
   msg.reducer = reducer;
   msg.sorted = chunk.sorted;
   msg.records = chunk.records;
+  // A replay re-reads the chunk's persisted copy instead of keeping the
+  // payload in the window.
+  FrameBuilder rebuild = [msg, path = chunk.path,
+                          segment = chunk.segment](std::uint64_t seq) {
+    net::ChunkMsg again = msg;
+    again.seq = seq;
+    again.bytes = ReadSegment(path, segment);
+    return again.ToFrame();
+  };
   msg.bytes = std::move(chunk.bytes);
-  SendSequenced([&](std::uint64_t seq) {
-    msg.seq = seq;
-    return msg.ToFrame();
-  });
+  SendSequenced(
+      [&msg](std::uint64_t seq) {
+        // Moved into a local so the payload is freed once the frame holds
+        // its copy, not after the send.
+        net::ChunkMsg first = std::move(msg);
+        first.seq = seq;
+        return first.ToFrame();
+      },
+      std::move(rebuild));
   return PushResult::kAccepted;
 }
 
@@ -162,6 +192,7 @@ void ShuffleClient::SendSegment(int map_task,
                                 int reducer, const Segment& segment,
                                 bool sorted) {
   CheckAborted();
+  FrameBuilder build;
   if (options_.shared_fs) {
     net::SegmentRefMsg msg;
     msg.map_task = map_task;
@@ -171,51 +202,26 @@ void ShuffleClient::SendSegment(int map_task,
     msg.offset = segment.offset;
     msg.length = segment.bytes;
     msg.path = path.string();
-    SendSequenced([&](std::uint64_t seq) {
+    build = [msg](std::uint64_t seq) {
+      net::SegmentRefMsg again = msg;
+      again.seq = seq;
+      return again.ToFrame();
+    };
+  } else {
+    // No shared filesystem: ship the segment bytes across the wire, read
+    // from the immutable spill file on every (re)send.
+    build = [map_task, reducer, sorted, path, segment](std::uint64_t seq) {
+      net::SegmentDataMsg msg;
+      msg.map_task = map_task;
+      msg.reducer = reducer;
+      msg.sorted = sorted;
+      msg.records = segment.records;
       msg.seq = seq;
+      msg.bytes = ReadSegment(path, segment);
       return msg.ToFrame();
-    });
-    return;
+    };
   }
-  // No shared filesystem: ship the segment bytes across the wire.
-  SendSegmentData(map_task, path, reducer, segment, sorted);
-}
-
-void ShuffleClient::SendSegmentData(int map_task,
-                                    const std::filesystem::path& path,
-                                    int reducer, const Segment& segment,
-                                    bool sorted) {
-  // The replay window never holds the segment payload: the spill file is
-  // immutable for the life of the job, so a replay re-reads it on demand.
-  // The read is not charged to a device channel — it is the wire's copy,
-  // not an engine I/O the cost model tracks (net.bytes_sent covers it).
-  const auto rebuild = [map_task, reducer, sorted, path, segment](
-                           std::uint64_t seq) {
-    std::string bytes(segment.bytes, '\0');
-    SequentialReader reader(path, IoChannel());
-    reader.Seek(segment.offset);
-    if (!reader.ReadExact(bytes.data(), bytes.size())) {
-      throw std::runtime_error("shuffle client: segment vanished: " +
-                               path.string());
-    }
-    net::SegmentDataMsg msg;
-    msg.map_task = map_task;
-    msg.reducer = reducer;
-    msg.sorted = sorted;
-    msg.records = segment.records;
-    msg.seq = seq;
-    msg.bytes = std::move(bytes);
-    return msg.ToFrame();
-  };
-  std::scoped_lock send_order(seq_mu_);
-  std::uint64_t seq = 0;
-  {
-    std::scoped_lock lock(mu_);
-    seq = ++next_seq_;
-    window_.push_back(
-        WindowEntry{seq, net::Frame{}, [rebuild, seq] { return rebuild(seq); }});
-  }
-  conn_->Send(rebuild(seq));
+  SendSequenced(build, build);
 }
 
 void ShuffleClient::MapTaskDone(int map_task, std::uint64_t input_records,
@@ -225,10 +231,12 @@ void ShuffleClient::MapTaskDone(int map_task, std::uint64_t input_records,
   msg.map_task = map_task;
   msg.input_records = input_records;
   msg.output_records = output_records;
-  SendSequenced([&](std::uint64_t seq) {
-    msg.seq = seq;
-    return msg.ToFrame();
-  });
+  const FrameBuilder build = [msg](std::uint64_t seq) {
+    net::MapDoneMsg again = msg;
+    again.seq = seq;
+    return again.ToFrame();
+  };
+  SendSequenced(build, build);
 }
 
 void ShuffleClient::ReplayUnacked() {
@@ -488,7 +496,7 @@ void ShuffleServer::HandleFrame(net::Connection* from, net::Frame frame) {
         break;
       }
       case net::FrameType::kChunk: {
-        auto msg = net::ChunkMsg::Parse(frame);
+        auto msg = net::ChunkMsg::Parse(std::move(frame));
         RecordTaskOwner(from, msg.map_task);
         if (!AdmitSequenced(from, msg.seq)) break;
         ShuffleItem item;

@@ -12,8 +12,9 @@
 // (paper Table III) instead of pushing into a dead queue.
 //
 // Delivery is exactly-once via per-chunk sequence acks: every data frame
-// carries a client-assigned 1-based seq, the client keeps each frame in a
-// replay window until the server's cumulative Ack covers it, and the
+// carries a client-assigned 1-based seq, the client keeps a way to rebuild
+// each frame in a replay window until the server's cumulative Ack covers
+// it (a reference to the payload's file on disk, never the payload), and the
 // server applies frames strictly in seq order against a per-worker
 // watermark (dups re-acked and skipped, gaps discarded unacked).  When a
 // reducer-side crash kills the connection after delivery but before
@@ -108,30 +109,28 @@ class ShuffleClient final : public ShuffleMapEndpoint {
   void SendAbort(const std::string& reason);
 
  private:
-  // One delivered-but-unacked frame.  SegmentData frames are not held in
-  // memory: `rebuild` re-reads the immutable spill file when a replay needs
-  // the bytes again.
+  // Builds the frame for a given seq.  Must return the same bytes on every
+  // call with the same seq.
+  using FrameBuilder = std::function<net::Frame(std::uint64_t seq)>;
+
+  // One delivered-but-unacked frame.  The window holds no payloads: a data
+  // frame's builder re-reads the immutable map output file when a replay
+  // needs the bytes again.
   struct WindowEntry {
     std::uint64_t seq = 0;
-    net::Frame frame;
-    std::function<net::Frame()> rebuild;  // set => frame is empty
+    FrameBuilder rebuild;
 
-    [[nodiscard]] net::Frame Materialize() const {
-      return rebuild ? rebuild() : frame;
-    }
+    [[nodiscard]] net::Frame Materialize() const { return rebuild(seq); }
   };
 
   void HandleReply(net::Connection* from, net::Frame frame);
   void SendSegment(int map_task, const std::filesystem::path& path,
                    int reducer, const Segment& segment, bool sorted);
-  // Non-shared-fs segment send: assigns a seq, parks a rebuild closure in
-  // the replay window, and sends the SegmentData frame it builds.
-  void SendSegmentData(int map_task, const std::filesystem::path& path,
-                       int reducer, const Segment& segment, bool sorted);
-  // Assigns the next seq, records the frame in the replay window, and
-  // sends it.  `build` receives the assigned seq and returns the frame.
-  // Serialised under mu_, so the window is always seq-contiguous.
-  void SendSequenced(const std::function<net::Frame(std::uint64_t)>& build);
+  // Assigns the next seq, parks `rebuild` in the replay window, and sends
+  // the frame `first` builds for that seq (the same bytes `rebuild` would
+  // produce).  Serialised under seq_mu_, so the window is always
+  // seq-contiguous.
+  void SendSequenced(const FrameBuilder& first, FrameBuilder rebuild);
   // Throws if the server announced job abort.
   void CheckAborted();
 

@@ -31,8 +31,8 @@ namespace opmr {
 enum class FaultPoint {
   kMapCrash,     // throw from inside a map task at record N / at rate
   kReduceCrash,  // throw from inside a reduce task at output record N / rate
-  kIoWrite,      // throw from SequentialWriter::Flush (simulated EIO)
-  kIoRead,       // throw from SequentialReader::ReadExact
+  kIoWrite,      // throw before a SequentialWriter physical write (EIO)
+  kIoRead,       // throw before a SequentialReader physical read
   kReplicaLoss,  // drop replicas from block metadata (degrades locality)
   kSlowNode,     // per-record delay on one node (straggler injection)
   kFetchStall,   // delay a reducer's fetch of one map task's output

@@ -50,14 +50,16 @@ Frame Encode(FrameType type, const Msg& msg) {
   return Frame{type, EncodeFields(msg)};
 }
 
-template <typename Msg>
-Msg Decode(FrameType type, const Frame& frame) {
+// `F` is const Frame& or Frame; from an rvalue frame a trailing byte-string
+// field takes the payload buffer instead of a copy.
+template <typename Msg, typename F>
+Msg Decode(FrameType type, F&& frame) {
   if (frame.type != type) {
     throw WireError(std::string("wire: expected ") + FrameTypeName(type) +
                     " frame, got " + FrameTypeName(frame.type));
   }
   Msg msg;
-  DecodeFields(frame.payload, msg, FrameTypeName(type));
+  DecodeFields(std::forward<F>(frame).payload, msg, FrameTypeName(type));
   CheckDecoded(msg);
   return msg;
 }
@@ -88,6 +90,9 @@ static void Fields(Like<ChunkMsg> auto& m, auto& io) {
   io(m.map_task, m.reducer, m.sorted, m.records, m.seq, m.bytes);
 }
 OPMR_WIRE_MESSAGE(ChunkMsg, kChunk)
+ChunkMsg ChunkMsg::Parse(Frame&& frame) {
+  return Decode<ChunkMsg>(FrameType::kChunk, std::move(frame));
+}
 
 static void Fields(Like<SegmentRefMsg> auto& m, auto& io) {
   io(m.map_task, m.reducer, m.sorted, m.records, m.offset, m.length, m.seq,

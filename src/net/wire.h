@@ -87,6 +87,8 @@ struct ChunkMsg {
   bool operator==(const ChunkMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static ChunkMsg Parse(const Frame& frame);
+  // Takes the frame's payload buffer for `bytes` instead of copying it.
+  static ChunkMsg Parse(Frame&& frame);
 };
 
 // Descriptor-only registration: valid when both peers see the same

@@ -102,6 +102,9 @@ class CompressedRunReader final : public RecordStream {
   bool LoadBlock() {
     std::uint32_t compressed_size = 0;
     if (!reader_.ReadU32(&compressed_size)) return false;
+    if (!reader_.HasBytes(compressed_size)) {
+      throw std::runtime_error("CompressedRunReader: truncated block");
+    }
     compressed_.resize(compressed_size);
     if (compressed_size > 0 &&
         !reader_.ReadExact(compressed_.data(), compressed_size)) {

@@ -1,10 +1,13 @@
 #include "storage/io.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 namespace opmr {
@@ -55,6 +58,13 @@ SequentialWriter::~SequentialWriter() {
 }
 
 void SequentialWriter::Append(Slice data) {
+  if (buffer_.empty() && data.size() >= buffer_cap_) {
+    // Nothing to coalesce with: write straight through instead of copying
+    // a buffer's worth (or more) into buffer_ first.
+    WriteOut(data.data(), data.size());
+    bytes_written_ += data.size();
+    return;
+  }
   buffer_.append(data.data(), data.size());
   bytes_written_ += data.size();
   if (buffer_.size() >= buffer_cap_) Flush();
@@ -72,15 +82,20 @@ void SequentialWriter::AppendU64(std::uint64_t v) {
   if (buffer_.size() >= buffer_cap_) Flush();
 }
 
+void SequentialWriter::WriteOut(const char* data, std::size_t n) {
+  if (file_ == nullptr) throw std::logic_error("write on closed writer");
+  const std::uint64_t offset = bytes_written_ - buffer_.size();
+  if (auto* hook = GetIoFaultHook()) hook->BeforeWrite(path_, offset, n);
+  if (std::fwrite(data, 1, n, file_) != n) {
+    ThrowErrno("SequentialWriter: short write", path_);
+  }
+  channel_.Add(static_cast<std::int64_t>(n));
+}
+
 void SequentialWriter::Flush(bool sync) {
   if (file_ == nullptr) throw std::logic_error("Flush on closed writer");
   if (!buffer_.empty()) {
-    if (auto* hook = GetIoFaultHook()) {
-      hook->BeforeWrite(path_, bytes_written_ - buffer_.size(), buffer_.size());
-    }
-    const std::size_t n = std::fwrite(buffer_.data(), 1, buffer_.size(), file_);
-    if (n != buffer_.size()) ThrowErrno("SequentialWriter: short write", path_);
-    channel_.Add(static_cast<std::int64_t>(buffer_.size()));
+    WriteOut(buffer_.data(), buffer_.size());
     buffer_.clear();
   }
   if (std::fflush(file_) != 0) ThrowErrno("SequentialWriter: fflush", path_);
@@ -111,67 +126,102 @@ void SequentialWriter::Close() {
 }
 
 SequentialReader::SequentialReader(const std::filesystem::path& path,
-                                   IoChannel channel, std::size_t buffer_bytes)
+                                   IoChannel channel)
     : path_(path), channel_(channel) {
-  file_ = std::fopen(path.c_str(), "rb");
-  if (file_ == nullptr) ThrowErrno("SequentialReader: cannot open", path);
-  // stdio's own buffer provides the read-ahead; size it as requested.
-  std::setvbuf(file_, nullptr, _IOFBF, buffer_bytes);
+  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd_ < 0) ThrowErrno("SequentialReader: cannot open", path);
+  struct stat st {};
+  if (::fstat(fd_, &st) != 0) {
+    ::close(fd_);
+    ThrowErrno("SequentialReader: fstat", path);
+  }
+  // The file system's block size is what stdio reads per refill; never
+  // below one 4 KiB page.
+  buffer_cap_ = std::max<std::size_t>(static_cast<std::size_t>(st.st_blksize),
+                                      std::size_t{4096});
+  buffer_.reset(new char[buffer_cap_]);
+  file_size_ = static_cast<std::uint64_t>(st.st_size);
 }
 
 SequentialReader::SequentialReader(SequentialReader&& other) noexcept
     : path_(std::move(other.path_)),
       channel_(other.channel_),
-      file_(other.file_),
-      bytes_read_(other.bytes_read_) {
-  other.file_ = nullptr;
+      fd_(other.fd_),
+      buffer_(std::move(other.buffer_)),
+      buffer_cap_(other.buffer_cap_),
+      pos_(other.pos_),
+      end_(other.end_),
+      file_pos_(other.file_pos_),
+      file_size_(other.file_size_),
+      uncharged_(other.uncharged_) {
+  other.fd_ = -1;
+  other.pos_ = other.end_ = 0;
+  other.uncharged_ = 0;
 }
 
 SequentialReader::~SequentialReader() {
-  if (file_ != nullptr) std::fclose(file_);
+  Charge(0);
+  if (fd_ >= 0) ::close(fd_);
 }
 
-bool SequentialReader::ReadExact(char* dst, std::size_t n) {
-  if (auto* hook = GetIoFaultHook()) hook->BeforeRead(path_, bytes_read_, n);
-  const std::size_t got = std::fread(dst, 1, n, file_);
-  if (got == 0 && std::feof(file_)) return false;
-  if (got != n) {
-    throw std::runtime_error("SequentialReader: truncated read from " +
-                             path_.string());
+void SequentialReader::Charge(std::int64_t ops) {
+  if (uncharged_ == 0 && ops == 0) return;
+  channel_.Add(static_cast<std::int64_t>(uncharged_), ops);
+  uncharged_ = 0;
+}
+
+std::size_t SequentialReader::PhysicalRead(char* dst, std::size_t n) {
+  if (auto* hook = GetIoFaultHook()) hook->BeforeRead(path_, file_pos_, n);
+  ssize_t got = 0;
+  do {
+    got = ::pread(fd_, dst, n, static_cast<off_t>(file_pos_));
+  } while (got < 0 && errno == EINTR);
+  if (got < 0) ThrowErrno("SequentialReader: read", path_);
+  file_pos_ += static_cast<std::uint64_t>(got);
+  return static_cast<std::size_t>(got);
+}
+
+bool SequentialReader::ReadSlow(char* dst, std::size_t n) {
+  std::size_t done = 0;
+  for (;;) {
+    const std::size_t take = std::min(n - done, end_ - pos_);
+    if (take > 0) std::memcpy(dst + done, buffer_.get() + pos_, take);
+    pos_ += take;
+    done += take;
+    uncharged_ += take;
+    if (done == n) return true;
+    std::size_t got = 0;
+    if (n - done >= buffer_cap_) {
+      // At least a buffer's worth still wanted: read it straight into dst.
+      got = PhysicalRead(dst + done, n - done);
+      done += got;
+      uncharged_ += got;
+    } else {
+      got = PhysicalRead(buffer_.get(), buffer_cap_);
+      pos_ = 0;
+      end_ = got;
+    }
+    Charge(1);
+    if (got == 0) {
+      if (done == 0) return false;
+      throw std::runtime_error("SequentialReader: truncated read from " +
+                               path_.string());
+    }
   }
-  bytes_read_ += n;
-  channel_.Add(static_cast<std::int64_t>(n));
-  return true;
-}
-
-bool SequentialReader::ReadU32(std::uint32_t* v) {
-  char buf[sizeof(std::uint32_t)];
-  if (!ReadExact(buf, sizeof(buf))) return false;
-  *v = DecodeU32(buf);
-  return true;
-}
-
-bool SequentialReader::ReadU64(std::uint64_t* v) {
-  char buf[sizeof(std::uint64_t)];
-  if (!ReadExact(buf, sizeof(buf))) return false;
-  *v = DecodeU64(buf);
-  return true;
 }
 
 void SequentialReader::Seek(std::uint64_t offset) {
-  // fseeko/off_t, not fseek/long: on 32-bit long platforms (and Windows)
-  // fseek narrows the offset and a > 2 GiB spill run would seek to the
-  // wrong position.
-  if (::fseeko(file_, static_cast<off_t>(offset), SEEK_SET) != 0) {
-    ThrowErrno("SequentialReader: fseeko", path_);
-  }
+  Charge(0);
+  pos_ = 0;
+  end_ = 0;
+  file_pos_ = offset;
 }
 
-std::uint64_t SequentialReader::FileSize() const {
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path_, ec);
-  if (ec) throw std::runtime_error("file_size: " + ec.message());
-  return size;
+std::uint64_t SequentialReader::FileSize() {
+  struct stat st {};
+  if (::fstat(fd_, &st) != 0) ThrowErrno("SequentialReader: fstat", path_);
+  file_size_ = static_cast<std::uint64_t>(st.st_size);
+  return file_size_;
 }
 
 }  // namespace opmr

@@ -7,7 +7,9 @@
 #pragma once
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <memory>
 #include <string>
 
 #include "common/slice.h"
@@ -18,15 +20,16 @@ namespace opmr {
 // Chaos-plane seam: a process-global hook consulted before every physical
 // write and read that flows through SequentialWriter/SequentialReader.  The
 // fault-injection subsystem (src/fault) installs an implementation for the
-// duration of a chaos run; production runs pay one relaxed atomic load per
-// buffered I/O operation (not per record).  A hook may throw to simulate a
-// device error — the failure then surfaces exactly where a real EIO would.
+// duration of a chaos run; production runs pay one atomic load per
+// physical I/O operation (a buffer refill or flush, not a record).  A hook
+// may throw to simulate a device error — the failure then surfaces exactly
+// where a real EIO would.
 class IoFaultHook {
  public:
   virtual ~IoFaultHook() = default;
 
-  // `offset` is the logical byte offset of the operation within the file
-  // (bytes written/read so far); `bytes` the size of this physical op.
+  // `offset` is the byte offset of the operation within the file; `bytes`
+  // the size of this physical op (for a read, the size requested).
   virtual void BeforeWrite(const std::filesystem::path& path,
                            std::uint64_t offset, std::size_t bytes) = 0;
   virtual void BeforeRead(const std::filesystem::path& path,
@@ -38,6 +41,9 @@ class IoFaultHook {
 void SetIoFaultHook(IoFaultHook* hook);
 [[nodiscard]] IoFaultHook* GetIoFaultHook() noexcept;
 
+// Buffers appends up to `buffer_bytes` per physical write; an append at
+// least that large that finds the buffer empty is written straight through
+// (so a buffer_bytes of 0 writes every append unbuffered).
 class SequentialWriter {
  public:
   SequentialWriter(const std::filesystem::path& path, IoChannel channel,
@@ -75,6 +81,9 @@ class SequentialWriter {
   }
 
  private:
+  // One physical write of n bytes at the file's end.
+  void WriteOut(const char* data, std::size_t n);
+
   std::filesystem::path path_;
   IoChannel channel_;
   std::FILE* file_ = nullptr;
@@ -83,10 +92,14 @@ class SequentialWriter {
   std::uint64_t bytes_written_ = 0;
 };
 
+// Reads a file through its own buffer of the file system's block size, so a
+// record is a memcpy out of memory.  The IoChannel is charged the bytes
+// actually consumed (read-ahead past a Restrict()ed segment never counts)
+// and one op per physical read; the charge is flushed on each refill, on
+// Seek and on destruction.
 class SequentialReader {
  public:
-  SequentialReader(const std::filesystem::path& path, IoChannel channel,
-                   std::size_t buffer_bytes = 1 << 16);
+  SequentialReader(const std::filesystem::path& path, IoChannel channel);
   ~SequentialReader();
 
   SequentialReader(const SequentialReader&) = delete;
@@ -96,24 +109,61 @@ class SequentialReader {
 
   // Reads exactly n bytes into dst; returns false on clean EOF at a record
   // boundary (0 bytes read), throws on short read mid-record.
-  bool ReadExact(char* dst, std::size_t n);
+  bool ReadExact(char* dst, std::size_t n) {
+    if (n > end_ - pos_) return ReadSlow(dst, n);
+    std::memcpy(dst, buffer_.get() + pos_, n);
+    pos_ += n;
+    uncharged_ += n;
+    return true;
+  }
 
-  bool ReadU32(std::uint32_t* v);
-  bool ReadU64(std::uint64_t* v);
+  bool ReadU32(std::uint32_t* v) {
+    char buf[sizeof(std::uint32_t)];
+    if (!ReadExact(buf, sizeof(buf))) return false;
+    *v = DecodeU32(buf);
+    return true;
+  }
+  bool ReadU64(std::uint64_t* v) {
+    char buf[sizeof(std::uint64_t)];
+    if (!ReadExact(buf, sizeof(buf))) return false;
+    *v = DecodeU64(buf);
+    return true;
+  }
 
   // Positions the reader at `offset` from the file start.
   void Seek(std::uint64_t offset);
 
-  [[nodiscard]] std::uint64_t bytes_read() const noexcept {
-    return bytes_read_;
+  // True when at least n bytes lie between the read position and the end
+  // of the file, so record readers can reject a corrupt length before
+  // allocating for it.  The cached size can only be stale low (files are
+  // append-only), so a miss re-stats before saying no.
+  [[nodiscard]] bool HasBytes(std::uint64_t n) {
+    const std::uint64_t want = file_pos_ - (end_ - pos_) + n;
+    return want <= file_size_ || want <= FileSize();
   }
-  [[nodiscard]] std::uint64_t FileSize() const;
+
+  [[nodiscard]] std::uint64_t FileSize();
 
  private:
+  // ReadExact past the buffered bytes: refills, or reads large requests
+  // straight into dst.
+  bool ReadSlow(char* dst, std::size_t n);
+  // One physical read of up to n bytes at file_pos_ into dst; returns the
+  // bytes read (0 at EOF).
+  std::size_t PhysicalRead(char* dst, std::size_t n);
+  // Charges consumed-but-uncharged bytes plus `ops` physical reads.
+  void Charge(std::int64_t ops);
+
   std::filesystem::path path_;
   IoChannel channel_;
-  std::FILE* file_ = nullptr;
-  std::uint64_t bytes_read_ = 0;
+  int fd_ = -1;
+  std::unique_ptr<char[]> buffer_;
+  std::size_t buffer_cap_ = 0;
+  std::size_t pos_ = 0;        // next unconsumed byte in buffer_
+  std::size_t end_ = 0;        // valid bytes in buffer_
+  std::uint64_t file_pos_ = 0;   // file offset of the next physical read
+  std::uint64_t file_size_ = 0;  // as of open or the last FileSize()
+  std::uint64_t uncharged_ = 0;  // consumed bytes not yet charged
 };
 
 }  // namespace opmr

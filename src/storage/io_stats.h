@@ -47,10 +47,10 @@ class IoChannel {
         ops_(registry != nullptr ? registry->Get(bytes_counter + ".ops")
                                  : nullptr) {}
 
-  void Add(std::int64_t bytes) noexcept {
+  void Add(std::int64_t bytes, std::int64_t ops = 1) noexcept {
     if (bytes_ != nullptr) {
       bytes_->Add(bytes);
-      ops_->Increment();
+      ops_->Add(ops);
     }
   }
 

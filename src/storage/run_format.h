@@ -66,9 +66,8 @@ class RunWriter final : public RecordSink {
 
 class RunReader final : public RecordStream {
  public:
-  RunReader(const std::filesystem::path& path, IoChannel channel,
-            std::size_t buffer_bytes = 1 << 16)
-      : reader_(path, channel, buffer_bytes) {}
+  RunReader(const std::filesystem::path& path, IoChannel channel)
+      : reader_(path, channel) {}
 
   // Reads a byte range [offset, offset+length) of the file as the run
   // (used for partition segments inside a map-output file).  length of 0
@@ -88,19 +87,26 @@ class RunReader final : public RecordStream {
     if (!reader_.ReadU32(&vlen)) {
       throw std::runtime_error("RunReader: truncated record header");
     }
-    buffer_.resize(klen + vlen);
-    if (klen + vlen > 0 && !reader_.ReadExact(buffer_.data(), klen + vlen)) {
+    const std::uint64_t len = std::uint64_t{klen} + vlen;
+    if (restricted_) {
+      if (8 + len > remaining_) {
+        throw std::runtime_error("RunReader: record crosses segment boundary");
+      }
+      remaining_ -= 8 + len;
+    }
+    // A corrupt length must not become an allocation or a key that points
+    // past the buffer.
+    if (!reader_.HasBytes(len)) {
+      throw std::runtime_error("RunReader: truncated record payload (" +
+                               std::to_string(len) +
+                               " bytes declared past the end of the file)");
+    }
+    buffer_.resize(len);
+    if (len > 0 && !reader_.ReadExact(buffer_.data(), len)) {
       throw std::runtime_error("RunReader: truncated record payload");
     }
     key_ = Slice(buffer_.data(), klen);
     value_ = Slice(buffer_.data() + klen, vlen);
-    if (restricted_) {
-      const std::uint64_t record_bytes = 8ull + klen + vlen;
-      if (record_bytes > remaining_) {
-        throw std::runtime_error("RunReader: record crosses segment boundary");
-      }
-      remaining_ -= record_bytes;
-    }
     return true;
   }
 

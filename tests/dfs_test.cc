@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "storage/file_manager.h"
+#include "storage/io.h"
 
 namespace opmr {
 namespace {
@@ -189,6 +190,32 @@ TEST_F(DfsTest, ManyFilesCoexist) {
     const auto records = ReadAll(dfs, "file" + std::to_string(i));
     ASSERT_EQ(records.size(), 1u);
     EXPECT_EQ(records[0], "payload" + std::to_string(i));
+  }
+}
+
+TEST_F(DfsTest, BlockReaderRejectsRecordLongerThanTheBlock) {
+  // A corrupt length is rejected before the reader allocates for it, with
+  // a diagnostic naming the declared length.
+  std::string bytes;
+  AppendU32(bytes, 1u << 20);
+  bytes += "only a few bytes";
+  BlockInfo block;
+  block.path = files_.NewFile("dfs_block");
+  {
+    SequentialWriter w(block.path, IoChannel());
+    w.Append(bytes);
+    w.Close();
+  }
+  DfsBlockReader reader(block, IoChannel());
+  Slice record;
+  try {
+    (void)reader.Next(&record);
+    FAIL() << "expected a truncation error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("DfsBlockReader: truncated record (" +
+                                         std::to_string(1u << 20)),
+              std::string::npos)
+        << e.what();
   }
 }
 

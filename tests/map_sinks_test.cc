@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
+#include <mutex>
 
+#include "engine/shuffle_remote.h"
+#include "net/wire.h"
 #include "storage/record_stream.h"
 
 namespace opmr {
 namespace {
+
+namespace fs = std::filesystem;
 
 class MapSinksTest : public ::testing::Test {
  protected:
@@ -210,6 +216,117 @@ TEST_F(MapSinksTest, PushSinkPersistsAllOutputForFaultTolerance) {
   // though chunks were pushed in memory.
   EXPECT_GE(metrics_.Value(device::kMapOutputWrite),
             static_cast<std::int64_t>(sink.bytes_out()));
+}
+
+TEST_F(MapSinksTest, PushSinkNamesThePersistedCopyOfEachChunk) {
+  service_ = std::make_unique<ShuffleService>(1, 3, &metrics_, 64);
+  PushSink sink(0, &files_, &metrics_, service_.get(), 3, /*chunk=*/32);
+  for (int i = 0; i < 6; ++i) {
+    sink.AppendStreaming(2, "key" + std::to_string(i), "valuevalue");
+  }
+  sink.Close();
+  service_->MapTaskDone(0);
+
+  const auto items = Drain(2);
+  ASSERT_GT(items.size(), 1u);
+  for (const auto& item : items) {
+    ASSERT_FALSE(item.from_file);
+    EXPECT_EQ(item.segment.bytes, item.bytes.size());
+    EXPECT_EQ(item.segment.records, item.records);
+    std::string on_disk(item.segment.bytes, '\0');
+    SequentialReader reader(item.path, IoChannel());
+    reader.Seek(item.segment.offset);
+    ASSERT_TRUE(reader.ReadExact(on_disk.data(), on_disk.size()));
+    EXPECT_EQ(on_disk, item.bytes);
+  }
+}
+
+// Records every frame a client sends; never replies, so nothing is acked.
+class RecordingTransport final : public net::Transport {
+ public:
+  class Conn final : public net::Connection {
+   public:
+    explicit Conn(RecordingTransport* owner) : owner_(owner) {}
+    void Send(const net::Frame& frame) override {
+      std::scoped_lock lock(owner_->mu_);
+      owner_->sent_.push_back(frame);
+    }
+    void Close() override {}
+
+   private:
+    RecordingTransport* owner_;
+  };
+
+  void Listen(net::FrameHandler) override {}
+  std::shared_ptr<net::Connection> Connect(net::FrameHandler) override {
+    return std::make_shared<Conn>(this);
+  }
+  [[nodiscard]] std::string endpoint() const override { return "recording"; }
+  void Shutdown() override {}
+
+  std::vector<net::Frame> TakeChunks() {
+    std::scoped_lock lock(mu_);
+    std::vector<net::Frame> chunks;
+    for (auto& frame : sent_) {
+      if (frame.type == net::FrameType::kChunk) chunks.push_back(frame);
+    }
+    sent_.clear();
+    return chunks;
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<net::Frame> sent_;
+};
+
+TEST_F(MapSinksTest, ClientReplaysPushedChunksFromTheirPersistedCopy) {
+  RecordingTransport transport;
+  ShuffleClient::Options options;
+  options.job = "replay";
+  options.num_map_tasks = 1;
+  options.num_reducers = 1;
+  options.push_queue_chunks = 16;
+  ShuffleClient client(&transport, &metrics_, options);
+  PushSink sink(0, &files_, &metrics_, &client, 1, /*chunk=*/64);
+  for (int i = 0; i < 12; ++i) {
+    sink.AppendStreaming(0, "key" + std::to_string(i), "0123456789");
+  }
+  sink.Close();
+
+  const auto first = transport.TakeChunks();
+  ASSERT_GT(first.size(), 1u);
+  ASSERT_EQ(sink.pushed_chunks(), first.size());
+  ASSERT_EQ(client.UnackedFrames(), first.size());
+
+  client.ReplayUnacked();
+  const auto replayed = transport.TakeChunks();
+  ASSERT_EQ(replayed.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(replayed[i].payload, first[i].payload) << "frame " << i;
+  }
+
+  // The window holds references, not payloads: rewrite the persisted file
+  // and the next replay carries the new bytes.
+  fs::path push_file;
+  for (const auto& entry : fs::directory_iterator(files_.root())) {
+    if (entry.path().filename().string().find("map_out_push") !=
+        std::string::npos) {
+      push_file = entry.path();
+    }
+  }
+  ASSERT_FALSE(push_file.empty());
+  const auto size = fs::file_size(push_file);
+  {
+    std::ofstream out(push_file, std::ios::binary | std::ios::trunc);
+    out << std::string(size, 'Z');
+  }
+  client.ReplayUnacked();
+  const auto rewritten = transport.TakeChunks();
+  ASSERT_EQ(rewritten.size(), first.size());
+  for (const auto& frame : rewritten) {
+    const auto msg = net::ChunkMsg::Parse(frame);
+    EXPECT_EQ(msg.bytes, std::string(msg.bytes.size(), 'Z'));
+  }
 }
 
 }  // namespace

@@ -916,6 +916,26 @@ TEST(NetFrame, SemanticallyTruncatedPayloadIsWireError) {
   EXPECT_THROW((void)ChunkMsg::Parse(reframed2), WireError);
 }
 
+TEST(NetFrame, ChunkParsedFromAnRvalueFrameTakesThePayload) {
+  ChunkMsg msg;
+  msg.map_task = 3;
+  msg.reducer = 1;
+  msg.records = 42;
+  msg.seq = 9;
+  msg.bytes = std::string(100'000, 'c');
+  Frame frame = msg.ToFrame();
+  EXPECT_EQ(ChunkMsg::Parse(frame), msg);
+  EXPECT_EQ(ChunkMsg::Parse(std::move(frame)), msg);
+
+  // The consuming path rejects what the copying path rejects.
+  Frame truncated = msg.ToFrame();
+  truncated.payload.resize(truncated.payload.size() / 2);
+  EXPECT_THROW((void)ChunkMsg::Parse(std::move(truncated)), WireError);
+  Frame padded = msg.ToFrame();
+  padded.payload += "trailing junk";
+  EXPECT_THROW((void)ChunkMsg::Parse(std::move(padded)), WireError);
+}
+
 TEST(NetFrame, ConstantTimeEqualsMatchesOnlyExactSecrets) {
   EXPECT_TRUE(ConstantTimeEquals("", ""));
   EXPECT_TRUE(ConstantTimeEquals("s3cret", "s3cret"));

@@ -2,7 +2,10 @@
 
 #include <filesystem>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "fault/fault.h"
 #include "metrics/counters.h"
 #include "storage/file_manager.h"
 #include "storage/io.h"
@@ -12,6 +15,40 @@ namespace opmr {
 namespace {
 
 namespace fs = std::filesystem;
+
+// Counts physical reads and remembers each one's (offset, bytes); forwards
+// to `next` when set.  Installed for the lifetime of the object.
+class RecordingHook final : public IoFaultHook {
+ public:
+  explicit RecordingHook(IoFaultHook* next = nullptr) : next_(next) {
+    SetIoFaultHook(this);
+  }
+  ~RecordingHook() override { SetIoFaultHook(nullptr); }
+
+  void BeforeWrite(const fs::path& path, std::uint64_t offset,
+                   std::size_t bytes) override {
+    if (next_ != nullptr) next_->BeforeWrite(path, offset, bytes);
+  }
+  void BeforeRead(const fs::path& path, std::uint64_t offset,
+                  std::size_t bytes) override {
+    reads.emplace_back(offset, bytes);
+    if (next_ != nullptr) next_->BeforeRead(path, offset, bytes);
+  }
+
+  std::vector<std::pair<std::uint64_t, std::size_t>> reads;
+
+ private:
+  IoFaultHook* next_;
+};
+
+// Writes raw bytes (crafted headers included) to a fresh file.
+fs::path WriteRaw(FileManager* files, const std::string& bytes) {
+  const auto path = files->NewFile("raw");
+  SequentialWriter w(path, IoChannel());
+  w.Append(bytes);
+  w.Close();
+  return path;
+}
 
 class StorageTest : public ::testing::Test {
  protected:
@@ -232,6 +269,139 @@ TEST_F(StorageTest, LargeRecordsSurviveRoundTrip) {
   ASSERT_TRUE(r.Next());
   EXPECT_EQ(r.value().size(), big_value.size());
   EXPECT_EQ(r.value().ToString(), big_value);
+}
+
+TEST_F(StorageTest, ReadPathChargesOncePerPhysicalRead) {
+  const auto path = files_.NewFile("contract");
+  {
+    RunWriter w(path, Channel());
+    for (int i = 0; i < 10'000; ++i) {
+      w.Append("key" + std::to_string(i), "v");
+    }
+    w.Close();
+  }
+  const std::uint64_t bytes = fs::file_size(path);
+  RecordingHook hook;
+  {
+    RunReader r(path, Channel("contract.bytes"));
+    int records = 0;
+    while (r.Next()) ++records;
+    EXPECT_EQ(records, 10'000);
+  }
+  EXPECT_LE(hook.reads.size(), (bytes + 4095) / 4096 + 1);
+  EXPECT_EQ(metrics_.Value("contract.bytes"),
+            static_cast<std::int64_t>(bytes));
+  EXPECT_EQ(metrics_.Value("contract.bytes.ops"),
+            static_cast<std::int64_t>(hook.reads.size()));
+}
+
+TEST_F(StorageTest, RestrictedRunReaderChargesOnlyItsSegment) {
+  const auto path = files_.NewFile("segcharge");
+  std::uint64_t seg0_bytes = 0;
+  {
+    RunWriter w(path, Channel());
+    for (int i = 0; i < 500; ++i) w.Append("a" + std::to_string(i), "x");
+    w.Flush();
+    seg0_bytes = w.bytes_written();
+    for (int i = 0; i < 500; ++i) w.Append("b" + std::to_string(i), "y");
+    w.Close();
+  }
+  {
+    // The reader's block-sized refills run past the segment's end.
+    RunReader r(path, Channel("seg0.bytes"));
+    r.Restrict(0, seg0_bytes);
+    while (r.Next()) {
+    }
+  }
+  EXPECT_EQ(metrics_.Value("seg0.bytes"),
+            static_cast<std::int64_t>(seg0_bytes));
+  {
+    RunReader r(path, Channel("seg1.bytes"));
+    r.Restrict(seg0_bytes, 0);
+    int records = 0;
+    while (r.Next()) ++records;
+    EXPECT_EQ(records, 500);
+  }
+  EXPECT_EQ(metrics_.Value("seg1.bytes"),
+            static_cast<std::int64_t>(fs::file_size(path) - seg0_bytes));
+}
+
+TEST_F(StorageTest, SeekAfterPartialReadReturnsTheRightBytes) {
+  std::string data(20'000, '\0');
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>('a' + i % 26);
+  }
+  const auto path = WriteRaw(&files_, data);
+  {
+    SequentialReader r(path, Channel("seek.bytes"));
+    char buf[100];
+    ASSERT_TRUE(r.ReadExact(buf, sizeof(buf)));
+    EXPECT_EQ(std::string(buf, 100), data.substr(0, 100));
+    r.Seek(12'345);  // forward, past the buffered block
+    ASSERT_TRUE(r.ReadExact(buf, 10));
+    EXPECT_EQ(std::string(buf, 10), data.substr(12'345, 10));
+    r.Seek(50);  // backward, into bytes already consumed
+    ASSERT_TRUE(r.ReadExact(buf, 10));
+    EXPECT_EQ(std::string(buf, 10), data.substr(50, 10));
+    r.Seek(19'995);
+    EXPECT_THROW(r.ReadExact(buf, 10), std::runtime_error);
+  }
+  // Consumed bytes only: 100 + 10 + 10 + the 5 of the truncated read.
+  EXPECT_EQ(metrics_.Value("seek.bytes"), 125);
+}
+
+TEST_F(StorageTest, AfterBytesReadFaultFiresOnTheCrossingRead) {
+  const auto path = WriteRaw(&files_, std::string(20'000, 'r'));
+  MetricRegistry fault_metrics;
+  FaultInjector injector(FaultPlan::Parse("io_read:after_bytes=10000"),
+                         &fault_metrics);
+  FaultScope scope(FaultScope::Kind::kMap, 0, 1);
+  RecordingHook hook(&injector);
+  SequentialReader r(path, Channel());
+  char buf[100];
+  std::uint64_t consumed = 0;
+  EXPECT_THROW(
+      {
+        while (r.ReadExact(buf, sizeof(buf))) consumed += sizeof(buf);
+      },
+      InjectedFault);
+  EXPECT_EQ(injector.injected(), 1);
+  ASSERT_FALSE(hook.reads.empty());
+  const auto [offset, bytes] = hook.reads.back();
+  EXPECT_LT(offset, 10'000u);
+  EXPECT_GE(offset + bytes, 10'000u);
+  for (std::size_t i = 0; i + 1 < hook.reads.size(); ++i) {
+    EXPECT_LT(hook.reads[i].first + hook.reads[i].second, 10'000u);
+  }
+  EXPECT_LT(consumed, 10'000u);
+}
+
+TEST_F(StorageTest, RunReaderRejectsLengthsThatOverflowU32) {
+  // klen + vlen wraps to 0 in 32 bits; the record must not come back as a
+  // 4 GiB key over an empty buffer.
+  std::string header;
+  AppendU32(header, 0xFFFFFFFFu);
+  AppendU32(header, 1);
+  const auto path = WriteRaw(&files_, header);
+  RunReader r(path, Channel());
+  EXPECT_THROW(r.Next(), std::runtime_error);
+}
+
+TEST_F(StorageTest, RunReaderRejectsRecordLongerThanTheFile) {
+  std::string bytes;
+  AppendU32(bytes, 1u << 20);
+  AppendU32(bytes, 0);
+  bytes += "short";
+  const auto path = WriteRaw(&files_, bytes);
+  RunReader r(path, Channel());
+  try {
+    (void)r.Next();
+    FAIL() << "expected a truncation error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("RunReader: truncated record payload"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
