@@ -199,6 +199,11 @@ void ClusterExecutor::Validate(const JobSpec& spec,
         "incremental hash reducers require an Aggregator; holistic reduce "
         "functions must use kHybridHash or kSortMerge");
   }
+  if (options.group_by == GroupBy::kHash &&
+      options.hash_reduce == HashReduce::kHotKeyIncremental &&
+      options.hot_key_capacity == 0) {
+    throw std::invalid_argument("kHotKeyIncremental needs hot_key_capacity > 0");
+  }
   if (options.snapshot_interval > 0.0 &&
       options.group_by != GroupBy::kSortMerge) {
     throw std::invalid_argument(
@@ -500,12 +505,9 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
             HybridHashReducer reducer(r, spec, options, renv);
             return reducer.Run();
           }
-          case HashReduce::kIncremental: {
-            IncrementalHashReducer reducer(r, spec, options, renv);
-            return reducer.Run();
-          }
+          case HashReduce::kIncremental:
           case HashReduce::kHotKeyIncremental: {
-            HotKeyIncrementalReducer reducer(r, spec, options, renv);
+            IncrementalHashReducer reducer(r, spec, options, renv);
             return reducer.Run();
           }
         }
@@ -694,7 +696,7 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
       } else {
         sink = std::make_unique<FileSink>(
             task_id, files_, metrics_, endpoint, num_reducers,
-            options.map_buffer_bytes, cluster_.sync_map_output);
+            options.map_buffer_bytes);
       }
       MapTask task(task_id, spec, options, env, entry->block, sink.get());
       MapTask::Stats stats;

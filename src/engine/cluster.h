@@ -74,9 +74,6 @@ struct SchedHooks {
 struct ClusterOptions {
   int num_nodes = 4;
   int map_slots_per_node = 2;
-  // Hadoop syncs map output before a task reports complete; HOP persists
-  // asynchronously.  Exposed for the map-output-cost microbench (M2).
-  bool sync_map_output = true;
   // Task re-execution on failure (Hadoop's fault-tolerance model), for both
   // map attempts and reduce attempts.  Only valid with pull shuffle: a
   // failed map attempt's output was never published and a restarted reducer

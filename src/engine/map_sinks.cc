@@ -20,14 +20,13 @@ void FrameRecord(std::string& dst, Slice key, Slice value) {
 
 FileSink::FileSink(int map_task, FileManager* files, MetricRegistry* metrics,
                    ShuffleMapEndpoint* shuffle, int num_partitions,
-                   std::size_t stream_buffer_bytes, bool sync_output)
+                   std::size_t stream_buffer_bytes)
     : map_task_(map_task),
       files_(files),
       metrics_(metrics),
       shuffle_(shuffle),
       num_partitions_(num_partitions),
       stream_buffer_bytes_(stream_buffer_bytes),
-      sync_output_(sync_output),
       stream_buffers_(num_partitions),
       stream_records_(num_partitions, 0) {}
 
@@ -86,7 +85,7 @@ void FileSink::EndBatch() {
   // 21.6 s map task).
   {
     WallTimer write_timer;
-    writer_->Flush(sync_output_);
+    writer_->Flush(/*sync=*/true);
     writer_->Close();
     metrics_->Get(device::kMapOutputWriteNanos)->Add(write_timer.Nanos());
   }
@@ -125,7 +124,7 @@ void FileSink::FlushStreamBuffers() {
     stream_buffers_[p].clear();
     stream_records_[p] = 0;
   }
-  writer.Flush(sync_output_);
+  writer.Flush(/*sync=*/true);
   writer.Close();
   stream_bytes_ = 0;
   pending_files_.push_back(file);

@@ -65,7 +65,7 @@ class FileSink final : public MapOutputSink {
  public:
   FileSink(int map_task, FileManager* files, MetricRegistry* metrics,
            ShuffleMapEndpoint* shuffle, int num_partitions,
-           std::size_t stream_buffer_bytes, bool sync_output);
+           std::size_t stream_buffer_bytes);
 
   void BeginBatch(bool sorted) override;
   void BatchAppend(std::uint32_t partition, Slice key, Slice value) override;
@@ -87,7 +87,6 @@ class FileSink final : public MapOutputSink {
   ShuffleMapEndpoint* shuffle_;
   int num_partitions_;
   std::size_t stream_buffer_bytes_;
-  bool sync_output_;
 
   // Active batch state.
   std::unique_ptr<SequentialWriter> writer_;

@@ -87,8 +87,6 @@ class HybridHashReducer {
 
   std::uint64_t Run();
 
-  [[nodiscard]] int buckets_spilled() const noexcept { return spilled_count_; }
-
  private:
   static constexpr int kNumBuckets = 32;
 

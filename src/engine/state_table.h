@@ -54,12 +54,15 @@ class StateTable {
     return it->second;
   }
 
-  // Removes `key`, moving its state into `out_state`; false if absent.
-  bool Extract(Slice key, std::string* out_state) {
+  // Removes `key`, moving its state into `out_state` (and its early-emit
+  // mark into `early_emitted`, when given); false if absent.
+  bool Extract(Slice key, std::string* out_state,
+               bool* early_emitted = nullptr) {
     auto it = map_.find(key.view());
     if (it == map_.end()) return false;
     bytes_ -= it->first.size() + it->second.state.size() + kEntryOverhead;
     *out_state = std::move(it->second.state);
+    if (early_emitted != nullptr) *early_emitted = it->second.early_emitted;
     map_.erase(it);
     return true;
   }

@@ -5,8 +5,7 @@
 
 #include "checkpoint/checkpoint.h"
 #include "engine/map_task.h"  // PartitionOf
-#include "engine/reduce_common.h"
-#include "engine/reduce_hash.h"
+#include "engine/reduce_incremental.h"
 
 namespace opmr {
 
@@ -24,18 +23,14 @@ class StreamingJob::Worker {
          const std::filesystem::path& ckpt_dir)
       : query_(query),
         options_(options),
-        files_(files),
-        metrics_(metrics),
         id_(id),
-        table_(query->aggregator.get()),
-        sketch_(options->hot_key_capacity > 0
-                    ? std::make_unique<SpaceSaving>(options->hot_key_capacity)
-                    : nullptr),
+        store_(query->aggregator.get(), StoreOptions(metrics),
+               StoreEnv(files, metrics)),
         thread_([this](std::stop_token st) { Run(st); }) {
     if (options_->checkpoint.enabled) {
       ckpt_ = std::make_unique<CheckpointManager>(ckpt_dir, query_->name, id_,
                                                   options_->checkpoint,
-                                                  metrics_);
+                                                  metrics);
       ckpt_->Reset();  // a new stream never restores a previous job's images
     }
   }
@@ -57,7 +52,7 @@ class StreamingJob::Worker {
 
   std::optional<std::string> Query(Slice key) const {
     std::scoped_lock lock(state_mu_);
-    const StateTable::Entry* entry = table_.Find(key);
+    const StateTable::Entry* entry = store_.table().Find(key);
     if (entry == nullptr) return std::nullopt;
     std::string finalized;
     query_->aggregator->Finalize(entry->state, &finalized);
@@ -67,7 +62,7 @@ class StreamingJob::Worker {
   void CollectTop(std::vector<std::pair<std::string, std::string>>* out) const {
     std::scoped_lock lock(state_mu_);
     std::string finalized;
-    table_.ForEach([&](Slice key, const StateTable::Entry& entry) {
+    store_.table().ForEach([&](Slice key, const StateTable::Entry& entry) {
       query_->aggregator->Finalize(entry.state, &finalized);
       out->emplace_back(key.ToString(), finalized);
     });
@@ -89,19 +84,9 @@ class StreamingJob::Worker {
 
   // Appends this worker's resident states and sketch summary to a job-wide
   // snapshot image.  Call after WaitIdle() for a consistent view.
-  void AppendImage(CheckpointImage* image) const {
+  void AppendImage(CheckpointImage* image) {
     std::scoped_lock lock(state_mu_);
-    if (sketch_ != nullptr) {
-      for (const auto& hitter : sketch_->Candidates()) {
-        image->sketch.push_back(
-            {hitter.key, hitter.count_estimate, hitter.error_bound});
-      }
-      image->sketch_stream_length += sketch_->StreamLength();
-    }
-    table_.ForEach([&](Slice key, const StateTable::Entry& entry) {
-      image->entries.push_back(
-          {std::string(key.view()), entry.state, entry.early_emitted});
-    });
+    store_.AppendImage(image, /*with_manifest=*/false);
   }
 
   // Simulates losing this worker's process: in-flight queue, resident
@@ -110,16 +95,7 @@ class StreamingJob::Worker {
   void Crash() {
     std::scoped_lock lock(queue_mu_, state_mu_);
     queue_.clear();
-    table_.Clear();
-    if (sketch_ != nullptr) {
-      sketch_ = std::make_unique<SpaceSaving>(options_->hot_key_capacity);
-    }
-    if (cold_ != nullptr) {
-      cold_->Close();
-      cold_.reset();
-    }
-    cold_path_.clear();
-    spill_runs_.clear();
+    store_.Clear();
     pairs_.store(0, std::memory_order_relaxed);
     cur_seq_ = 0;
     crashed_ = true;
@@ -138,37 +114,12 @@ class StreamingJob::Worker {
     }
     std::uint64_t watermark = 0;
     if (auto image = ckpt_->LoadLatest(); image.has_value()) {
-      table_.Clear();
-      for (const auto& entry : image->entries) {
-        table_.Fold(entry.key, entry.state, /*value_is_state=*/true)
-            .early_emitted = entry.early_emitted;
-      }
-      if (sketch_ != nullptr) {
-        for (const auto& entry : image->sketch) {
-          sketch_->Restore(entry.key, entry.count, entry.error);
-        }
-        sketch_->SetStreamLength(image->sketch_stream_length);
-      }
-      for (const auto& spill : image->spill_files) {
-        const std::filesystem::path path(spill.path);
-        if (!std::filesystem::exists(path)) {
-          throw std::runtime_error(
-              "streaming checkpoint references missing spill run " +
-              spill.path);
-        }
-        // Appends after the checkpoint belong to the failed epoch.
-        if (std::filesystem::file_size(path) > spill.committed_bytes) {
-          std::filesystem::resize_file(path, spill.committed_bytes);
-        }
-        spill_runs_.push_back(path);
-      }
+      store_.Restore(*image);
       if (!image->feeds.empty()) {
         pairs_.store(image->feeds.front().second, std::memory_order_relaxed);
       }
       watermark = image->watermark;
     }
-    // A demoted-cold file from before the crash stays in spill_runs_ but is
-    // never appended to again; demotions after recovery open a fresh one.
     restore_watermark_ = watermark;
     cur_seq_ = watermark;
     crashed_ = false;
@@ -181,47 +132,37 @@ class StreamingJob::Worker {
     Stop();
 
     std::scoped_lock lock(state_mu_);
-    if (cold_ != nullptr) {
-      cold_->Close();
-      cold_.reset();
-    }
-    const Aggregator& agg = *query_->aggregator;
-    if (spill_runs_.empty()) {
-      std::string finalized;
-      table_.ForEach([&](Slice key, const StateTable::Entry& entry) {
-        agg.Finalize(entry.state, &finalized);
-        out->emplace_back(key.ToString(), finalized);
-      });
-      return;
-    }
-    // Flush the live table as one more run and externally re-aggregate.
-    if (table_.size() > 0) SpillTableLocked();
-    RuntimeEnv env;
-    env.files = files_;
-    env.metrics = metrics_;
-    ExternalHashAggregate(
-        spill_runs_, /*level=*/0, options_->worker_budget_bytes, env,
-        [&](Slice key, const std::vector<Slice>& states) {
-          std::string state(states.front().data(), states.front().size());
-          for (std::size_t i = 1; i < states.size(); ++i) {
-            agg.Merge(&state, states[i]);
-          }
-          std::string finalized;
-          agg.Finalize(state, &finalized);
-          out->emplace_back(key.ToString(), finalized);
-        },
-        options_->compress_spills);
-    for (const auto& path : spill_runs_) std::filesystem::remove(path);
-    spill_runs_.clear();
+    store_.Finish([&](Slice key, Slice value) {
+      out->emplace_back(key.ToString(), value.ToString());
+    });
   }
 
  private:
+  // The store's services: spill files and I/O counters (no timeline).
+  static RuntimeEnv StoreEnv(FileManager* files, MetricRegistry* metrics) {
+    RuntimeEnv env;
+    env.files = files;
+    env.metrics = metrics;
+    return env;
+  }
+
+  IncrementalStateStore::Options StoreOptions(MetricRegistry* metrics) {
+    IncrementalStateStore::Options store;
+    store.budget_bytes = options_->worker_budget_bytes;
+    store.hot_key_capacity = options_->hot_key_capacity;
+    store.compress_spills = options_->compress_spills;
+    store.early_emit = options_->early_emit;
+    store.on_early_answer = [this](Slice key, Slice value) {
+      early_.fetch_add(1, std::memory_order_relaxed);
+      if (options_->on_early_answer) options_->on_early_answer(key, value);
+    };
+    store.demotions = metrics->Get("stream.demotions");
+    return store;
+  }
+
   void Stop() {
     {
       std::scoped_lock lock(queue_mu_);
-      if (closing_) {
-        // Already stopping; just wait for the thread below.
-      }
       closing_ = true;
     }
     queue_cv_.notify_all();
@@ -273,116 +214,22 @@ class StreamingJob::Worker {
       }
       cur_seq_ = seq;
     }
-    Fold(key, value);
+    store_.Fold(key, value);
+    pairs_.fetch_add(1, std::memory_order_relaxed);
     if (ckpt_ != nullptr) ckpt_->OnProgress(0, framed_bytes);
   }
 
-  void Fold(Slice key, Slice value) {
-    if (sketch_ != nullptr) {
-      if (auto victim = sketch_->OfferAndEvict(key); victim.has_value()) {
-        if (table_.MemoryBytes() >
-            options_->worker_budget_bytes -
-                options_->worker_budget_bytes / 4) {
-          DemoteLocked(*victim);
-        }
-      }
-    }
-    StateTable::Entry& entry = table_.Fold(key, value, /*is_state=*/false);
-    pairs_.fetch_add(1, std::memory_order_relaxed);
-    if (options_->early_emit && !entry.early_emitted &&
-        options_->early_emit(key, entry.state)) {
-      entry.early_emitted = true;
-      early_.fetch_add(1, std::memory_order_relaxed);
-      if (options_->on_early_answer) {
-        std::string finalized;
-        query_->aggregator->Finalize(entry.state, &finalized);
-        options_->on_early_answer(key, finalized);
-      }
-    }
-    // Budget enforcement per fold (not per batch): the spill/demotion
-    // sequence becomes a deterministic function of the routed pair order,
-    // so seeded runs demote identically every time.
-    if (table_.MemoryBytes() > options_->worker_budget_bytes) {
-      if (sketch_ == nullptr) {
-        SpillTableLocked();
-      } else {
-        EnforceBudgetLocked();
-      }
-    }
-  }
-
   void WriteCheckpointLocked(std::uint64_t watermark) {
-    if (cold_ != nullptr) cold_->Flush();
     CheckpointImage image;
     image.watermark = watermark;
     image.feeds.emplace_back(static_cast<std::uint32_t>(id_),
                              pairs_.load(std::memory_order_relaxed));
-    for (const auto& path : spill_runs_) {
-      // The open cold run's durable prefix is its flushed byte count; the
-      // closed spill runs are complete files.
-      const std::uint64_t committed = (cold_ != nullptr && path == cold_path_)
-                                          ? cold_->bytes_written()
-                                          : std::filesystem::file_size(path);
-      image.spill_files.push_back({path.string(), committed});
-    }
-    if (sketch_ != nullptr) {
-      for (const auto& hitter : sketch_->Candidates()) {
-        image.sketch.push_back(
-            {hitter.key, hitter.count_estimate, hitter.error_bound});
-      }
-      image.sketch_stream_length = sketch_->StreamLength();
-    }
-    image.entries.reserve(table_.size());
-    table_.ForEach([&](Slice key, const StateTable::Entry& entry) {
-      image.entries.push_back(
-          {std::string(key.view()), entry.state, entry.early_emitted});
-    });
+    store_.AppendImage(&image, /*with_manifest=*/true);
     ckpt_->Write(&image);
-  }
-
-  void SpillTableLocked() {
-    const auto path = files_->NewFile("stream_spill");
-    auto writer = NewSpillSink(options_->compress_spills, path,
-                               IoChannel(metrics_, device::kSpillWrite));
-    table_.ForEach([&](Slice key, const StateTable::Entry& entry) {
-      writer->Append(key, entry.state);
-    });
-    writer->Close();
-    table_.Clear();
-    spill_runs_.push_back(path);
-  }
-
-  void DemoteLocked(Slice key) {
-    std::string state;
-    if (!table_.Extract(key, &state)) return;
-    if (cold_ == nullptr) {
-      cold_path_ = files_->NewFile("stream_cold");
-      cold_ = NewSpillSink(options_->compress_spills, cold_path_,
-                           IoChannel(metrics_, device::kSpillWrite));
-      spill_runs_.push_back(cold_path_);
-    }
-    cold_->Append(key, state);
-    metrics_->Get("stream.demotions")->Increment();
-  }
-
-  void EnforceBudgetLocked() {
-    std::vector<std::pair<std::uint64_t, std::string>> by_estimate;
-    by_estimate.reserve(table_.size());
-    table_.ForEach([&](Slice key, const StateTable::Entry&) {
-      by_estimate.emplace_back(sketch_->Estimate(key),
-                               std::string(key.view()));
-    });
-    std::sort(by_estimate.begin(), by_estimate.end());
-    for (const auto& [estimate, key] : by_estimate) {
-      if (table_.MemoryBytes() <= options_->worker_budget_bytes) break;
-      DemoteLocked(key);
-    }
   }
 
   const StreamingQuery* query_;
   const StreamingOptions* options_;
-  FileManager* files_;
-  MetricRegistry* metrics_;
   int id_;
 
   std::mutex queue_mu_;
@@ -393,11 +240,7 @@ class StreamingJob::Worker {
   bool busy_ = false;  // worker thread is folding a drained batch
 
   mutable std::mutex state_mu_;
-  StateTable table_;
-  std::unique_ptr<SpaceSaving> sketch_;
-  std::unique_ptr<RecordSink> cold_;
-  std::filesystem::path cold_path_;
-  std::vector<std::filesystem::path> spill_runs_;
+  IncrementalStateStore store_;
   std::unique_ptr<CheckpointManager> ckpt_;
 
   // Recovery state (state_mu_): last sequence this worker has seen, the

@@ -5,10 +5,11 @@
 // A StreamingJob is a long-lived MapReduce query with no pre-loaded input:
 // records are Ingest()ed as they arrive, the map function runs inline on
 // the ingesting thread, and the emitted pairs are routed to R parallel
-// reducer workers that maintain incremental per-key aggregator states
-// (plain or hot-key, with disk spilling under memory pressure — the same
-// §V techniques as the batch runtime).  At any moment the live states can
-// be queried:
+// reducer workers.  Each worker owns a queue, a thread and the batch
+// runtime's IncrementalStateStore (engine/reduce_incremental.h): the same
+// plain or hot-key §V states, spills, checkpoint images and exact finish
+// as a batch incremental reducer.  At any moment the live states can be
+// queried:
 //
 //   StreamingJob job(query, options, /*reducers=*/4);
 //   job.Ingest(record);               // any thread, any time
@@ -35,8 +36,6 @@
 #include "checkpoint/options.h"
 #include "engine/aggregators.h"
 #include "engine/job.h"
-#include "engine/state_table.h"
-#include "frequent/space_saving.h"
 #include "metrics/counters.h"
 #include "storage/file_manager.h"
 

@@ -53,7 +53,7 @@ class MapSinksTest : public ::testing::Test {
 };
 
 TEST_F(MapSinksTest, FileSinkBatchSegmentsReadBackPerPartition) {
-  FileSink sink(0, &files_, &metrics_, service_.get(), 3, 1 << 20, true);
+  FileSink sink(0, &files_, &metrics_, service_.get(), 3, 1 << 20);
   sink.BeginBatch(/*sorted=*/true);
   sink.BatchAppend(0, "a", "1");
   sink.BatchAppend(0, "b", "2");
@@ -79,14 +79,14 @@ TEST_F(MapSinksTest, FileSinkBatchSegmentsReadBackPerPartition) {
 }
 
 TEST_F(MapSinksTest, FileSinkRejectsUngroupedBatch) {
-  FileSink sink(0, &files_, &metrics_, service_.get(), 3, 1 << 20, false);
+  FileSink sink(0, &files_, &metrics_, service_.get(), 3, 1 << 20);
   sink.BeginBatch(true);
   sink.BatchAppend(2, "x", "1");
   EXPECT_THROW(sink.BatchAppend(0, "y", "2"), std::logic_error);
 }
 
 TEST_F(MapSinksTest, FileSinkBatchLifecycleErrors) {
-  FileSink sink(0, &files_, &metrics_, service_.get(), 3, 1 << 20, false);
+  FileSink sink(0, &files_, &metrics_, service_.get(), 3, 1 << 20);
   EXPECT_THROW(sink.BatchAppend(0, "k", "v"), std::logic_error);
   EXPECT_THROW(sink.EndBatch(), std::logic_error);
   sink.BeginBatch(true);
@@ -96,8 +96,7 @@ TEST_F(MapSinksTest, FileSinkBatchLifecycleErrors) {
 
 TEST_F(MapSinksTest, FileSinkStreamingFlushesOnLimitAndClose) {
   // Tiny stream buffer: forces an intermediate flush.
-  FileSink sink(0, &files_, &metrics_, service_.get(), 3, /*stream=*/64,
-                false);
+  FileSink sink(0, &files_, &metrics_, service_.get(), 3, /*stream=*/64);
   for (int i = 0; i < 10; ++i) {
     sink.AppendStreaming(static_cast<std::uint32_t>(i % 3),
                          "key" + std::to_string(i), "0123456789");
@@ -119,7 +118,7 @@ TEST_F(MapSinksTest, FileSinkStreamingFlushesOnLimitAndClose) {
 }
 
 TEST_F(MapSinksTest, FileSinkBytesOutCountsPayload) {
-  FileSink sink(0, &files_, &metrics_, service_.get(), 3, 1 << 20, false);
+  FileSink sink(0, &files_, &metrics_, service_.get(), 3, 1 << 20);
   sink.BeginBatch(false);
   sink.BatchAppend(0, "abc", "de");
   sink.EndBatch();
@@ -195,7 +194,7 @@ TEST_F(MapSinksTest, PushSinkSortedBatchesCutChunksAtBatchBoundaries) {
 }
 
 TEST_F(MapSinksTest, FileSinkOutputInvisibleUntilPublished) {
-  FileSink sink(0, &files_, &metrics_, service_.get(), 3, 1 << 20, false);
+  FileSink sink(0, &files_, &metrics_, service_.get(), 3, 1 << 20);
   sink.BeginBatch(false);
   sink.BatchAppend(0, "k", "v");
   sink.EndBatch();

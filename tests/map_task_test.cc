@@ -42,7 +42,7 @@ class MapTaskTest : public ::testing::Test {
     const auto block = LoadBlock(records);
     ShuffleService shuffle(1, spec.num_reducers, &metrics_, 64);
     FileSink sink(0, &files_, &metrics_, &shuffle, spec.num_reducers,
-                  options.map_buffer_bytes, false);
+                  options.map_buffer_bytes);
     RuntimeEnv env = env_;
     env.shuffle = &shuffle;
     MapTask task(0, spec, options, env, block, &sink);

@@ -188,6 +188,35 @@ TEST_F(ReducePathStress, HotKeyAmpleMemoryNeverSpills) {
   EXPECT_EQ(last_result_.Bytes(device::kSpillWrite), 0);
 }
 
+TEST_F(ReducePathStress, HotKeyApproximateOutputBoundsTheExactAnswer) {
+  JobOptions tight = HotKeyOnePassOptions(/*capacity=*/16);
+  tight.reduce_buffer_bytes = 16u << 10;
+  const auto exact = Run("hot_early", tight);
+  EXPECT_EQ(exact, reference_);
+  // Resident hot keys' answers as of end of input, before the cold pass:
+  // each counts a subset of the key's clicks.
+  std::size_t approx_rows = 0;
+  for (int r = 0; r < 3; ++r) {
+    const std::string name = "out_hot_early.early.part" + std::to_string(r);
+    ASSERT_TRUE(platform_.dfs().Exists(name)) << name;
+    for (const auto& [user, value] : platform_.ReadOutputFile(name)) {
+      ASSERT_TRUE(exact.count(user)) << user;
+      EXPECT_LE(DecodeValueU64(value), exact.at(user)) << user;
+      ++approx_rows;
+    }
+  }
+  EXPECT_GT(approx_rows, 0u);
+
+  // Nothing went cold, so the exact answers are the only answers.
+  JobOptions ample = HotKeyOnePassOptions(/*capacity=*/8192);
+  ample.reduce_buffer_bytes = 64u << 20;
+  EXPECT_EQ(Run("hot_no_early", ample), reference_);
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_FALSE(platform_.dfs().Exists("out_hot_no_early.early.part" +
+                                        std::to_string(r)));
+  }
+}
+
 TEST_F(ReducePathStress, PushAndPullAgreeUnderStress) {
   JobOptions push = HashOnePassOptions();
   push.map_side_combine = false;

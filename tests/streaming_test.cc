@@ -269,6 +269,61 @@ TEST(Streaming, AgreesWithBatchRuntimeOnClickStream) {
   EXPECT_EQ(streamed, batch);
 }
 
+// A key's early answer fires once, even after its state leaves the table
+// (a spill or a demotion) and later folds rebuild it past the threshold.
+TEST(EarlyAnswers, FireAtMostOncePerKeyInEveryIncrementalMode) {
+  const auto policy = [](Slice, Slice state) {
+    return DecodeU64(state.data()) >= 20;
+  };
+
+  // Batch: early answers and final answers share the output, so a key may
+  // have at most two rows.
+  Platform platform({.num_nodes = 2, .block_bytes = 128u << 10});
+  ClickStreamOptions gen;
+  gen.num_records = 30'000;
+  gen.num_urls = 3'000;
+  GenerateClickStream(platform.dfs(), "clicks", gen);
+  for (const bool hot_key : {false, true}) {
+    SCOPED_TRACE(hot_key ? "batch hot-key" : "batch incremental");
+    JobOptions options =
+        hot_key ? HotKeyOnePassOptions(16) : HashOnePassOptions();
+    options.reduce_buffer_bytes = 4u << 10;
+    options.early_emit = policy;
+    const std::string out = hot_key ? "early_hot" : "early_inc";
+    const auto result = platform.Run(PageFrequencyJob("clicks", out, 1),
+                                     options);
+    EXPECT_GT(result.Bytes(device::kSpillWrite), 0);
+    std::map<std::string, int> rows;
+    for (const auto& [url, value] : platform.ReadOutput(out, 1)) ++rows[url];
+    int answered = 0;
+    for (const auto& [url, n] : rows) {
+      EXPECT_LE(n, 2) << url;
+      answered += n == 2 ? 1 : 0;
+    }
+    EXPECT_GT(answered, 0);
+  }
+
+  // Streaming: count the callbacks per key.
+  for (const std::size_t capacity : {std::size_t{0}, std::size_t{16}}) {
+    SCOPED_TRACE(capacity == 0 ? "stream plain" : "stream hot-key");
+    std::map<std::string, int> fired;
+    StreamingOptions options;
+    options.worker_budget_bytes = 8u << 10;
+    options.hot_key_capacity = capacity;
+    options.early_emit = policy;
+    options.on_early_answer = [&](Slice key, Slice) { ++fired[key.ToString()]; };
+    StreamingJob job(CountByFirstField(), options, /*workers=*/1);
+    ZipfSampler zipf(3'000, 1.1, 11);
+    for (int i = 0; i < 30'000; ++i) {
+      job.Ingest("z" + std::to_string(zipf.Sample()) + "\t.");
+    }
+    job.Finish();
+    EXPECT_FALSE(fired.empty());
+    for (const auto& [key, n] : fired) EXPECT_EQ(n, 1) << key;
+    EXPECT_EQ(job.early_answers(), fired.size());
+  }
+}
+
 TEST(Streaming, HllAggregatorStreamsDistinctCounts) {
   StreamingQuery query;
   query.name = "distinct_stream";
