@@ -73,10 +73,12 @@ int main(int argc, char** argv) {
                   std::to_string(finish_s), std::to_string(results.size())});
   }
   std::printf("%s", table.ToString().c_str());
-  std::printf("\nNote: a single producer thread drives this table, so worker\n"
-              "fan-out adds queue hand-off cost without adding map capacity;\n"
-              "scaling comes from concurrent producers (see the\n"
-              "ConcurrentIngestThreadsAreExact test).\n");
+  std::printf("\nNote: a single producer thread drives this table.  Routing\n"
+              "a pair appends it to its worker's byte queue, and workers\n"
+              "fold whole batches, so fan-out moves the folds off the\n"
+              "producer but adds no map capacity; that comes from\n"
+              "concurrent producers (see the ConcurrentIngestThreadsAreExact\n"
+              "test).\n");
 
   // --- Early-answer latency ---------------------------------------------------
   std::atomic<std::int64_t> fired_at_ns{-1};

@@ -167,29 +167,35 @@ void SnapshotFrontend::ApplyImage(std::uint64_t version,
   view->version = version;
   view->watermark = image.watermark;
   // Keys are worker-partitioned, but merge defensively so a duplicate key
-  // can never make two replicas disagree on which copy wins.
-  std::map<std::string, std::string> states;
-  for (auto& entry : image.entries) {
-    auto [it, inserted] =
-        states.try_emplace(std::move(entry.key), std::move(entry.state));
-    if (!inserted) {
-      options_.aggregator->Merge(&it->second, entry.state);
-    }
-  }
-  view->rows.reserve(states.size());
+  // can never make two replicas disagree on which copy wins: the stable
+  // sort keeps image order among equal keys, and later copies merge into
+  // the first.
+  auto& entries = image.entries;
+  std::stable_sort(entries.begin(), entries.end(),
+                   [](const auto& a, const auto& b) { return a.key < b.key; });
+  view->rows.reserve(entries.size());
   std::string finalized;
-  for (const auto& [key, state] : states) {
-    options_.aggregator->Finalize(state, &finalized);
-    view->rows.emplace_back(key, finalized);  // std::map: key-sorted
+  for (std::size_t i = 0; i < entries.size();) {
+    std::size_t next = i + 1;
+    for (; next < entries.size() && entries[next].key == entries[i].key;
+         ++next) {
+      options_.aggregator->Merge(&entries[i].state, entries[next].state);
+    }
+    options_.aggregator->Finalize(entries[i].state, &finalized);
+    view->rows.emplace_back(std::move(entries[i].key), finalized);
+    i = next;
   }
-  view->by_score = view->rows;
-  std::sort(view->by_score.begin(), view->by_score.end(),
-            [](const auto& a, const auto& b) {
-              const std::uint64_t av = ScoreOf(a.second);
-              const std::uint64_t bv = ScoreOf(b.second);
-              if (av != bv) return av > bv;
-              return a.first < b.first;
-            });
+  // Top-k never returns more than scan_limit rows, so only those are ranked.
+  view->by_score.resize(
+      std::min<std::size_t>(options_.scan_limit, view->rows.size()));
+  std::partial_sort_copy(view->rows.begin(), view->rows.end(),
+                         view->by_score.begin(), view->by_score.end(),
+                         [](const auto& a, const auto& b) {
+                           const std::uint64_t av = ScoreOf(a.second);
+                           const std::uint64_t bv = ScoreOf(b.second);
+                           if (av != bv) return av > bv;
+                           return a.first < b.first;
+                         });
 
   {
     std::scoped_lock lock(mu_);

@@ -96,8 +96,9 @@ class SnapshotFrontend {
   struct View {
     std::uint64_t version = 0;
     std::uint64_t watermark = 0;
-    // Finalized rows, key-sorted (point/scan) and value-ranked (top-k,
-    // u64-decoded descending, key ascending on ties — TopAnswers' order).
+    // Finalized rows, key-sorted (point/scan), and the top scan_limit of
+    // them value-ranked (top-k: u64-decoded descending, key ascending on
+    // ties — TopAnswers' order).
     std::vector<std::pair<std::string, std::string>> rows;
     std::vector<std::pair<std::string, std::string>> by_score;
   };

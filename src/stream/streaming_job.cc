@@ -1,6 +1,7 @@
 #include "stream/streaming_job.h"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 
 #include "checkpoint/checkpoint.h"
@@ -11,11 +12,23 @@ namespace opmr {
 
 // --- Worker --------------------------------------------------------------------
 
-// One reducer worker: a bounded queue of framed pairs
+// Queue hand-off tuning.  A producer wakes the worker only when the queue
+// turns non-empty or reaches kWakeBatch pairs; once awake, the worker lets
+// the batch fill for at most kFillWait before it swaps the queue out.  So a
+// queued pair is folded within about kFillWait of its arrival, or sooner:
+// a full batch, Stop() and WaitIdle() (every snapshot and Recover()) cut
+// the wait short.
+constexpr std::size_t kWakeBatch = 256;
+constexpr std::chrono::microseconds kFillWait{200};
+
+// One reducer worker: a bounded byte queue of framed pairs
 // ([u64 ingest_seq][u32 klen][u32 vlen][key][value]) feeding an incremental
-// state table on a dedicated thread.  The ingest sequence carried by every
-// frame is the recovery watermark: checkpoints land on sequence boundaries,
-// and after a restore any frame at or below the watermark is skipped.
+// state table on a dedicated thread.  Producers append frames under the
+// queue lock; the worker swaps the whole buffer out and parses it in place,
+// handing back its emptied previous buffer, so the steady state allocates
+// nothing.  The ingest sequence carried by every frame is the recovery
+// watermark: checkpoints land on sequence boundaries, and after a restore
+// any frame at or below the watermark is skipped.
 class StreamingJob::Worker {
  public:
   Worker(const StreamingQuery* query, const StreamingOptions* options,
@@ -37,17 +50,26 @@ class StreamingJob::Worker {
 
   ~Worker() { Stop(); }
 
-  void Enqueue(std::string framed_pair) {
+  // Appends one framed pair; blocks while the queue holds queue_capacity
+  // pairs.
+  void Enqueue(std::uint64_t seq, Slice key, Slice value) {
     std::unique_lock lock(queue_mu_);
-    queue_cv_.wait(lock, [&] {
-      return queue_.size() < options_->queue_capacity || closing_;
+    space_cv_.wait(lock, [&] {
+      return queued_pairs_ < options_->queue_capacity || closing_;
     });
     if (closing_) {
       throw std::logic_error("StreamingJob: ingest after Finish()");
     }
-    queue_.push_back(std::move(framed_pair));
+    char header[16];
+    EncodeU64(header, seq);
+    EncodeU32(header + 8, static_cast<std::uint32_t>(key.size()));
+    EncodeU32(header + 12, static_cast<std::uint32_t>(value.size()));
+    queue_.append(header, sizeof(header));
+    queue_.append(key.data(), key.size());
+    queue_.append(value.data(), value.size());
+    const std::size_t queued = ++queued_pairs_;
     lock.unlock();
-    queue_cv_.notify_all();
+    if (queued == 1 || queued == wake_batch_) data_cv_.notify_one();
   }
 
   std::optional<std::string> Query(Slice key) const {
@@ -77,9 +99,13 @@ class StreamingJob::Worker {
 
   // Blocks until the queue is drained and the worker thread is idle, so
   // cur_seq_ and the state table are final for the records ingested so far.
+  // A waiter cuts the worker's batch-fill wait short.
   void WaitIdle() {
     std::unique_lock lock(queue_mu_);
-    idle_cv_.wait(lock, [&] { return queue_.empty() && !busy_; });
+    ++idle_waiters_;
+    if (queued_pairs_ > 0) data_cv_.notify_one();
+    idle_cv_.wait(lock, [&] { return queued_pairs_ == 0 && !busy_; });
+    --idle_waiters_;
   }
 
   // Appends this worker's resident states and sketch summary to a job-wide
@@ -95,11 +121,12 @@ class StreamingJob::Worker {
   void Crash() {
     std::scoped_lock lock(queue_mu_, state_mu_);
     queue_.clear();
+    queued_pairs_ = 0;
     store_.Clear();
     pairs_.store(0, std::memory_order_relaxed);
     cur_seq_ = 0;
     crashed_ = true;
-    queue_cv_.notify_all();
+    space_cv_.notify_all();
   }
 
   // Restores a crashed worker from its latest valid checkpoint, returning
@@ -165,36 +192,40 @@ class StreamingJob::Worker {
       std::scoped_lock lock(queue_mu_);
       closing_ = true;
     }
-    queue_cv_.notify_all();
+    data_cv_.notify_one();
+    space_cv_.notify_all();
     if (thread_.joinable()) thread_.join();
   }
 
   void Run(const std::stop_token& /*st*/) {
-    std::vector<std::string> batch;
+    std::string batch;
     while (true) {
-      batch.clear();
+      batch.clear();  // keeps its capacity for the next swap
       {
         std::unique_lock lock(queue_mu_);
         busy_ = false;
-        idle_cv_.notify_all();
-        queue_cv_.wait(lock, [&] { return !queue_.empty() || closing_; });
-        while (!queue_.empty()) {
-          batch.push_back(std::move(queue_.front()));
-          queue_.pop_front();
-        }
-        if (batch.empty() && closing_) return;
+        if (idle_waiters_ > 0) idle_cv_.notify_all();
+        data_cv_.wait(lock, [&] { return queued_pairs_ > 0 || closing_; });
+        if (queued_pairs_ == 0) return;  // closing with nothing left
+        data_cv_.wait_for(lock, kFillWait, [&] {
+          return queued_pairs_ >= wake_batch_ || closing_ ||
+                 idle_waiters_ > 0;
+        });
+        batch.swap(queue_);
+        queued_pairs_ = 0;
         busy_ = true;
       }
-      queue_cv_.notify_all();  // ingest may proceed
+      space_cv_.notify_all();  // ingest may proceed
 
       std::scoped_lock lock(state_mu_);
-      for (const auto& framed : batch) {
-        const std::uint64_t seq = DecodeU64(framed.data());
-        const std::uint32_t klen = DecodeU32(framed.data() + 8);
-        const Slice key(framed.data() + 16, klen);
-        const Slice value(framed.data() + 16 + klen,
-                          framed.size() - 16 - klen);
-        FoldFramed(seq, key, value, framed.size());
+      for (std::size_t at = 0; at < batch.size();) {
+        const char* frame = batch.data() + at;
+        const std::uint32_t klen = DecodeU32(frame + 8);
+        const std::uint32_t vlen = DecodeU32(frame + 12);
+        const std::size_t framed_bytes = 16 + std::size_t{klen} + vlen;
+        FoldFramed(DecodeU64(frame), Slice(frame + 16, klen),
+                   Slice(frame + 16 + klen, vlen), framed_bytes);
+        at += framed_bytes;
       }
     }
   }
@@ -232,12 +263,19 @@ class StreamingJob::Worker {
   const StreamingOptions* options_;
   int id_;
 
+  // Queue state (queue_mu_).  data_cv_ wakes the worker, space_cv_ the
+  // producers blocked on a full queue, idle_cv_ the WaitIdle() callers.
   std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
+  std::condition_variable data_cv_;
+  std::condition_variable space_cv_;
   std::condition_variable idle_cv_;
-  std::deque<std::string> queue_;
+  std::string queue_;  // framed pairs, in arrival order
+  std::size_t queued_pairs_ = 0;
+  const std::size_t wake_batch_ =
+      std::min(kWakeBatch, options_->queue_capacity);
+  std::size_t idle_waiters_ = 0;
   bool closing_ = false;
-  bool busy_ = false;  // worker thread is folding a drained batch
+  bool busy_ = false;  // worker thread is folding a swapped-out batch
 
   mutable std::mutex state_mu_;
   IncrementalStateStore store_;
@@ -272,6 +310,10 @@ StreamingJob::StreamingJob(StreamingQuery query, StreamingOptions options,
   }
   if (num_workers <= 0) {
     throw std::invalid_argument("StreamingJob: need at least one worker");
+  }
+  if (options_.queue_capacity == 0) {
+    throw std::invalid_argument(
+        "StreamingJob: queue_capacity must be at least one pair");
   }
   std::filesystem::path ckpt_dir;
   if (options_.checkpoint.enabled) {
@@ -328,16 +370,9 @@ void StreamingJob::Ingest(Slice record) {
     RoutingCollector(StreamingJob* job, std::uint64_t seq)
         : job_(job), seq_(seq) {}
     void Emit(Slice key, Slice value) override {
-      std::string framed;
-      framed.reserve(16 + key.size() + value.size());
-      AppendU64(framed, seq_);
-      AppendU32(framed, static_cast<std::uint32_t>(key.size()));
-      AppendU32(framed, static_cast<std::uint32_t>(value.size()));
-      framed.append(key.data(), key.size());
-      framed.append(value.data(), value.size());
       const auto w =
           PartitionOf(key, static_cast<int>(job_->workers_.size()));
-      job_->workers_[w]->Enqueue(std::move(framed));
+      job_->workers_[w]->Enqueue(seq_, key, value);
     }
 
    private:

@@ -14,6 +14,7 @@
 //     torn view;
 //   * serve images are garbage-collected with their job, and frontend
 //     registrations never satisfy the scheduler's placement gate.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -273,6 +274,56 @@ TEST_F(ServeTest, TwoFrontendsServeByteIdenticalViews) {
   EXPECT_EQ(top_a.rows, top_b.rows);
   ASSERT_EQ(top_a.rows.size(), 2u);
   EXPECT_EQ(top_a.rows[0].first, "u1");  // 12 > 3
+}
+
+TEST_F(ServeTest, ViewMergesDuplicatesAndRanksTopKUpToTheScanLimit) {
+  net::LoopbackTransport pub_wire(&metrics_);
+  serve::PublisherOptions popts;
+  popts.job = "clicks";
+  popts.dir = dir_;
+  serve::SnapshotPublisher publisher(&pub_wire, &metrics_, popts);
+
+  net::LoopbackTransport server(&metrics_);
+  auto fopts = SumFrontendOptions("clicks");
+  fopts.scan_limit = 3;
+  serve::SnapshotFrontend frontend(&server, &pub_wire, &metrics_, fopts);
+
+  // More rows than the scan limit, ties on the score, and "u4" split
+  // across two entries whose merged value (4 + 5) lands it in the top-k.
+  auto image = SumImage(800, {{"u7", 6}, {"u4", 4}, {"u2", 6}, {"u1", 2},
+                              {"u9", 6}, {"u3", 1}, {"u5", 8}});
+  image.entries.push_back({"u4", std::string(), false});
+  AppendU64(image.entries.back().state, 5);
+  const auto version = publisher.Publish(std::move(image));
+  ASSERT_TRUE(frontend.WaitForVersion(version, std::chrono::seconds(5)));
+
+  const auto rows = frontend.ScanAll();
+  ASSERT_EQ(rows.size(), 7u);
+  const auto u4 = std::find_if(rows.begin(), rows.end(),
+                               [](const auto& row) { return row.first == "u4"; });
+  ASSERT_NE(u4, rows.end());
+  EXPECT_EQ(DecodeU64(u4->second.data()), 9u);  // 4 + 5 merged
+
+  // The full ranking: score descending, key ascending on ties.
+  auto ranking = rows;
+  std::sort(ranking.begin(), ranking.end(), [](const auto& a, const auto& b) {
+    const std::uint64_t av = DecodeU64(a.second.data());
+    const std::uint64_t bv = DecodeU64(b.second.data());
+    if (av != bv) return av > bv;
+    return a.first < b.first;
+  });
+  ranking.resize(3);  // u4 (9), u5 (8), u2 (6, first of three tied keys)
+  for (const std::uint32_t limit : {0u, 3u, 100u}) {
+    net::QueryMsg top;
+    top.op = net::QueryOp::kTopK;
+    top.limit = limit;
+    const auto result = frontend.Execute(top);
+    ASSERT_EQ(result.status, net::QueryStatus::kOk);
+    EXPECT_EQ(result.rows, ranking) << "limit " << limit;
+  }
+  EXPECT_EQ(ranking[0].first, "u4");
+  EXPECT_EQ(ranking[1].first, "u5");
+  EXPECT_EQ(ranking[2].first, "u2");
 }
 
 TEST_F(ServeTest, ViewOnlyMovesForwardAcrossVersions) {

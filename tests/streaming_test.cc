@@ -178,6 +178,63 @@ TEST(Streaming, ValidatesQueryAndWorkerCount) {
 
   EXPECT_THROW(StreamingJob(CountByFirstField(), {}, 0),
                std::invalid_argument);
+
+  StreamingOptions no_queue;
+  no_queue.queue_capacity = 0;  // Ingest could never enqueue a pair
+  EXPECT_THROW(StreamingJob(CountByFirstField(), no_queue, 1),
+               std::invalid_argument);
+}
+
+// Queues smaller than the worker's wake batch: every producer blocks on a
+// full queue over and over, so a lost wake would hang this test.
+TEST(Streaming, ConcurrentIngestIsExactUnderTinyQueues) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 5'000;
+  std::map<std::string, std::uint64_t> truth;
+  for (int t = 0; t < kThreads; ++t) {
+    Rng rng(200 + t);
+    for (int i = 0; i < kPerThread; ++i) {
+      ++truth["q" + std::to_string(rng.Uniform(50))];
+    }
+  }
+  for (const std::size_t capacity : {1u, 3u}) {
+    StreamingOptions options;
+    options.queue_capacity = capacity;
+    StreamingJob job(CountByFirstField(), options, 3);
+    {
+      std::vector<std::jthread> producers;
+      producers.reserve(kThreads);
+      for (int t = 0; t < kThreads; ++t) {
+        producers.emplace_back([&job, t] {
+          Rng rng(200 + t);
+          for (int i = 0; i < kPerThread; ++i) {
+            job.Ingest("q" + std::to_string(rng.Uniform(50)) + "\tx");
+          }
+        });
+      }
+    }
+    std::map<std::string, std::uint64_t> actual;
+    for (const auto& [k, v] : job.Finish()) actual[k] = DecodeValueU64(v);
+    EXPECT_EQ(actual, truth) << "queue_capacity " << capacity;
+    EXPECT_EQ(job.pairs_routed(),
+              static_cast<std::uint64_t>(kThreads) * kPerThread);
+  }
+}
+
+// A trickle shorter than a wake batch must still be in the very next
+// snapshot: CollectSnapshot() settles the workers instead of racing them.
+TEST(Streaming, SnapshotRightAfterATrickleHoldsEveryRecord) {
+  StreamingJob job(CountByFirstField(), {}, 2);
+  for (int i = 0; i < 10; ++i) job.Ingest("t" + std::to_string(i) + "\tx");
+  const CheckpointImage image = job.CollectSnapshot();
+  EXPECT_EQ(image.watermark, 10u);
+  std::map<std::string, std::uint64_t> counts;
+  for (const auto& entry : image.entries) {
+    counts[entry.key] += DecodeU64(entry.state.data());
+  }
+  ASSERT_EQ(counts.size(), 10u);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(counts["t" + std::to_string(i)], 1u);
+  job.Finish();
 }
 
 TEST(Streaming, FinishTwiceReturnsTheSameSortedResults) {
