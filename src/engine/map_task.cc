@@ -138,11 +138,11 @@ void MapTask::FlushSortedBuffer(MapOutputBuffer& buffer) {
       // One combine group: a run of equal (partition, key).
       const auto& head = records[i];
       const Slice key(head.key, head.key_len);
-      agg->Init(Slice(head.value, head.value_len), &state);
+      agg->Init(Slice(head.value(), head.value_len), &state);
       std::size_t j = i + 1;
       while (j < records.size() && records[j].partition == head.partition &&
              Slice(records[j].key, records[j].key_len) == key) {
-        agg->Update(&state, Slice(records[j].value, records[j].value_len));
+        agg->Update(&state, Slice(records[j].value(), records[j].value_len));
         ++j;
       }
       sink_->BatchAppend(head.partition, key, state);
@@ -151,7 +151,7 @@ void MapTask::FlushSortedBuffer(MapOutputBuffer& buffer) {
   } else {
     for (const auto& r : buffer.records()) {
       sink_->BatchAppend(r.partition, Slice(r.key, r.key_len),
-                         Slice(r.value, r.value_len));
+                         Slice(r.value(), r.value_len));
     }
   }
   sink_->EndBatch();

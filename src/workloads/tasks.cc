@@ -1,7 +1,9 @@
 #include "workloads/tasks.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <iterator>
 #include <vector>
 
 #include "engine/aggregators.h"
@@ -36,6 +38,27 @@ Slice TextUserField(Slice record) {
   while (second < record.size() && record[second] != '\t') ++second;
   return {record.data() + first + 1, second - first - 1};
 }
+
+// Sets `row` to one sessionization output value, "s<session>\t<ts>\t<url>".
+void FormatSessionRow(std::string& row, std::uint32_t session,
+                      std::uint64_t ts, Slice url) {
+  char digits[20];  // any u64
+  row.assign(1, 's');
+  row.append(digits, std::to_chars(std::begin(digits), std::end(digits),
+                                   session).ptr);
+  row.push_back('\t');
+  row.append(digits,
+             std::to_chars(std::begin(digits), std::end(digits), ts).ptr);
+  row.push_back('\t');
+  row.append(url.data(), url.size());
+}
+
+// The secondary-sort variant's composite key: [u8 user length][user id
+// zero-padded to kUserWidth bytes][u64 big-endian timestamp].  The fixed
+// width puts every user id, whatever its length, inside one grouping
+// prefix, and byte order within a user's group is time order.
+constexpr std::size_t kUserWidth = 11;  // 'u' + the 10 digits of any u32
+constexpr std::size_t kUserGroupBytes = 1 + kUserWidth;
 
 }  // namespace
 
@@ -74,32 +97,33 @@ JobSpec SessionizationJob(const std::string& input, const std::string& output,
     // payload as opaque bytes either way.
     // The sessionization algorithm: order this user's clicks by time and
     // cut a new session whenever the inter-click gap exceeds the limit.
+    // Clicks are buffered as (ts, url range) over one byte buffer, both
+    // reused across groups on this reducer thread: no heap object per click.
     struct Click {
       std::uint64_t ts;
-      std::string url;
+      std::size_t offset;
+      std::size_t len;
     };
-    std::vector<Click> clicks;
+    static thread_local std::vector<Click> clicks;
+    static thread_local std::string urls;
+    static thread_local std::string row;
+    clicks.clear();
+    urls.clear();
     Slice v;
     while (values.Next(&v)) {
       if (v.size() < 8) throw std::runtime_error("sessionization: bad value");
-      clicks.push_back(
-          {DecodeU64(v.data()), std::string(v.data() + 8, v.size() - 8)});
+      clicks.push_back({DecodeU64(v.data()), urls.size(), v.size() - 8});
+      urls.append(v.data() + 8, v.size() - 8);
     }
     std::sort(clicks.begin(), clicks.end(),
               [](const Click& a, const Click& b) { return a.ts < b.ts; });
 
     std::uint32_t session = 0;
-    std::string value;
     for (std::size_t i = 0; i < clicks.size(); ++i) {
       if (i > 0 && clicks[i].ts - clicks[i - 1].ts > session_gap) ++session;
-      value.clear();
-      char buf[32];
-      const int n =
-          std::snprintf(buf, sizeof(buf), "s%u\t%llu\t", session,
-                        static_cast<unsigned long long>(clicks[i].ts));
-      value.append(buf, static_cast<std::size_t>(n));
-      value += clicks[i].url;
-      out.Emit(user, value);
+      FormatSessionRow(row, session, clicks[i].ts,
+                       Slice(urls.data() + clicks[i].offset, clicks[i].len));
+      out.Emit(user, row);
     }
   };
   return spec;
@@ -114,15 +138,17 @@ JobSpec SessionizationSecondarySortJob(const std::string& input,
   spec.input_file = input;
   spec.output_file = output;
   spec.num_reducers = num_reducers;
-  spec.grouping_prefix = 7;  // "uNNNNNN": the user id field
+  spec.grouping_prefix = kUserGroupBytes;
 
   spec.map = [](Slice record, OutputCollector& out) {
     const ClickRecord click = ParseClick(record, ClickFormat::kText);
-    // Composite key: user then big-endian timestamp, so byte order == time
-    // order within the user's group.
-    std::string key;
-    key.reserve(15);
-    key += TextUserField(record).view();
+    const Slice user = TextUserField(record);
+    if (user.size() > kUserWidth) {
+      throw std::runtime_error("sessionization_ss: user id too long");
+    }
+    std::string key(kUserGroupBytes, '\0');
+    key[0] = static_cast<char>(user.size());
+    std::memcpy(key.data() + 1, user.data(), user.size());
     for (int shift = 56; shift >= 0; shift -= 8) {
       key.push_back(static_cast<char>((click.timestamp >> shift) & 0xff));
     }
@@ -135,11 +161,12 @@ JobSpec SessionizationSecondarySortJob(const std::string& input,
                               OutputCollector& out) {
     // Values arrive time-ordered: stream them with O(1) state — no
     // buffering, no per-user sort.
-    const Slice user(first_key.data(), 7);
+    const Slice user(first_key.data() + 1,
+                     static_cast<std::uint8_t>(first_key[0]));
     std::uint32_t session = 0;
     std::uint64_t last_ts = 0;
     bool first = true;
-    std::string entry;
+    std::string row;
     Slice v;
     while (values.Next(&v)) {
       if (v.size() < 8) throw std::runtime_error("sessionization_ss: value");
@@ -147,13 +174,8 @@ JobSpec SessionizationSecondarySortJob(const std::string& input,
       if (!first && ts - last_ts > session_gap) ++session;
       first = false;
       last_ts = ts;
-      entry.clear();
-      char buf[32];
-      const int n = std::snprintf(buf, sizeof(buf), "s%u\t%llu\t", session,
-                                  static_cast<unsigned long long>(ts));
-      entry.append(buf, static_cast<std::size_t>(n));
-      entry.append(v.data() + 8, v.size() - 8);
-      out.Emit(user, entry);
+      FormatSessionRow(row, session, ts, Slice(v.data() + 8, v.size() - 8));
+      out.Emit(user, row);
     }
   };
   return spec;

@@ -27,8 +27,9 @@ JobSpec SessionizationJob(const std::string& input, const std::string& output,
                           ClickFormat format = ClickFormat::kText,
                           std::uint64_t session_gap = kDefaultSessionGap);
 
-// Sessionization via secondary sort: the map key is <user><big-endian ts>,
-// grouping_prefix keeps whole users together, and the framework's sort
+// Sessionization via secondary sort: the map key is the user id in a
+// fixed-width field followed by the big-endian timestamp, grouping_prefix
+// (the user field) keeps whole users together, and the framework's sort
 // delivers each user's clicks already time-ordered — the reduce function
 // streams with O(1) memory instead of buffering and re-sorting every
 // user's click list (the classic Hadoop composite-key idiom).

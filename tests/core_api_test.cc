@@ -113,11 +113,25 @@ TEST(Platform, EmissionCurveEndsAtOutputTotal) {
   gen.num_records = 5'000;
   gen.num_users = 50;
   GenerateClickStream(platform.dfs(), "clicks", gen);
-  const auto result =
-      platform.Run(PerUserCountJob("clicks", "ec", 2), HashOnePassOptions());
-  ASSERT_FALSE(result.emission_curve.empty());
-  EXPECT_DOUBLE_EQ(result.emission_curve.back().value,
-                   static_cast<double>(result.output_records));
+  // Hot-key reducer with early answers: each key crossing the threshold is
+  // emitted mid-stream, then again in the final output.
+  JobOptions early = HotKeyOnePassOptions(/*capacity=*/16);
+  early.early_emit = [](Slice, Slice state) {
+    return DecodeValueU64(state) >= 20;
+  };
+  const std::vector<std::pair<std::string, JobOptions>> runs = {
+      {"hash", HashOnePassOptions()},
+      {"hadoop", HadoopOptions()},
+      {"hotkey_early", early}};
+  for (const auto& [name, options] : runs) {
+    const auto result =
+        platform.Run(PerUserCountJob("clicks", "ec_" + name, 2), options);
+    ASSERT_FALSE(result.emission_curve.empty()) << name;
+    EXPECT_GT(result.output_records, 0u) << name;
+    EXPECT_DOUBLE_EQ(result.emission_curve.back().value,
+                     static_cast<double>(result.output_records))
+        << name;
+  }
 }
 
 }  // namespace

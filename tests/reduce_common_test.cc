@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "engine/aggregators.h"
@@ -206,6 +207,49 @@ TEST(EmissionLog, SeriesIsCumulativeNonDecreasing) {
     EXPECT_GE(samples[i].value, samples[i - 1].value);
   }
   EXPECT_DOUBLE_EQ(samples.back().value, 5000.0);
+}
+
+TEST(EmissionLog, ConcurrentRecordersKeepAnExactMonotoneCurve) {
+  // Every reducer thread records into one log; mixed batch sizes make
+  // some calls cross a stride boundary by more than one row.
+  WallTimer start;
+  EmissionLog log(&start);
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kCalls = 20'000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&log, t] {
+      for (std::uint64_t i = 0; i < kCalls; ++i) {
+        log.Record(t == 0 && i % 7 == 0 ? 3 : 1);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  std::uint64_t expected = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    for (std::uint64_t i = 0; i < kCalls; ++i) {
+      expected += t == 0 && i % 7 == 0 ? 3 : 1;
+    }
+  }
+  EXPECT_EQ(log.total(), expected);
+
+  const double first = log.first_emit_seconds();
+  ASSERT_GE(first, 0.0);
+  log.Record();  // later emissions never move the first-answer stamp
+  EXPECT_EQ(log.first_emit_seconds(), first);
+  log.Finish();
+
+  const auto samples = log.series().Snapshot();
+  ASSERT_GE(samples.size(), 2u);
+  EXPECT_EQ(samples.front().time_s, first);
+  // One point per stride crossed, plus the first emission and Finish().
+  EXPECT_LE(samples.size(), (expected + 1) / EmissionLog::kStride + 3);
+  for (std::size_t i = 1; i < samples.size(); ++i) {
+    EXPECT_GE(samples[i].time_s, samples[i - 1].time_s) << i;
+    EXPECT_GE(samples[i].value, samples[i - 1].value) << i;
+  }
+  EXPECT_DOUBLE_EQ(samples.back().value, static_cast<double>(expected + 1));
 }
 
 }  // namespace

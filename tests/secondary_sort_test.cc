@@ -101,6 +101,35 @@ TEST(SecondarySort, SessionizationVariantsAgree) {
   EXPECT_EQ(collect("classic"), collect("ss"));
 }
 
+TEST(SecondarySort, SessionizationVariantsAgreeOnLongUserIds) {
+  // Tail visitors get ids >= 1,000,000, so user fields are 7 or 8 bytes
+  // ("u000042", "u1000204"); no two users may share a group.
+  Platform platform({.num_nodes = 2, .block_bytes = 256u << 10});
+  ClickStreamOptions gen;
+  gen.num_records = 20'000;
+  gen.num_users = 100;
+  gen.tail_fraction = 0.5;
+  gen.tail_universe = 2'000'000;
+  GenerateClickStream(platform.dfs(), "clicks", gen);
+
+  platform.Run(SessionizationJob("clicks", "classic", 3), HadoopOptions());
+  platform.Run(SessionizationSecondarySortJob("clicks", "ss", 3),
+               HadoopOptions());
+
+  auto collect = [&](const std::string& prefix) {
+    std::map<std::string, std::multiset<std::string>> out;
+    for (const auto& [user, entry] : platform.ReadOutput(prefix, 3)) {
+      out[user].insert(entry);
+    }
+    return out;
+  };
+  const auto classic = collect("classic");
+  std::size_t long_ids = 0;
+  for (const auto& [user, entries] : classic) long_ids += user.size() > 7;
+  ASSERT_GT(long_ids, 1'000u);
+  EXPECT_EQ(collect("ss"), classic);
+}
+
 TEST(SecondarySort, SurvivesTinyBuffersAndMerges) {
   Platform platform({.num_nodes = 2, .block_bytes = 128u << 10});
   ClickStreamOptions gen;

@@ -191,6 +191,55 @@ TEST_F(WorkloadsTest, SessionizationReduceCutsSessionsAtGap) {
   EXPECT_EQ(out.rows[2].second.substr(0, 2), "s1") << "gap must cut session";
 }
 
+TEST_F(WorkloadsTest, SessionizationReduceGoldenRows) {
+  // Pins the "s<session>\t<ts>\t<url>" rows: tied timestamps, a gap of
+  // exactly session_gap (same session) and of session_gap + 1 (new
+  // session), a long url, a binary url payload and a 20-digit timestamp.
+  const auto spec = SessionizationJob("in", "out", 4, ClickFormat::kText,
+                                      /*session_gap=*/100);
+  const std::string binary("\0\xff\x01\x02", 4);
+  const std::vector<std::pair<std::uint64_t, std::string>> clicks = {
+      {1'000, "/a"},
+      {1'100, "/page/00042.html?ref=newsletter"},
+      {1'000, "/tie"},
+      {1'201, binary},
+      {5'000, ""},
+      {18'446'744'073'709'551'615u, "/max"},
+  };
+  class Values final : public ValueIterator {
+   public:
+    explicit Values(
+        const std::vector<std::pair<std::uint64_t, std::string>>& clicks) {
+      for (const auto& [ts, url] : clicks) {
+        std::string payload;
+        AppendU64(payload, ts);
+        payloads_.push_back(payload + url);
+      }
+    }
+    bool Next(Slice* v) override {
+      if (i_ >= payloads_.size()) return false;
+      *v = payloads_[i_++];
+      return true;
+    }
+
+   private:
+    std::vector<std::string> payloads_;
+    std::size_t i_ = 0;
+  } values(clicks);
+
+  CollectingOutput out;
+  spec.reduce("u1000204", values, out);
+  const std::vector<std::pair<std::string, std::string>> golden = {
+      {"u1000204", "s0\t1000\t/a"},
+      {"u1000204", "s0\t1000\t/tie"},
+      {"u1000204", "s0\t1100\t/page/00042.html?ref=newsletter"},
+      {"u1000204", "s1\t1201\t" + binary},
+      {"u1000204", "s2\t5000\t"},
+      {"u1000204", "s3\t18446744073709551615\t/max"},
+  };
+  EXPECT_EQ(out.rows, golden);
+}
+
 TEST_F(WorkloadsTest, InvertedIndexMapTracksPositions) {
   const auto spec = InvertedIndexJob("in", "out", 2);
   CollectingOutput out;
