@@ -6,63 +6,92 @@
 // O(1) state.  The framework sorts longer keys; the reduce function stops
 // sorting entirely — a real Hadoop-era trade to measure.
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/config.h"
 #include "core/opmr.h"
 #include "metrics/report.h"
+#include "opmrbench/harness.h"
 #include "workloads/tasks.h"
+
+namespace {
+
+struct Run {
+  double wall = 0, cpu = 0, map_sort = 0, reduce_fn = 0;
+};
+
+Run Measure(const opmr::JobResult& r) {
+  auto phase = [&r](const char* name) {
+    auto it = r.cpu_seconds.find(name);
+    return it == r.cpu_seconds.end() ? 0.0 : it->second;
+  };
+  return {r.wall_seconds, r.total_cpu_seconds, phase("map_sort"),
+          phase("reduce_function")};
+}
+
+// "median [q1-q3]" of one column over a variant's runs.
+std::string MedianAndSpread(const std::vector<Run>& runs, double Run::*field) {
+  std::vector<double> v;
+  for (const auto& r : runs) v.push_back(r.*field);
+  const auto s = opmr::bench::Summary::Of(std::move(v));
+  return opmr::HumanSeconds(s.median) + " [" + opmr::HumanSeconds(s.q1) +
+         "-" + opmr::HumanSeconds(s.q3) + "]";
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace opmr;
   const auto cfg = Config::FromArgs(argc, argv);
+  const auto records =
+      static_cast<std::uint64_t>(cfg.GetInt("records", 2'000'000));
+  const int reps = static_cast<int>(cfg.GetInt("reps", 5));
 
   bench::Banner("Ablation A7: sessionization via secondary sort "
                 "(real engine)");
 
-  Platform platform({.num_nodes = 2, .block_bytes = 8u << 20});
-  ClickStreamOptions gen;
-  gen.num_records = static_cast<std::uint64_t>(cfg.GetInt("records", 2'000'000));
-  gen.num_users = 20'000;  // long per-user click lists: reduce sort matters
-  GenerateClickStream(platform.dfs(), "clicks", gen);
-
-  const auto classic =
-      platform.Run(SessionizationJob("clicks", "a7_classic", 4),
-                   HadoopOptions());
-  const auto ss =
-      platform.Run(SessionizationSecondarySortJob("clicks", "a7_ss", 4),
-                   HadoopOptions());
-
-  auto phase = [](const JobResult& r, const char* name) {
-    auto it = r.cpu_seconds.find(name);
-    return it == r.cpu_seconds.end() ? 0.0 : it->second;
-  };
+  // Each repetition runs both variants on a fresh platform (so no job sees
+  // another's files), alternating which goes first so warm-up and order
+  // effects fall on both.
+  const char* names[] = {"classic", "secondary_sort"};
+  std::vector<Run> runs[2];
+  bench::CsvSink csv("ablation_secondary_sort.csv");
+  csv.Row("variant", "rep", "order", "wall_s", "cpu_s", "map_sort_s",
+          "reduce_fn_s");
+  for (int rep = 0; rep < reps; ++rep) {
+    Platform platform({.num_nodes = 2, .block_bytes = 8u << 20});
+    ClickStreamOptions gen;
+    gen.num_records = records;
+    gen.num_users = 20'000;  // long per-user click lists: reduce sort matters
+    GenerateClickStream(platform.dfs(), "clicks", gen);
+    for (int order = 0; order < 2; ++order) {
+      const int v = (rep + order) % 2;
+      const Run run = Measure(
+          v == 0 ? platform.Run(SessionizationJob("clicks", "a7_classic", 4),
+                                HadoopOptions())
+                 : platform.Run(
+                       SessionizationSecondarySortJob("clicks", "a7_ss", 4),
+                       HadoopOptions()));
+      runs[v].push_back(run);
+      csv.Row(names[v], rep, order, run.wall, run.cpu, run.map_sort,
+              run.reduce_fn);
+    }
+  }
 
   TextTable table;
-  table.AddRow({"Variant", "Wall", "Total CPU", "Map sort CPU",
-                "Reduce fn CPU"});
-  table.AddRow({"classic (sort in reduce fn)",
-                HumanSeconds(classic.wall_seconds),
-                HumanSeconds(classic.total_cpu_seconds),
-                HumanSeconds(phase(classic, "map_sort")),
-                HumanSeconds(phase(classic, "reduce_function"))});
-  table.AddRow({"secondary sort (composite keys)",
-                HumanSeconds(ss.wall_seconds),
-                HumanSeconds(ss.total_cpu_seconds),
-                HumanSeconds(phase(ss, "map_sort")),
-                HumanSeconds(phase(ss, "reduce_function"))});
+  table.AddRow({"Variant (median [q1-q3] of " + std::to_string(reps) + ")",
+                "Wall", "Total CPU", "Map sort CPU", "Reduce fn CPU"});
+  const char* labels[] = {"classic (sort in reduce fn)",
+                          "secondary sort (composite keys)"};
+  for (int v = 0; v < 2; ++v) {
+    table.AddRow({labels[v], MedianAndSpread(runs[v], &Run::wall),
+                  MedianAndSpread(runs[v], &Run::cpu),
+                  MedianAndSpread(runs[v], &Run::map_sort),
+                  MedianAndSpread(runs[v], &Run::reduce_fn)});
+  }
   std::printf("%s", table.ToString().c_str());
-
-  CsvWriter csv(bench::OutDir() / "ablation_secondary_sort.csv");
-  csv.WriteRow({"variant", "wall_s", "cpu_s", "map_sort_s", "reduce_fn_s"});
-  csv.WriteRow({"classic", std::to_string(classic.wall_seconds),
-                std::to_string(classic.total_cpu_seconds),
-                std::to_string(phase(classic, "map_sort")),
-                std::to_string(phase(classic, "reduce_function"))});
-  csv.WriteRow({"secondary_sort", std::to_string(ss.wall_seconds),
-                std::to_string(ss.total_cpu_seconds),
-                std::to_string(phase(ss, "map_sort")),
-                std::to_string(phase(ss, "reduce_function"))});
 
   std::printf("\nExpected shape: reduce-function CPU moves little (the "
               "classic reduce buffers clicks\nwithout per-click heap "

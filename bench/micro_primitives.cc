@@ -11,7 +11,9 @@
 #include "common/hash.h"
 #include "common/rng.h"
 #include "engine/aggregators.h"
+#include "engine/key_table.h"
 #include "engine/map_output.h"
+#include "engine/map_task.h"
 #include "frequent/lossy_counting.h"
 #include "frequent/misra_gries.h"
 #include "frequent/space_saving.h"
@@ -53,23 +55,45 @@ void BM_MapBufferSort(benchmark::State& state) {
 }
 BENCHMARK(BM_MapBufferSort)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20);
 
-// The hash map-side replacement: fold into the combine table.
+// The hash map-side replacement: fold into the combine table, hashing and
+// partitioning each key the way the map task does.
 void BM_MapHashFold(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto keys = MakeKeys(n, 100'000, 0.9);
   const std::string one = EncodeValueU64(1);
   SumAggregator sum;
   for (auto _ : state) {
-    MapCombineTable table(&sum);
+    KeyTable table(&sum, 1u << 12);
     for (const auto& k : keys) {
-      const std::uint64_t h = BytesHash(k);
-      table.Fold(static_cast<std::uint32_t>(h % 8), h, k, one, false);
+      const std::uint64_t h = BytesHash(k, kPartitionSeed);
+      table.Fold(PartitionOfHash(h, 8), h, k, one, false);
     }
-    benchmark::DoNotOptimize(table.NumKeys());
+    benchmark::DoNotOptimize(table.size());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_MapHashFold)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20);
+
+// The reduce-side fold of the incremental state store: combiner states
+// merged per key, through the inline u64 path (0: sum) or the generic
+// virtual path (1: avg).
+void BM_StateFold(benchmark::State& state) {
+  const auto keys = MakeKeys(1 << 17, 100'000, 0.9);
+  SumAggregator sum;
+  AvgAggregator avg;
+  const bool generic = state.range(0) == 1;
+  const Aggregator* agg = generic ? static_cast<const Aggregator*>(&avg) : &sum;
+  std::string one;
+  agg->Init(EncodeValueU64(1), &one);
+  for (auto _ : state) {
+    KeyTable table(agg);
+    for (const auto& k : keys) table.Fold(k, one, /*value_is_state=*/true);
+    benchmark::DoNotOptimize(table.size());
+  }
+  state.SetItemsProcessed(state.iterations() * keys.size());
+  state.SetLabel(generic ? "avg" : "sum");
+}
+BENCHMARK(BM_StateFold)->Arg(0)->Arg(1);
 
 void BM_BytesHash(benchmark::State& state) {
   const auto keys = MakeKeys(4096, 100'000, 0.9);

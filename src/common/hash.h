@@ -15,6 +15,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -43,6 +44,27 @@ inline std::uint64_t Load64(const char* p, std::size_t n) noexcept {
   std::memcpy(&v, p, n);
   return v;
 }
+
+// The n < 8 bytes at p as one word, zero-padded: the value of Load64(p, n),
+// read with at most three fixed-width loads instead of a variable-length
+// copy.  Two overlapping 4-byte loads cover 4..7 bytes; the first, middle
+// and last byte cover 1..3.
+inline std::uint64_t LoadTail(const char* p, std::size_t n) noexcept {
+  if constexpr (std::endian::native != std::endian::little) {
+    return Load64(p, n);
+  }
+  if (n >= 4) {
+    std::uint32_t lo;
+    std::uint32_t hi;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + n - 4, 4);
+    return lo | (std::uint64_t{hi} << (8 * (n - 4)));
+  }
+  if (n == 0) return 0;
+  const auto* u = reinterpret_cast<const unsigned char*>(p);
+  return std::uint64_t{u[0]} | (std::uint64_t{u[n / 2]} << (8 * (n / 2))) |
+         (std::uint64_t{u[n - 1]} << (8 * (n - 1)));
+}
 }  // namespace detail
 
 // Seeded byte-string hash with full 64-bit avalanche.  Distinct seeds give
@@ -58,7 +80,7 @@ inline std::uint64_t BytesHash(Slice s, std::uint64_t seed = 0) noexcept {
     n -= 8;
   }
   if (n > 0) {
-    h = detail::Mix64(h ^ detail::Load64(p, n));
+    h = detail::Mix64(h ^ detail::LoadTail(p, n));
   }
   return detail::Mix64(h);
 }

@@ -28,57 +28,47 @@ inline std::uint64_t DecodeValueU64(Slice s) {
   return DecodeU64(s.data());
 }
 
-// SUM over u64 values; COUNT(*) is SUM over 1s, exactly how the paper's
-// page-frequency job emits <url, 1>.
-class SumAggregator final : public Aggregator {
+// One u64 per state, folded by sum, min or max.  Init checks the width as
+// Update and Merge do, so a bad value fails on its key's first sight too.
+class U64Aggregator : public Aggregator {
  public:
-  void Init(Slice value, std::string* state) const override {
-    state->assign(value.data(), value.size());
+  explicit U64Aggregator(U64Fold fold) : fold_(fold) {}
+
+  void Init(Slice value, std::string* state) const final {
+    *state = EncodeValueU64(DecodeValueU64(value));
   }
-  void Update(std::string* state, Slice value) const override {
-    EncodeU64(state->data(), DecodeU64(state->data()) + DecodeValueU64(value));
+  void Update(std::string* state, Slice value) const final {
+    const std::uint64_t v = DecodeValueU64(value);
+    EncodeU64(state->data(), ApplyU64Fold(fold_, DecodeU64(state->data()), v));
   }
-  void Merge(std::string* state, Slice other) const override {
+  void Merge(std::string* state, Slice other) const final {
     Update(state, other);
   }
-  void Finalize(Slice state, std::string* out) const override {
+  void Finalize(Slice state, std::string* out) const final {
     out->assign(state.data(), state.size());
   }
+  [[nodiscard]] U64Fold u64_fold() const final { return fold_; }
+
+ private:
+  U64Fold fold_;
+};
+
+// SUM over u64 values; COUNT(*) is SUM over 1s, exactly how the paper's
+// page-frequency job emits <url, 1>.
+class SumAggregator final : public U64Aggregator {
+ public:
+  SumAggregator() : U64Aggregator(U64Fold::kSum) {}
 };
 
 // MIN / MAX over u64 values.
-class MaxAggregator final : public Aggregator {
+class MaxAggregator final : public U64Aggregator {
  public:
-  void Init(Slice value, std::string* state) const override {
-    state->assign(value.data(), value.size());
-  }
-  void Update(std::string* state, Slice value) const override {
-    EncodeU64(state->data(),
-              std::max(DecodeU64(state->data()), DecodeValueU64(value)));
-  }
-  void Merge(std::string* state, Slice other) const override {
-    Update(state, other);
-  }
-  void Finalize(Slice state, std::string* out) const override {
-    out->assign(state.data(), state.size());
-  }
+  MaxAggregator() : U64Aggregator(U64Fold::kMax) {}
 };
 
-class MinAggregator final : public Aggregator {
+class MinAggregator final : public U64Aggregator {
  public:
-  void Init(Slice value, std::string* state) const override {
-    state->assign(value.data(), value.size());
-  }
-  void Update(std::string* state, Slice value) const override {
-    EncodeU64(state->data(),
-              std::min(DecodeU64(state->data()), DecodeValueU64(value)));
-  }
-  void Merge(std::string* state, Slice other) const override {
-    Update(state, other);
-  }
-  void Finalize(Slice state, std::string* out) const override {
-    out->assign(state.data(), state.size());
-  }
+  MinAggregator() : U64Aggregator(U64Fold::kMin) {}
 };
 
 // AVG over u64 values: state is (sum, count); final value is sum/count.
@@ -286,36 +276,41 @@ class TopKAggregator final : public Aggregator {
   std::size_t k_;
 };
 
-// Derives the classic combine function from an aggregator: groups a run of
-// pairs by key in a hash table of states and emits (key, state).  The map
-// side and the sort-merge reducer's spill path both use this.
+// Folds one group's raw values (Init, then Update) or, with
+// `values_are_states`, its partial states (a copy, then Merge) into
+// `state`; false for an empty group.
+inline bool FoldGroup(const Aggregator& agg, ValueIterator& values,
+                      bool values_are_states, std::string* state) {
+  Slice v;
+  if (!values.Next(&v)) return false;
+  if (values_are_states) {
+    state->assign(v.data(), v.size());
+  } else {
+    agg.Init(v, state);
+  }
+  while (values.Next(&v)) {
+    if (values_are_states) {
+      agg.Merge(state, v);
+    } else {
+      agg.Update(state, v);
+    }
+  }
+  return true;
+}
+
+// The classic combine function derived from an aggregator: one pre-grouped
+// (key, values...) group in, one (key, state) out.  The sort-merge
+// reducer's spill path uses it.
 class DerivedCombiner {
  public:
   explicit DerivedCombiner(const Aggregator* agg) : agg_(agg) {}
 
-  // Folds one pre-grouped (key, values...) group into a shipped state.
   void CombineGroup(Slice key, ValueIterator& values, bool values_are_states,
                     OutputCollector& out) const {
     std::string state;
-    Slice v;
-    bool first = true;
-    while (values.Next(&v)) {
-      if (values_are_states) {
-        if (first) {
-          state.assign(v.data(), v.size());
-        } else {
-          agg_->Merge(&state, v);
-        }
-      } else {
-        if (first) {
-          agg_->Init(v, &state);
-        } else {
-          agg_->Update(&state, v);
-        }
-      }
-      first = false;
+    if (FoldGroup(*agg_, values, values_are_states, &state)) {
+      out.Emit(key, state);
     }
-    if (!first) out.Emit(key, state);
   }
 
  private:

@@ -501,10 +501,8 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
           return reducer.Run();
         }
         switch (options.hash_reduce) {
-          case HashReduce::kHybridHash: {
-            HybridHashReducer reducer(r, spec, options, renv);
-            return reducer.Run();
-          }
+          case HashReduce::kHybridHash:
+            return RunHybridHashReducer(r, spec, options, renv);
           case HashReduce::kIncremental:
           case HashReduce::kHotKeyIncremental: {
             IncrementalHashReducer reducer(r, spec, options, renv);

@@ -13,6 +13,7 @@
 // processing (paper §IV requirement 3).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -64,7 +65,22 @@ class Aggregator {
   virtual void Merge(std::string* state, Slice other_state) const = 0;
   // output value := lower(state)
   virtual void Finalize(Slice state, std::string* output_value) const = 0;
+
+  // Anything but kNone (the default) promises that states and values are
+  // one u64 (EncodeU64) folded by ApplyU64Fold, that Merge is Update and
+  // that Finalize copies: a KeyTable then keeps the state inline and folds
+  // it with no virtual call.  Wrapping aggregators keep kNone.
+  enum class U64Fold { kNone, kSum, kMin, kMax };
+  [[nodiscard]] virtual U64Fold u64_fold() const { return U64Fold::kNone; }
 };
+
+// One sum, min or max step (`fold` is not kNone).
+inline std::uint64_t ApplyU64Fold(Aggregator::U64Fold fold, std::uint64_t state,
+                                  std::uint64_t value) noexcept {
+  return fold == Aggregator::U64Fold::kSum   ? state + value
+         : fold == Aggregator::U64Fold::kMin ? std::min(state, value)
+                                             : std::max(state, value);
+}
 
 // --- Runtime selection -----------------------------------------------------
 

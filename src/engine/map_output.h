@@ -1,15 +1,10 @@
-// Map-side output structures.
+// Map-side output structures of the sort path.  (The hash path with a
+// combiner folds into a KeyTable, engine/key_table.h.)
 //
-//   * MapOutputBuffer  — the Hadoop path: key/value bytes land in an arena,
-//     record metadata in a flat vector; a buffer sort on the compound
-//     (partition, key) achieves partitioning + per-partition order in one
-//     pass (paper §II-A).  This sort is the CPU overhead Table II exposes.
-//   * MapCombineTable  — the hash path with a combiner: an open-addressing
-//     table keyed by (partition, key bytes) folding values into aggregator
-//     states in place; Hybrid-Hash degenerates to this in-memory table when
-//     the map output fits, which the paper notes is the common case.
-//
-// Both structures are owned by a single map-task thread (no sharing).
+// MapOutputBuffer: key/value bytes land in an arena, record metadata in a
+// flat vector; a buffer sort on the compound (partition, key) achieves
+// partitioning + per-partition order in one pass (paper §II-A).  This sort
+// is the CPU overhead Table II exposes.  Owned by one map-task thread.
 #pragma once
 
 #include <bit>
@@ -88,19 +83,11 @@ class MapOutputBuffer {
   // The first 8 bytes of `key` as a big-endian integer, zero-padded: equal
   // keys have equal prefixes, and unequal prefixes order as the keys do.
   // `readable` bytes starting at key.data() may be read (>= key.size());
-  // with 8 or more, one load and a mask replace the byte loop.
+  // with 8 or more, one load and a mask replace the tail loads.
   static std::uint64_t KeyPrefix(Slice key, std::size_t readable) noexcept {
     const std::size_t n = key.size() < 8 ? key.size() : 8;
-    if (readable < 8) {
-      std::uint64_t prefix = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        prefix |= std::uint64_t{static_cast<unsigned char>(key[i])}
-                  << (56 - 8 * i);
-      }
-      return prefix;
-    }
-    std::uint64_t word;
-    std::memcpy(&word, key.data(), 8);
+    std::uint64_t word = readable < 8 ? detail::LoadTail(key.data(), n)
+                                      : detail::Load64(key.data(), 8);
     if constexpr (std::endian::native == std::endian::little) {
       word = __builtin_bswap64(word);
     }
@@ -126,61 +113,5 @@ class MapOutputBuffer {
 
 // MemoryBytes() and so the spill points depend on this size.
 static_assert(sizeof(MapOutputBuffer::RecordMeta) == 32);
-
-// --- Hash path ---------------------------------------------------------------
-
-// Open-addressing (linear probing) table folding map output into per-key
-// aggregator states.  Keys are arena-copied once; states are flat byte
-// strings updated in place.  No sorting anywhere — the CPU saving the paper
-// reports in §V.
-class MapCombineTable {
- public:
-  struct Entry {
-    std::uint64_t hash = 0;
-    std::uint32_t partition = 0;
-    Slice key;          // arena-backed
-    std::string state;  // aggregator state
-    bool used = false;
-  };
-
-  explicit MapCombineTable(const Aggregator* aggregator,
-                           std::size_t initial_slots = 1u << 12);
-
-  // Folds (partition, key, value) into the key's state.  `value_is_state`
-  // distinguishes raw map-function output from already-combined states
-  // (re-combining spilled runs).  The overload taking `key_hash` reuses the
-  // partitioner's hash so each record is hashed exactly once — part of the
-  // "scan once, no sorting" CPU story of §V.
-  void Fold(std::uint32_t partition, Slice key, Slice value,
-            bool value_is_state);
-  void Fold(std::uint32_t partition, std::uint64_t key_hash, Slice key,
-            Slice value, bool value_is_state);
-
-  [[nodiscard]] std::size_t MemoryBytes() const noexcept {
-    return arena_.allocated_bytes() + slots_.size() * sizeof(std::uint32_t) +
-           entries_.size() * (sizeof(Entry) + 16) + state_bytes_;
-  }
-  [[nodiscard]] std::size_t NumKeys() const noexcept { return entries_.size(); }
-  [[nodiscard]] bool Empty() const noexcept { return entries_.empty(); }
-
-  // Entries grouped by partition (ascending); within a partition the order
-  // is arbitrary — hash output is unsorted by design.
-  [[nodiscard]] std::vector<const Entry*> EntriesByPartition() const;
-
-  void Clear();
-
-  // Number of probe steps performed (hash CPU proxy for calibration).
-  [[nodiscard]] std::uint64_t probes() const noexcept { return probes_; }
-
- private:
-  void Grow();
-
-  const Aggregator* aggregator_;
-  Arena arena_;
-  std::vector<std::uint32_t> slots_;  // index+1 into entries_; 0 = empty
-  std::vector<Entry> entries_;
-  std::size_t state_bytes_ = 0;
-  std::uint64_t probes_ = 0;
-};
 
 }  // namespace opmr

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "engine/aggregators.h"
+#include "engine/key_table.h"
 #include "engine/map_output.h"
 
 namespace opmr {
@@ -43,51 +44,45 @@ class BufferCollector final : public OutputCollector {
 // Folds map-function output into the combine table.
 class TableCollector final : public OutputCollector {
  public:
-  TableCollector(MapCombineTable* table, int num_reducers,
-                 MapTask::Stats* stats)
-      : table_(table), num_reducers_(num_reducers), stats_(stats) {}
+  TableCollector(KeyTable* table, const JobSpec* spec, MapTask::Stats* stats)
+      : table_(table), spec_(spec), stats_(stats) {}
 
   void Emit(Slice key, Slice value) override {
     // One hash per record: it selects the partition and probes the table.
     const std::uint64_t h = BytesHash(key, kPartitionSeed);
-    const auto partition =
-        partitioner_ ? partitioner_(key, num_reducers_)
-                     : static_cast<std::uint32_t>(
-                           h % static_cast<std::uint64_t>(num_reducers_));
+    const auto partition = spec_->partitioner
+                               ? spec_->partitioner(key, spec_->num_reducers)
+                               : PartitionOfHash(h, spec_->num_reducers);
     table_->Fold(partition, h, key, value, /*value_is_state=*/false);
     ++stats_->output_records;
     stats_->output_bytes += key.size() + value.size();
   }
 
-  std::function<std::uint32_t(Slice, int)> partitioner_;
-
  private:
-  MapCombineTable* table_;
-  int num_reducers_;
+  KeyTable* table_;
+  const JobSpec* spec_;
   MapTask::Stats* stats_;
 };
 
 // Streams map-function output straight to the sink (partition-only scan).
 class StreamingCollector final : public OutputCollector {
  public:
-  StreamingCollector(MapOutputSink* sink, int num_reducers,
+  StreamingCollector(MapOutputSink* sink, const JobSpec* spec,
                      MapTask::Stats* stats)
-      : sink_(sink), num_reducers_(num_reducers), stats_(stats) {}
+      : sink_(sink), spec_(spec), stats_(stats) {}
 
   void Emit(Slice key, Slice value) override {
-    const auto partition = partitioner_
-                               ? partitioner_(key, num_reducers_)
-                               : PartitionOf(key, num_reducers_);
+    const auto partition = spec_->partitioner
+                               ? spec_->partitioner(key, spec_->num_reducers)
+                               : PartitionOf(key, spec_->num_reducers);
     sink_->AppendStreaming(partition, key, value);
     ++stats_->output_records;
     stats_->output_bytes += key.size() + value.size();
   }
 
-  std::function<std::uint32_t(Slice, int)> partitioner_;
-
  private:
   MapOutputSink* sink_;
-  int num_reducers_;
+  const JobSpec* spec_;
   MapTask::Stats* stats_;
 };
 
@@ -179,18 +174,17 @@ void MapTask::RunSortPath(DfsBlockReader& reader) {
 }
 
 void MapTask::RunHashCombinePath(DfsBlockReader& reader) {
-  MapCombineTable table(spec_.aggregator.get());
-  TableCollector collector(&table, spec_.num_reducers, &stats_);
-  collector.partitioner_ = spec_.partitioner;
+  KeyTable table(spec_.aggregator.get(), /*initial_slots=*/1u << 12);
+  TableCollector collector(&table, &spec_, &stats_);
   Slice record;
   ThreadCpuTimer cpu;
   auto flush = [&] {
     env_.profiler->AddCpuNanos("map_hash", cpu.Nanos());
-    if (!table.Empty()) {
+    if (!table.empty()) {
       PhaseScope flush_cpu(env_.profiler, "map_flush");
       sink_->BeginBatch(/*sorted=*/false);
-      for (const auto* entry : table.EntriesByPartition()) {
-        sink_->BatchAppend(entry->partition, entry->key, entry->state);
+      for (const std::uint32_t i : table.ByPartition()) {
+        sink_->BatchAppend(table.partition(i), table.key(i), table.state(i));
       }
       sink_->EndBatch();
       table.Clear();
@@ -208,8 +202,7 @@ void MapTask::RunHashCombinePath(DfsBlockReader& reader) {
 }
 
 void MapTask::RunPartitionOnlyPath(DfsBlockReader& reader) {
-  StreamingCollector collector(sink_, spec_.num_reducers, &stats_);
-  collector.partitioner_ = spec_.partitioner;
+  StreamingCollector collector(sink_, &spec_, &stats_);
   Slice record;
   ThreadCpuTimer cpu;
   std::uint64_t record_no = 0;

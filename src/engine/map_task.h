@@ -3,13 +3,14 @@
 //
 //   * kSortMerge — buffer + block-level sort on (partition, key), optional
 //     combine over sorted groups, spill when the buffer fills (Hadoop).
-//   * kHash + combine — MapCombineTable folding values into states; flushes
+//   * kHash + combine — a KeyTable folding values into states; flushes
 //     the table when it exceeds the buffer (the in-memory degenerate case
 //     of map-side Hybrid Hash, §V map technique 2).
 //   * kHash, no combine — partition-only scan: records stream straight to
 //     the sink, no grouping work at all (§V map technique 1).
 #pragma once
 
+#include "common/hash.h"
 #include "dfs/dfs.h"
 #include "engine/job.h"
 #include "engine/map_sinks.h"
@@ -21,9 +22,16 @@ namespace opmr {
 // seeded byte hash of the key.
 inline constexpr std::uint64_t kPartitionSeed = 0x9d5fULL;
 
+// The partition of a key whose partition hash is `hash`: hash mod R, taken
+// with a mask when R is a power of two (the same value, no division).
+inline std::uint32_t PartitionOfHash(std::uint64_t hash, int num_reducers) {
+  const auto r = static_cast<std::uint64_t>(num_reducers);
+  return static_cast<std::uint32_t>((r & (r - 1)) == 0 ? hash & (r - 1)
+                                                       : hash % r);
+}
+
 inline std::uint32_t PartitionOf(Slice key, int num_reducers) {
-  return static_cast<std::uint32_t>(BytesHash(key, kPartitionSeed) %
-                                    static_cast<std::uint64_t>(num_reducers));
+  return PartitionOfHash(BytesHash(key, kPartitionSeed), num_reducers);
 }
 
 class MapTask {

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "engine/aggregators.h"
+
 namespace opmr {
 
 namespace {
@@ -93,26 +95,8 @@ std::function<void(Slice, ValueIterator&, OutputCollector&)> MakeReduceFn(
   return [agg, values_are_states](Slice key, ValueIterator& values,
                                   OutputCollector& out) {
     std::string state;
-    std::string final_value;
-    Slice v;
-    bool first = true;
-    while (values.Next(&v)) {
-      if (values_are_states) {
-        if (first) {
-          state.assign(v.data(), v.size());
-        } else {
-          agg->Merge(&state, v);
-        }
-      } else {
-        if (first) {
-          agg->Init(v, &state);
-        } else {
-          agg->Update(&state, v);
-        }
-      }
-      first = false;
-    }
-    if (!first) {
+    if (FoldGroup(*agg, values, values_are_states, &state)) {
+      std::string final_value;
       agg->Finalize(state, &final_value);
       out.Emit(key, final_value);
     }

@@ -1,15 +1,10 @@
 #include "engine/reduce_hash.h"
 
-#include <algorithm>
 #include <stdexcept>
-
-#include "engine/state_table.h"
 
 namespace opmr {
 
 namespace {
-
-constexpr int kMaxRecursionLevel = 8;
 
 // ValueIterator over an in-memory value list.
 class VectorValueIterator final : public ValueIterator {
@@ -30,264 +25,149 @@ class VectorValueIterator final : public ValueIterator {
 
 }  // namespace
 
-void ExternalHashAggregate(
-    const std::vector<std::filesystem::path>& runs, int level,
-    std::size_t memory_budget, const RuntimeEnv& env,
-    const std::function<void(Slice key, const std::vector<Slice>& values)>&
-        emit_group,
-    bool compress) {
-  if (level > kMaxRecursionLevel) {
+HashGrouping::HashGrouping(const Aggregator* aggregator,
+                           bool values_are_states, int level,
+                           std::size_t budget, const RuntimeEnv& env,
+                           bool compress)
+    : aggregator_(aggregator),
+      values_are_states_(values_are_states),
+      level_(level),
+      budget_(budget),
+      env_(env),
+      compress_(compress),
+      buckets_(kBuckets) {
+  if (level_ > kMaxLevel) {
     throw std::runtime_error(
-        "ExternalHashAggregate: recursion limit exceeded (pathological key "
+        "hybrid hash: recursion limit exceeded (pathological key "
         "distribution or tiny memory budget)");
   }
-  constexpr int kSubBuckets = 16;
-  const HashFamily family(0x5eedf00dULL);
-
-  struct SubBucket {
-    HashValueTable table;
-    std::unique_ptr<RecordSink> spill;
-    std::filesystem::path spill_path;
-  };
-  std::vector<SubBucket> buckets(kSubBuckets);
-
-  IoChannel spill_read(env.metrics, device::kSpillRead);
-  IoChannel spill_write(env.metrics, device::kSpillWrite);
-
-  auto resident_bytes = [&buckets] {
-    std::size_t total = 0;
-    for (const auto& b : buckets) total += b.table.MemoryBytes();
-    return total;
-  };
-  auto demote_largest = [&] {
-    SubBucket* victim = nullptr;
-    for (auto& b : buckets) {
-      // Never demote single-key buckets: a group that alone exceeds memory
-      // cannot be split by rehashing and must be handled in memory.
-      if (b.spill == nullptr && b.table.size() > 1 &&
-          (victim == nullptr ||
-           b.table.MemoryBytes() > victim->table.MemoryBytes())) {
-        victim = &b;
-      }
-    }
-    if (victim == nullptr) return false;
-    victim->spill_path = env.files->NewFile("hash_spill");
-    victim->spill = NewSpillSink(compress, victim->spill_path, spill_write);
-    victim->table.ForEach([&](Slice key, const std::vector<Slice>& values) {
-      for (const Slice& v : values) victim->spill->Append(key, v);
-    });
-    victim->table.Clear();
-    return true;
-  };
-
-  std::uint64_t since_check = 0;
-  for (const auto& path : runs) {
-    auto reader = OpenSpillRun(compress, path, spill_read);
-    while (reader->Next()) {
-      const int b = static_cast<int>(family.Hash(level, reader->key()) %
-                                     kSubBuckets);
-      SubBucket& bucket = buckets[b];
-      if (bucket.spill != nullptr) {
-        bucket.spill->Append(reader->key(), reader->value());
-      } else {
-        bucket.table.Add(reader->key(), reader->value());
-      }
-      if (++since_check >= 64) {
-        since_check = 0;
-        while (resident_bytes() > memory_budget && demote_largest()) {
-        }
-      }
-    }
-  }
-
-  for (auto& bucket : buckets) {
-    if (bucket.spill != nullptr) {
-      bucket.spill->Close();
-      bucket.spill.reset();
-      ExternalHashAggregate({bucket.spill_path}, level + 1, memory_budget,
-                            env, emit_group, compress);
-      std::filesystem::remove(bucket.spill_path);
-    } else {
-      bucket.table.ForEach(emit_group);
-    }
+  if (aggregator_ != nullptr) {
+    for (auto& b : buckets_) b.table = KeyTable(aggregator_);
   }
 }
 
-HybridHashReducer::HybridHashReducer(int reducer_id, const JobSpec& spec,
-                                     const JobOptions& options,
-                                     const RuntimeEnv& env)
-    : reducer_id_(reducer_id),
-      spec_(spec),
-      options_(options),
-      env_(env),
-      values_are_states_(spec.has_aggregator() && options.map_side_combine),
-      buckets_(kNumBuckets) {
-  for (auto& b : buckets_) {
-    if (spec_.has_aggregator()) {
-      b.states = std::make_unique<StateTable>(spec_.aggregator.get());
-    } else {
-      b.values = std::make_unique<HashValueTable>();
-    }
-  }
-}
-
-std::size_t HybridHashReducer::ResidentBytes() const {
-  std::size_t total = 0;
-  for (const auto& b : buckets_) {
-    if (b.values != nullptr) total += b.values->MemoryBytes();
-    if (b.states != nullptr) total += b.states->MemoryBytes();
-  }
-  return total;
-}
-
-void HybridHashReducer::DemoteLargestBucket() {
-  Bucket* victim = nullptr;
-  std::size_t victim_bytes = 0;
-  for (auto& b : buckets_) {
-    if (b.spill != nullptr) continue;
-    const std::size_t bytes = b.values != nullptr ? b.values->MemoryBytes()
-                                                  : b.states->MemoryBytes();
-    const std::size_t keys =
-        b.values != nullptr ? b.values->size() : b.states->size();
-    if (keys > 1 && bytes > victim_bytes) {
-      victim = &b;
-      victim_bytes = bytes;
-    }
-  }
-  if (victim == nullptr) return;
-
-  ++spilled_count_;
-  victim->spill_path = env_.files->NewFile("hybrid_spill");
-  victim->spill = NewSpillSink(
-      options_.compress_spills, victim->spill_path,
-      IoChannel(env_.metrics, device::kSpillWrite));
-  if (victim->values != nullptr) {
-    victim->values->ForEach([&](Slice key, const std::vector<Slice>& values) {
-      for (const Slice& v : values) {
-        victim->spill->Append(key, v);
-        ++victim->spill_records;
-      }
-    });
-    victim->values->Clear();
-  } else {
-    victim->states->ForEach([&](Slice key, const StateTable::Entry& entry) {
-      victim->spill->Append(key, entry.state);
-      ++victim->spill_records;
-    });
-    victim->states->Clear();
-  }
-}
-
-void HybridHashReducer::FoldRecord(Slice key, Slice value) {
-  const int b =
-      static_cast<int>(family_.Hash(/*member=*/0, key) % kNumBuckets);
-  Bucket& bucket = buckets_[b];
+void HashGrouping::Add(Slice key, Slice value) {
+  Bucket& bucket = buckets_[family_.Hash(level_, key) % kBuckets];
   if (bucket.spill != nullptr) {
-    if (spec_.has_aggregator() && !values_are_states_) {
-      // Keep spill files uniform: with an aggregator, demoted buckets hold
-      // states, so lift raw values before appending.
+    if (aggregator_ != nullptr && !values_are_states_) {
+      // Spill files of an aggregation hold states: lift raw values first.
       std::string state;
-      spec_.aggregator->Init(value, &state);
+      aggregator_->Init(value, &state);
       bucket.spill->Append(key, state);
     } else {
       bucket.spill->Append(key, value);
     }
-    ++bucket.spill_records;
-    return;
-  }
-  if (bucket.states != nullptr) {
-    bucket.states->Fold(key, value, values_are_states_);
+  } else if (aggregator_ != nullptr) {
+    bucket.table.Fold(key, value, values_are_states_);
   } else {
-    bucket.values->Add(key, value);
+    bucket.table.Add(key, value);
+  }
+  if (++since_check_ >= 64) {
+    since_check_ = 0;
+    auto resident = [this] {
+      std::size_t total = 0;
+      for (const auto& b : buckets_) total += b.table.MemoryBytes();
+      return total;
+    };
+    while (resident() > budget_ && DemoteLargest()) {
+    }
   }
 }
 
-void HybridHashReducer::EmitResidentBucket(Bucket& bucket,
-                                           OutputCollector& out) {
-  const auto reduce_fn = MakeReduceFn(spec_, values_are_states_);
-  if (bucket.states != nullptr) {
-    std::string final_value;
-    bucket.states->ForEach([&](Slice key, const StateTable::Entry& entry) {
-      spec_.aggregator->Finalize(entry.state, &final_value);
-      out.Emit(key, final_value);
-    });
-  } else {
-    bucket.values->ForEach([&](Slice key, const std::vector<Slice>& values) {
-      VectorValueIterator it(values);
-      reduce_fn(key, it, out);
-    });
+void HashGrouping::AddRun(const std::filesystem::path& run) {
+  auto reader =
+      OpenSpillRun(compress_, run, IoChannel(env_.metrics, device::kSpillRead));
+  while (reader->Next()) Add(reader->key(), reader->value());
+}
+
+bool HashGrouping::DemoteLargest() {
+  Bucket* victim = nullptr;
+  for (auto& b : buckets_) {
+    if (b.spill == nullptr && b.table.size() > 1 &&
+        (victim == nullptr ||
+         b.table.MemoryBytes() > victim->table.MemoryBytes())) {
+      victim = &b;
+    }
+  }
+  if (victim == nullptr) return false;
+  victim->spill_path = env_.files->NewFile("hash_spill");
+  victim->spill = NewSpillSink(compress_, victim->spill_path,
+                               IoChannel(env_.metrics, device::kSpillWrite));
+  const KeyTable& table = victim->table;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    if (aggregator_ != nullptr) {
+      victim->spill->Append(table.key(i), table.state(i));
+    } else {
+      for (const Slice& v : table.values(i)) {
+        victim->spill->Append(table.key(i), v);
+      }
+    }
+  }
+  victim->table.Clear();
+  return true;
+}
+
+void HashGrouping::Finish(
+    const std::function<void(const KeyTable& table, std::size_t i)>& emit) {
+  for (auto& bucket : buckets_) {
+    if (bucket.spill == nullptr) {
+      for (std::size_t i = 0; i < bucket.table.size(); ++i) {
+        emit(bucket.table, i);
+      }
+      bucket.table.Clear();
+      continue;
+    }
+    bucket.spill->Close();
+    bucket.spill.reset();
+    HashGrouping next(aggregator_, /*values_are_states=*/true, level_ + 1,
+                      budget_, env_, compress_);
+    next.AddRun(bucket.spill_path);
+    std::filesystem::remove(bucket.spill_path);
+    next.Finish(emit);
   }
 }
 
-void HybridHashReducer::EmitSpilledBucket(Bucket& bucket,
-                                          OutputCollector& out) {
-  bucket.spill->Close();
-  bucket.spill.reset();
-  const auto reduce_fn = MakeReduceFn(spec_, values_are_states_);
-  const bool agg = spec_.has_aggregator();
-  const Aggregator* aggregator = spec_.aggregator.get();
-  ExternalHashAggregate(
-      {bucket.spill_path}, /*level=*/1, options_.reduce_buffer_bytes, env_,
-      [&](Slice key, const std::vector<Slice>& values) {
-        if (agg) {
-          // Spill files hold states by construction; merge then finalize.
-          std::string state(values.front().data(), values.front().size());
-          for (std::size_t i = 1; i < values.size(); ++i) {
-            aggregator->Merge(&state, values[i]);
-          }
-          std::string final_value;
-          aggregator->Finalize(state, &final_value);
-          out.Emit(key, final_value);
-        } else {
-          VectorValueIterator it(values);
-          reduce_fn(key, it, out);
-        }
-      },
-      options_.compress_spills);
-  std::filesystem::remove(bucket.spill_path);
-}
-
-std::uint64_t HybridHashReducer::Run() {
-  const double shuffle_begin = env_.job_start->Seconds();
-  IoChannel shuffle_read(env_.metrics, device::kShuffleRead);
+std::uint64_t RunHybridHashReducer(int reducer_id, const JobSpec& spec,
+                                   const JobOptions& options,
+                                   const RuntimeEnv& env) {
+  const double shuffle_begin = env.job_start->Seconds();
+  IoChannel shuffle_read(env.metrics, device::kShuffleRead);
+  const bool values_are_states =
+      spec.has_aggregator() && options.map_side_combine;
+  HashGrouping groups(spec.aggregator.get(), values_are_states, /*level=*/0,
+                      options.reduce_buffer_bytes, env,
+                      options.compress_spills);
 
   ShuffleItem item;
-  std::uint64_t since_check = 0;
-  while (env_.shuffle->NextItem(reducer_id_, &item)) {
+  while (env.shuffle->NextItem(reducer_id, &item)) {
     auto stream = OpenShuffleItem(item, shuffle_read);
-    PhaseScope cpu(env_.profiler, "hash_group");
-    while (stream->Next()) {
-      FoldRecord(stream->key(), stream->value());
-      if (++since_check >= 64) {
-        since_check = 0;
-        while (ResidentBytes() > options_.reduce_buffer_bytes) {
-          const int before = spilled_count_;
-          DemoteLargestBucket();
-          if (spilled_count_ == before) break;  // nothing demotable
-        }
-      }
-    }
+    PhaseScope cpu(env.profiler, "hash_group");
+    while (stream->Next()) groups.Add(stream->key(), stream->value());
   }
-  env_.timeline->Record(TaskKind::kShuffle, shuffle_begin,
-                        env_.job_start->Seconds());
+  env.timeline->Record(TaskKind::kShuffle, shuffle_begin,
+                       env.job_start->Seconds());
 
   // Blocking emission: hybrid hash only answers after all input arrived.
-  const double reduce_begin = env_.job_start->Seconds();
-  ReducerOutput out(env_,
-                    spec_.output_file + ".part" + std::to_string(reducer_id_));
+  const double reduce_begin = env.job_start->Seconds();
+  ReducerOutput out(env,
+                    spec.output_file + ".part" + std::to_string(reducer_id));
   {
-    PhaseScope cpu(env_.profiler, "reduce_function");
-    for (auto& bucket : buckets_) {
-      if (bucket.spill != nullptr) {
-        EmitSpilledBucket(bucket, out);
+    PhaseScope cpu(env.profiler, "reduce_function");
+    const auto reduce_fn = MakeReduceFn(spec, values_are_states);
+    std::string final_value;
+    groups.Finish([&](const KeyTable& table, std::size_t i) {
+      if (spec.has_aggregator()) {
+        spec.aggregator->Finalize(table.state(i), &final_value);
+        out.Emit(table.key(i), final_value);
       } else {
-        EmitResidentBucket(bucket, out);
+        VectorValueIterator values(table.values(i));
+        reduce_fn(table.key(i), values, out);
       }
-    }
+    });
   }
   out.Close();
-  env_.timeline->Record(TaskKind::kReduce, reduce_begin,
-                        env_.job_start->Seconds());
+  env.timeline->Record(TaskKind::kReduce, reduce_begin,
+                       env.job_start->Seconds());
   return out.records();
 }
 

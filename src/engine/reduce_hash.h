@@ -1,118 +1,81 @@
-// Hybrid-hash grouping reducer (§V reduce technique 1) and the shared
-// external-aggregation routine the incremental reducers use to resolve
-// spilled data.
+// Hybrid-hash grouping (§V reduce technique 1) for the hybrid-hash reducer
+// and for the incremental reducers' spill files.
 //
 // Hybrid hash (Shapiro 1986, as cited by the paper) splits the key space
-// into sub-buckets with a fresh hash-family member per recursion level;
+// into buckets with a fresh hash-family member per recursion level;
 // buckets stay memory-resident until the budget is exceeded, at which point
 // the largest resident bucket is demoted to disk and its future arrivals
 // are appended straight to its file.  After input ends, resident buckets
 // are reduced in memory and spilled buckets are processed recursively.
-//
-// This grouping works with or without a combine function, but remains a
-// blocking operation with I/O comparable to sort-merge — exactly the
-// trade-off the paper states; the incremental paths exist to beat it.
+// It remains a blocking operation with I/O comparable to sort-merge —
+// exactly the trade-off the paper states; the incremental paths beat it.
 #pragma once
 
 #include <filesystem>
+#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/hash.h"
 #include "engine/job.h"
+#include "engine/key_table.h"
 #include "engine/reduce_common.h"
 
 namespace opmr {
 
-// Hash table grouping full value lists per key (the no-aggregator mode of
-// hybrid hash: sessionization and inverted index have no combine function).
-class HashValueTable {
+// One level of hybrid-hash grouping.  Each bucket is a KeyTable: with an
+// aggregator it folds states (and a demoted bucket's file holds states),
+// without one it keeps every value.  A one-key bucket is never demoted:
+// rehashing cannot split it, so it is handled in memory.
+class HashGrouping {
  public:
-  HashValueTable() = default;
+  // `values_are_states`: added values are states (Merge), not raw values
+  // (Init/Update); ignored without an aggregator.  `level` selects the
+  // hash-family member; past kMaxLevel the constructor throws.
+  HashGrouping(const Aggregator* aggregator, bool values_are_states,
+               int level, std::size_t budget, const RuntimeEnv& env,
+               bool compress);
 
-  void Add(Slice key, Slice value) {
-    auto it = map_.find(key.view());
-    if (it == map_.end()) {
-      it = map_.emplace(std::string(key.view()), std::vector<Slice>{}).first;
-      bytes_ += key.size() + kEntryOverhead;
-    }
-    it->second.push_back(arena_.Copy(value));
-    bytes_ += value.size() + sizeof(Slice);
-  }
+  void Add(Slice key, Slice value);
+  // Adds every record of a spill run.
+  void AddRun(const std::filesystem::path& run);
 
-  [[nodiscard]] std::size_t MemoryBytes() const noexcept { return bytes_; }
-  [[nodiscard]] std::size_t size() const noexcept { return map_.size(); }
-
-  // Applies `fn(key, values)` to every group.
-  void ForEach(const std::function<void(Slice, const std::vector<Slice>&)>& fn)
-      const {
-    for (const auto& [key, values] : map_) fn(key, values);
-  }
-
-  void Clear() {
-    map_.clear();
-    arena_.Reset();
-    bytes_ = 0;
-  }
+  // Calls `emit(table, i)` once per key, with the key's state or value
+  // list at entry i of `table`; spilled buckets are grouped again one
+  // level down, and their files removed.
+  void Finish(
+      const std::function<void(const KeyTable& table, std::size_t i)>& emit);
 
  private:
-  static constexpr std::size_t kEntryOverhead = 96;
-
-  Arena arena_;
-  std::unordered_map<std::string, std::vector<Slice>, TransparentStringHash,
-                     std::equal_to<>>
-      map_;
-  std::size_t bytes_ = 0;
-};
-
-// Recursively groups-and-reduces the records of `runs` (on-disk files of
-// framed (key, value-or-state) records) within `memory_budget`, calling
-// `emit_group(key, values)` once per key with all its values.  Used by
-// HybridHashReducer for demoted buckets and by the incremental reducers to
-// resolve their spill files.  `level` selects the hash-family member.
-void ExternalHashAggregate(
-    const std::vector<std::filesystem::path>& runs, int level,
-    std::size_t memory_budget, const RuntimeEnv& env,
-    const std::function<void(Slice key, const std::vector<Slice>& values)>&
-        emit_group,
-    bool compress = false);
-
-class HybridHashReducer {
- public:
-  HybridHashReducer(int reducer_id, const JobSpec& spec,
-                    const JobOptions& options, const RuntimeEnv& env);
-
-  std::uint64_t Run();
-
- private:
-  static constexpr int kNumBuckets = 32;
+  static constexpr int kBuckets = 32;
+  static constexpr int kMaxLevel = 8;
 
   struct Bucket {
-    // Exactly one representation is active.
-    std::unique_ptr<HashValueTable> values;   // no aggregator
-    std::unique_ptr<class StateTable> states; // aggregator
-    std::unique_ptr<RecordSink> spill;        // demoted to disk
+    KeyTable table;
+    std::unique_ptr<RecordSink> spill;  // set once demoted
     std::filesystem::path spill_path;
-    std::uint64_t spill_records = 0;
   };
 
-  void FoldRecord(Slice key, Slice value);
-  void DemoteLargestBucket();
-  [[nodiscard]] std::size_t ResidentBytes() const;
-  void EmitResidentBucket(Bucket& bucket, OutputCollector& out);
-  void EmitSpilledBucket(Bucket& bucket, OutputCollector& out);
+  // Demotes the largest resident bucket holding more than one key; false
+  // if there is none.
+  bool DemoteLargest();
 
-  int reducer_id_;
-  const JobSpec& spec_;
-  const JobOptions& options_;
-  RuntimeEnv env_;
+  const HashFamily family_{0x5eedf00dULL};
+  const Aggregator* aggregator_;
   bool values_are_states_;
-  HashFamily family_{0x5eedf00dULL};
+  int level_;
+  std::size_t budget_;
+  RuntimeEnv env_;
+  bool compress_;
   std::vector<Bucket> buckets_;
-  int spilled_count_ = 0;
+  std::uint64_t since_check_ = 0;
 };
+
+// The hybrid-hash reducer: groups reducer `reducer_id`'s whole shuffle feed,
+// then reduces each group.  Returns the output record count.
+std::uint64_t RunHybridHashReducer(int reducer_id, const JobSpec& spec,
+                                   const JobOptions& options,
+                                   const RuntimeEnv& env);
 
 }  // namespace opmr

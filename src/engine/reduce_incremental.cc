@@ -57,19 +57,19 @@ void IncrementalStateStore::OfferToSketch(Slice key) {
   }
 }
 
-void IncrementalStateStore::MaybeEmitEarly(Slice key,
-                                           StateTable::Entry& entry) {
+void IncrementalStateStore::MaybeEmitEarly(std::size_t i) {
+  const Slice key = table_.key(i);
   // A key answered before its state left the table stays answered.
   if (auto it = answered_.find(key.view()); it != answered_.end()) {
     answered_.erase(it);
-    entry.early_emitted = true;
+    table_.Mark(i);
     return;
   }
-  if (!options_.early_emit(key, entry.state)) return;
+  if (!options_.early_emit(key, table_.state(i))) return;
   // Incremental processing: the answer leaves the system the moment the
   // data needed to produce it has been read (paper §IV req. 3).
-  entry.early_emitted = true;
-  aggregator_->Finalize(entry.state, &early_value_);
+  table_.Mark(i);
+  aggregator_->Finalize(table_.state(i), &early_value_);
   options_.on_early_answer(key, early_value_);
 }
 
@@ -78,17 +78,24 @@ void IncrementalStateStore::EnforceBudget() {
     SpillTable();
     return;
   }
-  // Demote the resident keys the sketch considers coldest until under
-  // budget.  Rare: the sketch capacity normally bounds residency first.
-  std::vector<std::pair<std::uint64_t, std::string>> by_estimate;
-  by_estimate.reserve(table_.size());
-  table_.ForEach([&](Slice key, const StateTable::Entry&) {
-    by_estimate.emplace_back(sketch_->Estimate(key), std::string(key.view()));
-  });
-  std::sort(by_estimate.begin(), by_estimate.end());
-  for (const auto& [estimate, key] : by_estimate) {
-    if (table_.MemoryBytes() <= options_.budget_bytes) break;
-    Demote(key);
+  // Demote the resident key the sketch considers coldest (the smaller key
+  // on a tie) until under budget.  Usually one key goes, so a scan for the
+  // minimum beats sorting the table.
+  std::string coldest;
+  while (table_.MemoryBytes() > options_.budget_bytes) {
+    std::size_t victim = 0;
+    std::uint64_t lowest = sketch_->Estimate(table_.key(0));
+    for (std::size_t i = 1; i < table_.size(); ++i) {
+      const std::uint64_t estimate = sketch_->Estimate(table_.key(i));
+      if (estimate < lowest ||
+          (estimate == lowest && table_.key(i) < table_.key(victim))) {
+        victim = i;
+        lowest = estimate;
+      }
+    }
+    // A copy: extraction may move the table's keys.
+    coldest.assign(table_.key(victim).view());
+    Demote(coldest);
   }
 }
 
@@ -102,10 +109,10 @@ void IncrementalStateStore::SpillTable() {
   const double begin =
       env_.timeline != nullptr ? env_.job_start->Seconds() : 0.0;
   auto writer = NewRun("incr_spill");
-  table_.ForEach([&](Slice key, const StateTable::Entry& entry) {
-    writer->Append(key, entry.state);
-    if (entry.early_emitted) answered_.emplace(key.view());
-  });
+  for (std::size_t i = 0; i < table_.size(); ++i) {
+    writer->Append(table_.key(i), table_.state(i));
+    if (table_.marked(i)) answered_.emplace(table_.key(i).view());
+  }
   writer->Close();
   table_.Clear();
   if (env_.timeline != nullptr) {
@@ -147,17 +154,19 @@ void IncrementalStateStore::AppendImage(CheckpointImage* image,
     image->sketch_stream_length += sketch_->StreamLength();
   }
   image->entries.reserve(image->entries.size() + table_.size());
-  table_.ForEach([&](Slice key, const StateTable::Entry& entry) {
-    image->entries.push_back(
-        {std::string(key.view()), entry.state, entry.early_emitted});
-  });
+  for (std::size_t i = 0; i < table_.size(); ++i) {
+    image->entries.push_back({std::string(table_.key(i).view()),
+                              std::string(table_.state(i).view()),
+                              table_.marked(i)});
+  }
 }
 
 void IncrementalStateStore::Restore(const CheckpointImage& image) {
   Clear();
   for (const auto& entry : image.entries) {
-    table_.Fold(entry.key, entry.state, /*value_is_state=*/true)
-        .early_emitted = entry.early_emitted;
+    const std::size_t i =
+        table_.Fold(entry.key, entry.state, /*value_is_state=*/true);
+    if (entry.early_emitted) table_.Mark(i);
   }
   if (sketch_ != nullptr) {
     for (const auto& entry : image.sketch) {
@@ -200,10 +209,10 @@ void IncrementalStateStore::Finish(
   if (runs_.empty()) {
     // Pure in-memory one-pass processing: a finalize scan is all that
     // remains.
-    table_.ForEach([&](Slice key, const StateTable::Entry& entry) {
-      aggregator_->Finalize(entry.state, &final_value);
-      emit(key, final_value);
-    });
+    for (std::size_t i = 0; i < table_.size(); ++i) {
+      aggregator_->Finalize(table_.state(i), &final_value);
+      emit(table_.key(i), final_value);
+    }
     return;
   }
   // Resolve spilled partial states: flush the live table as one more run,
@@ -213,18 +222,14 @@ void IncrementalStateStore::Finish(
     cold_->Close();
     cold_.reset();
   }
-  if (table_.size() > 0) SpillTable();
-  ExternalHashAggregate(
-      runs_, /*level=*/0, options_.budget_bytes, env_,
-      [&](Slice key, const std::vector<Slice>& states) {
-        std::string state(states.front().view());
-        for (std::size_t i = 1; i < states.size(); ++i) {
-          aggregator_->Merge(&state, states[i]);
-        }
-        aggregator_->Finalize(state, &final_value);
-        emit(key, final_value);
-      },
-      options_.compress_spills);
+  if (!table_.empty()) SpillTable();
+  HashGrouping groups(aggregator_, /*values_are_states=*/true, /*level=*/0,
+                      options_.budget_bytes, env_, options_.compress_spills);
+  for (const auto& path : runs_) groups.AddRun(path);
+  groups.Finish([&](const KeyTable& table, std::size_t i) {
+    aggregator_->Finalize(table.state(i), &final_value);
+    emit(table.key(i), final_value);
+  });
   for (const auto& path : runs_) std::filesystem::remove(path);
   runs_.clear();
 }
@@ -371,10 +376,11 @@ std::uint64_t IncrementalHashReducer::Run() {
       ReducerOutput early(env_, spec_.output_file + ".early.part" +
                                     std::to_string(reducer_id_));
       std::string approx_value;
-      store_.table().ForEach([&](Slice key, const StateTable::Entry& entry) {
-        spec_.aggregator->Finalize(entry.state, &approx_value);
-        early.Emit(key, approx_value);
-      });
+      const KeyTable& table = store_.table();
+      for (std::size_t i = 0; i < table.size(); ++i) {
+        spec_.aggregator->Finalize(table.state(i), &approx_value);
+        early.Emit(table.key(i), approx_value);
+      }
       early.Close();
     }
     // Checkpointed runs route emissions through a sort so output bytes do

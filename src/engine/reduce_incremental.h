@@ -35,7 +35,7 @@
 #include "checkpoint/checkpoint.h"
 #include "engine/job.h"
 #include "engine/reduce_common.h"
-#include "engine/state_table.h"
+#include "engine/key_table.h"
 #include "frequent/space_saving.h"
 
 namespace opmr {
@@ -69,13 +69,13 @@ class IncrementalStateStore {
   // demotion sequence a deterministic function of fold order.
   void Fold(Slice key, Slice value) {
     if (sketch_ != nullptr) OfferToSketch(key);
-    StateTable::Entry& entry =
-        table_.Fold(key, value, options_.values_are_states);
-    if (options_.early_emit && !entry.early_emitted) MaybeEmitEarly(key, entry);
+    const std::size_t i = table_.Fold(key, value, options_.values_are_states);
+    if (options_.early_emit && !table_.marked(i)) MaybeEmitEarly(i);
     if (table_.MemoryBytes() > options_.budget_bytes) EnforceBudget();
   }
 
-  [[nodiscard]] const StateTable& table() const noexcept { return table_; }
+  // The resident states; an entry's mark is its early answer.
+  [[nodiscard]] const KeyTable& table() const noexcept { return table_; }
   // True once any state went to disk (a table spill or a demotion).
   [[nodiscard]] bool spilled() const noexcept { return !runs_.empty(); }
 
@@ -95,12 +95,12 @@ class IncrementalStateStore {
 
   // Emits the exact final (key, finalized) answers: a finalize scan when
   // nothing spilled, otherwise the table joins the runs and they are
-  // re-aggregated through ExternalHashAggregate.  Removes the runs.
+  // re-aggregated through a HashGrouping.  Removes the runs.
   void Finish(const std::function<void(Slice key, Slice value)>& emit);
 
  private:
   void OfferToSketch(Slice key);
-  void MaybeEmitEarly(Slice key, StateTable::Entry& entry);
+  void MaybeEmitEarly(std::size_t i);
   void EnforceBudget();
   void SpillTable();
   void Demote(Slice key);
@@ -111,7 +111,7 @@ class IncrementalStateStore {
   RuntimeEnv env_;
   std::size_t demote_above_;  // sketch evictions demote beyond ¾ budget
 
-  StateTable table_;
+  KeyTable table_;
   std::unique_ptr<SpaceSaving> sketch_;
   std::vector<std::filesystem::path> runs_;
   std::unique_ptr<RecordSink> cold_;  // open cold run (hot-key mode)

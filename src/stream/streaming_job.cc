@@ -74,20 +74,22 @@ class StreamingJob::Worker {
 
   std::optional<std::string> Query(Slice key) const {
     std::scoped_lock lock(state_mu_);
-    const StateTable::Entry* entry = store_.table().Find(key);
-    if (entry == nullptr) return std::nullopt;
+    const KeyTable& table = store_.table();
+    const std::size_t i = table.Find(key);
+    if (i == KeyTable::npos) return std::nullopt;
     std::string finalized;
-    query_->aggregator->Finalize(entry->state, &finalized);
+    query_->aggregator->Finalize(table.state(i), &finalized);
     return finalized;
   }
 
   void CollectTop(std::vector<std::pair<std::string, std::string>>* out) const {
     std::scoped_lock lock(state_mu_);
     std::string finalized;
-    store_.table().ForEach([&](Slice key, const StateTable::Entry& entry) {
-      query_->aggregator->Finalize(entry.state, &finalized);
-      out->emplace_back(key.ToString(), finalized);
-    });
+    const KeyTable& table = store_.table();
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      query_->aggregator->Finalize(table.state(i), &finalized);
+      out->emplace_back(table.key(i).ToString(), finalized);
+    }
   }
 
   [[nodiscard]] std::uint64_t pairs() const {

@@ -53,6 +53,22 @@ TEST(Aggregators, SumFolds) {
   EXPECT_EQ(FoldU64<SumAggregator>({0}), 0u);
 }
 
+TEST(Aggregators, U64InitRejectsBadWidthLikeUpdate) {
+  const SumAggregator sum;
+  const MinAggregator min;
+  const MaxAggregator max;
+  for (const Aggregator* agg : {static_cast<const Aggregator*>(&sum),
+                                static_cast<const Aggregator*>(&min),
+                                static_cast<const Aggregator*>(&max)}) {
+    std::string state;
+    EXPECT_THROW(agg->Init("abcd", &state), std::runtime_error);
+    agg->Init(EncodeValueU64(3), &state);
+    EXPECT_THROW(agg->Update(&state, "abcd"), std::runtime_error);
+    EXPECT_NE(agg->u64_fold(), Aggregator::U64Fold::kNone);
+  }
+  EXPECT_EQ(AvgAggregator().u64_fold(), Aggregator::U64Fold::kNone);
+}
+
 TEST(Aggregators, MaxAndMin) {
   EXPECT_EQ(FoldU64<MaxAggregator>({5, 9, 2}), 9u);
   EXPECT_EQ(FoldU64<MinAggregator>({5, 9, 2}), 2u);

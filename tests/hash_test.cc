@@ -64,6 +64,46 @@ TEST(BytesHash, BucketsAreBalanced) {
   }
 }
 
+// BytesHash as it read its tail before LoadTail: one variable-length copy.
+std::uint64_t CopyTailBytesHash(Slice s, std::uint64_t seed) {
+  std::uint64_t h = seed ^ (0x9e3779b97f4a7c15ULL + s.size());
+  const char* p = s.data();
+  std::size_t n = s.size();
+  for (; n >= 8; p += 8, n -= 8) h = detail::Mix64(h ^ detail::Load64(p, 8));
+  if (n > 0) h = detail::Mix64(h ^ detail::Load64(p, n));
+  return detail::Mix64(h);
+}
+
+TEST(BytesHash, TailLoadsMatchTheVariableLengthCopy) {
+  Rng rng(5);
+  char buf[48];
+  for (char& c : buf) c = static_cast<char>(rng.Uniform(256));
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t n = 0; n <= 24; ++n) {
+      const Slice s(buf + offset, n);
+      if (n < 8) {
+        EXPECT_EQ(detail::LoadTail(s.data(), n), detail::Load64(s.data(), n))
+            << "offset " << offset << " length " << n;
+      }
+      EXPECT_EQ(BytesHash(s), CopyTailBytesHash(s, 0))
+          << "offset " << offset << " length " << n;
+      EXPECT_EQ(BytesHash(s, 0x9d5f), CopyTailBytesHash(s, 0x9d5f));
+    }
+  }
+}
+
+// Partition ids, spill files and sketches all derive from these values;
+// they must never move silently.
+TEST(BytesHash, GoldenValues) {
+  EXPECT_EQ(BytesHash(Slice()), 0x9ca066f1a4ab2eeaULL);
+  EXPECT_EQ(BytesHash("a"), 0xaf40120bbd949bf2ULL);
+  EXPECT_EQ(BytesHash("u000001"), 0xed0de459fed80d67ULL);
+  EXPECT_EQ(BytesHash("u1000204"), 0x6c641d383a52f7ceULL);
+  EXPECT_EQ(BytesHash("http://example.com/page/42"), 0x307d97455792cb96ULL);
+  EXPECT_EQ(BytesHash("u000001", 0x9d5f), 0x310d56cdcdc5a83fULL);
+  EXPECT_EQ(BytesHash(Slice("ab\0cd", 5), 7), 0x3192b0dbccc6cfe8ULL);
+}
+
 TEST(BytesHash, LongKeysHashBlockwise) {
   std::string big(10'000, 'q');
   std::string big2 = big;

@@ -114,6 +114,54 @@ TEST_F(MapTaskTest, SortPathProducesSortedPartitions) {
   EXPECT_EQ(total, 4u);
 }
 
+// Partition ids must never move silently: golden PartitionOf values, and
+// both hash collectors route every key to BytesHash(key, kPartitionSeed) % r
+// whether r is a power of two (a mask) or not (a division).
+TEST(PartitionOf, GoldenValues) {
+  const std::vector<std::pair<std::string, std::vector<std::uint32_t>>> golden =
+      {{"", {0, 0, 3, 2}},
+       {"a", {1, 1, 1, 1}},
+       {"u000001", {1, 2, 1, 15}},
+       {"u1000204", {0, 0, 2, 12}},
+       {"http://example.com/page/42", {0, 1, 3, 0}}};
+  for (const auto& [key, ids] : golden) {
+    EXPECT_EQ(PartitionOf(key, 2), ids[0]) << key;
+    EXPECT_EQ(PartitionOf(key, 3), ids[1]) << key;
+    EXPECT_EQ(PartitionOf(key, 5), ids[2]) << key;
+    EXPECT_EQ(PartitionOf(key, 16), ids[3]) << key;
+  }
+}
+
+TEST_F(MapTaskTest, HashCollectorsPartitionByModulo) {
+  std::vector<std::string> records;
+  for (int i = 0; i < 300; ++i) records.push_back("k" + std::to_string(i) + "\tx");
+  for (const bool combine : {true, false}) {
+    for (const int r : {1, 2, 3, 4, 5, 8, 16}) {
+      JobOptions options;
+      options.group_by = GroupBy::kHash;
+      options.map_side_combine = combine;
+      JobSpec spec = EchoSpec(r);
+      spec.reduce = nullptr;
+      spec.aggregator = std::make_shared<SumAggregator>();
+      spec.map = [](Slice record, OutputCollector& out) {
+        out.Emit(Slice(record.data(), record.view().find('\t')),
+                 EncodeValueU64(1));
+      };
+      const auto out = RunTask(spec, options, records);
+      std::size_t total = 0;
+      for (int p = 0; p < r; ++p) {
+        for (const auto& [k, v] : out[p]) {
+          EXPECT_EQ(BytesHash(k, kPartitionSeed) % static_cast<std::uint64_t>(r),
+                    static_cast<std::uint64_t>(p))
+              << k << " r=" << r << " combine=" << combine;
+          ++total;
+        }
+      }
+      EXPECT_EQ(total, 300u) << "r=" << r;
+    }
+  }
+}
+
 TEST_F(MapTaskTest, SortPathChargesSortCpu) {
   JobOptions options;
   std::vector<std::string> records;

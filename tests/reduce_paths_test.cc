@@ -2,12 +2,15 @@
 // with tiny buffers and verify exactness against reference answers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <string>
 
 #include "core/opmr.h"
 #include "engine/aggregators.h"
 #include "engine/reduce_hash.h"
+#include "engine/reduce_incremental.h"
 #include "storage/file_manager.h"
 #include "workloads/clickstream.h"
 #include "workloads/tasks.h"
@@ -15,7 +18,7 @@
 namespace opmr {
 namespace {
 
-// --- ExternalHashAggregate unit tests -----------------------------------------
+// --- HashGrouping over value lists ------------------------------------------
 
 class ExternalAggregateTest : public ::testing::Test {
  protected:
@@ -33,6 +36,20 @@ class ExternalAggregateTest : public ::testing::Test {
     return path;
   }
 
+  // Groups the records of `runs` without an aggregator, calling `emit_group`
+  // once per key with all its values.
+  void Group(
+      const std::vector<std::filesystem::path>& runs, std::size_t budget,
+      const std::function<void(Slice key, const std::vector<Slice>& values)>&
+          emit_group) {
+    HashGrouping groups(nullptr, /*values_are_states=*/false, /*level=*/0,
+                        budget, env_, /*compress=*/false);
+    for (const auto& run : runs) groups.AddRun(run);
+    groups.Finish([&](const KeyTable& table, std::size_t i) {
+      emit_group(table.key(i), table.values(i));
+    });
+  }
+
   FileManager files_;
   MetricRegistry metrics_;
   RuntimeEnv env_;
@@ -42,10 +59,10 @@ TEST_F(ExternalAggregateTest, GroupsAllValuesPerKey) {
   const auto run = WriteRun({{"a", "1"}, {"b", "2"}, {"a", "3"}, {"c", "4"},
                              {"a", "5"}});
   std::map<std::string, std::size_t> group_sizes;
-  ExternalHashAggregate({run}, 0, 1 << 20, env_,
-                        [&](Slice key, const std::vector<Slice>& values) {
-                          group_sizes[key.ToString()] = values.size();
-                        });
+  Group({run}, 1 << 20,
+        [&](Slice key, const std::vector<Slice>& values) {
+          group_sizes[key.ToString()] = values.size();
+        });
   EXPECT_EQ(group_sizes.at("a"), 3u);
   EXPECT_EQ(group_sizes.at("b"), 1u);
   EXPECT_EQ(group_sizes.at("c"), 1u);
@@ -55,10 +72,10 @@ TEST_F(ExternalAggregateTest, MultipleRunsAreUnified) {
   const auto r1 = WriteRun({{"k", "1"}, {"x", "2"}});
   const auto r2 = WriteRun({{"k", "3"}});
   std::map<std::string, std::size_t> sizes;
-  ExternalHashAggregate({r1, r2}, 0, 1 << 20, env_,
-                        [&](Slice key, const std::vector<Slice>& values) {
-                          sizes[key.ToString()] = values.size();
-                        });
+  Group({r1, r2}, 1 << 20,
+        [&](Slice key, const std::vector<Slice>& values) {
+          sizes[key.ToString()] = values.size();
+        });
   EXPECT_EQ(sizes.at("k"), 2u);
   EXPECT_EQ(sizes.at("x"), 1u);
 }
@@ -75,11 +92,11 @@ TEST_F(ExternalAggregateTest, TinyBudgetForcesRecursionYetStaysExact) {
   const auto run = WriteRun(records);
 
   std::map<std::string, std::uint64_t> actual;
-  ExternalHashAggregate({run}, 0, /*budget=*/8 << 10, env_,
-                        [&](Slice key, const std::vector<Slice>& values) {
-                          actual[key.ToString()] +=
-                              static_cast<std::uint64_t>(values.size());
-                        });
+  Group({run}, /*budget=*/8 << 10,
+        [&](Slice key, const std::vector<Slice>& values) {
+          actual[key.ToString()] +=
+              static_cast<std::uint64_t>(values.size());
+        });
   EXPECT_EQ(actual, expected);
   EXPECT_GT(metrics_.Value(device::kSpillWrite), 0)
       << "an 8 KiB budget over ~500 KiB of data must spill";
@@ -94,18 +111,64 @@ TEST_F(ExternalAggregateTest, GiantSingleKeyGroupDoesNotRecurseForever) {
   std::size_t hot_count = 0;
   // Budget far below the single group's footprint: the single-key bucket
   // must be processed in memory instead of recursing.
-  ExternalHashAggregate({run}, 0, /*budget=*/4 << 10, env_,
-                        [&](Slice key, const std::vector<Slice>& values) {
-                          ASSERT_EQ(key.ToString(), "hot");
-                          hot_count = values.size();
-                        });
+  Group({run}, /*budget=*/4 << 10,
+        [&](Slice key, const std::vector<Slice>& values) {
+          ASSERT_EQ(key.ToString(), "hot");
+          hot_count = values.size();
+        });
   EXPECT_EQ(hot_count, 5'000u);
 }
 
 TEST_F(ExternalAggregateTest, EmptyInputProducesNothing) {
   const auto run = WriteRun({});
-  ExternalHashAggregate({run}, 0, 1 << 20, env_,
-                        [&](Slice, const std::vector<Slice>&) { FAIL(); });
+  Group({run}, 1 << 20, [&](Slice, const std::vector<Slice>&) { FAIL(); });
+}
+
+// --- The incremental state store ---------------------------------------------
+
+// Hot-key demotion extracts cold keys one at a time while the hot keys stay
+// resident, so the table seldom empties.  Over a long tail of distinct cold
+// keys its arena must stay bounded by the live keys, and every answer exact.
+TEST(IncrementalStateStore, HotKeyDemotionKeepsTheTableArenaBounded) {
+  FileManager files = FileManager::CreateTemp("opmr-store");
+  MetricRegistry metrics;
+  RuntimeEnv env;
+  env.files = &files;
+  env.metrics = &metrics;
+  SumAggregator sum;
+  IncrementalStateStore::Options options;
+  options.budget_bytes = 16u << 10;
+  options.hot_key_capacity = 32;
+  IncrementalStateStore store(&sum, options, env);
+
+  std::map<std::string, std::uint64_t> expected;
+  std::size_t worst_excess = 0;
+  for (int i = 0; i < 200'000; ++i) {
+    // Every other record is one of 16 hot keys; the rest are all distinct.
+    const std::string key = i % 2 == 0 ? "hot-" + std::to_string(i % 32)
+                                       : "cold-key-" + std::to_string(i);
+    store.Fold(key, EncodeValueU64(1));
+    ++expected[key];
+    if (i % 1000 == 999) {
+      const KeyTable& table = store.table();
+      std::size_t live = 0;
+      for (std::size_t j = 0; j < table.size(); ++j) {
+        live += table.key(j).size();
+      }
+      if (table.ArenaBytes() > 2 * live) {
+        worst_excess = std::max(worst_excess, table.ArenaBytes() - 2 * live);
+      }
+    }
+  }
+  EXPECT_TRUE(store.spilled());
+  EXPECT_LE(worst_excess, 3u * (64u << 10))
+      << "~1.6 MB of cold keys went through the table";
+
+  std::map<std::string, std::uint64_t> actual;
+  store.Finish([&](Slice key, Slice value) {
+    actual[key.ToString()] += DecodeValueU64(value);
+  });
+  EXPECT_EQ(actual, expected);
 }
 
 // --- Forced-stress integration through the platform ---------------------------
@@ -243,6 +306,40 @@ TEST_F(ReducePathStress, SnapshotsAreSubsetOfFinalAnswer) {
       for (const auto& [user, value] : platform_.ReadOutputFile(name)) {
         ASSERT_TRUE(reference_.count(user)) << user;
         EXPECT_LE(DecodeValueU64(value), reference_.at(user)) << user;
+      }
+    }
+  }
+}
+
+// Sum, min and max take one u64 per value.  A 4-byte value fails the job
+// whether its key is seen once (Init) or more often (Update), on the hash
+// and the sort-merge runtimes, with and without the map-side combine.
+TEST(U64Aggregators, BadWidthValuesFailTheJobOnEveryRuntime) {
+  Platform platform({.num_nodes = 1});
+  auto write = [&](const std::string& name,
+                   const std::vector<std::string>& records) {
+    auto writer = platform.dfs().Create(name);
+    for (const auto& r : records) writer->Append(r);
+    writer->Close();
+  };
+  write("seen_once", {"a"});
+  write("seen_twice", {"b", "b"});
+  int job = 0;
+  for (const char* input : {"seen_once", "seen_twice"}) {
+    for (JobOptions options : {HashOnePassOptions(), HadoopOptions()}) {
+      for (const bool combine : {true, false}) {
+        options.map_side_combine = combine;
+        JobSpec spec;
+        spec.name = "bad_width";
+        spec.input_file = input;
+        spec.output_file = "bad_width_out" + std::to_string(job++);
+        spec.num_reducers = 1;
+        spec.aggregator = std::make_shared<SumAggregator>();
+        spec.map = [](Slice record, OutputCollector& out) {
+          out.Emit(record, "abcd");
+        };
+        EXPECT_THROW(platform.Run(spec, options), std::runtime_error)
+            << input << " combine=" << combine;
       }
     }
   }
