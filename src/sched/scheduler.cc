@@ -14,16 +14,9 @@ JobScheduler::JobScheduler(Dfs* dfs, FileManager* files,
     : dfs_(dfs),
       files_(files),
       options_(std::move(options)),
-      pool_tree_(options_.pools.empty()
-                     ? nullptr
-                     : std::make_unique<PoolTree>(options_.pools)),
       pool_(options_.map_slots, options_.reduce_slots,
             options_.memory_budget_bytes, options_.policy),
-      dispatcher_([this](std::stop_token stop) { DispatchLoop(stop); }) {
-  // No job can be submitted before construction returns, so installing the
-  // tree after the dispatcher thread starts is race-free.
-  if (pool_tree_ != nullptr) pool_.SetPoolTree(pool_tree_.get());
-}
+      dispatcher_([this](std::stop_token stop) { DispatchLoop(stop); }) {}
 
 JobScheduler::~JobScheduler() {
   dispatcher_.request_stop();
@@ -60,12 +53,6 @@ int JobScheduler::Submit(JobRequest request) {
         std::to_string(options_.memory_budget_bytes) +
         " — it could never be admitted (shrink reduce_buffer_bytes or the "
         "reducer count, or raise the budget)");
-  }
-  if (!request.pool.empty() &&
-      (pool_tree_ == nullptr || !pool_tree_->HasPool(request.pool))) {
-    throw AdmissionError("job '" + request.id +
-                         "' names unknown fair-share pool '" + request.pool +
-                         "' (declare it in SchedulerOptions::pools)");
   }
   const std::int64_t ops = EstimateOps(request);
   std::unique_lock lock(mu_);
@@ -110,9 +97,7 @@ void JobScheduler::DispatchLoop(const std::stop_token& stop) {
            options_.registry->LiveCount(net::WireRole::kReduce) == 0)) {
         if (!head_deferred_) {
           head_deferred_ = true;
-          ++placement_deferrals_;
-          // Missing-map takes precedence when both groups are empty, so the
-          // reason counters always sum to placement_deferrals.
+          // Missing-map takes precedence when both groups are empty.
           if (options_.registry->LiveCount(net::WireRole::kMap) == 0) {
             ++no_map_worker_deferrals_;
           } else {
@@ -121,18 +106,6 @@ void JobScheduler::DispatchLoop(const std::stop_token& stop) {
           if (options_.registry->LiveCount(net::WireRole::kFrontend) > 0) {
             ++frontend_only_deferrals_;
           }
-        }
-        return false;
-      }
-      // Fair-share quota gate: a pool (or any ancestor) at its
-      // max_running_jobs cap holds its next job in the queue.  Job
-      // completions notify cv_, so this re-evaluates without polling.
-      if (pool_tree_ != nullptr &&
-          pool_tree_->AtJobQuota(jobs_[queued_.front()]->request.pool)) {
-        if (!head_deferred_) {
-          head_deferred_ = true;
-          ++placement_deferrals_;
-          ++quota_deferrals_;
         }
         return false;
       }
@@ -165,10 +138,6 @@ void JobScheduler::DispatchLoop(const std::stop_token& stop) {
     ++running_;
     peak_concurrent_ = std::max(peak_concurrent_, running_);
     pool_.RegisterJob(handle, job->total_ops);
-    if (pool_tree_ != nullptr) {
-      pool_tree_->JoinJob(handle, job->request.pool);
-      pool_tree_->OnJobStart(job->request.pool);
-    }
     job->runner = std::jthread([this, job] { RunJob(job); });
   }
 }
@@ -248,10 +217,6 @@ void JobScheduler::RunJob(Job* job) {
   // All slot leases were released when Run() unwound its task threads.
   pool_.UnregisterJob(handle);
   pool_.ReleaseMemory(job->memory_bytes);
-  if (pool_tree_ != nullptr) {
-    pool_tree_->OnJobFinish(job->request.pool);
-    pool_tree_->LeaveJob(handle);
-  }
   {
     std::scoped_lock lock(mu_);
     job->report.result = std::move(result);
@@ -298,12 +263,11 @@ SchedulerStats JobScheduler::stats() const {
     }
   }
   s.peak_concurrent = peak_concurrent_;
-  s.placement_deferrals = placement_deferrals_;
   s.no_map_worker_deferrals = no_map_worker_deferrals_;
   s.no_reduce_worker_deferrals = no_reduce_worker_deferrals_;
-  s.quota_deferrals = quota_deferrals_;
+  s.placement_deferrals =
+      s.no_map_worker_deferrals + s.no_reduce_worker_deferrals;
   s.frontend_only_deferrals = frontend_only_deferrals_;
-  if (pool_tree_ != nullptr) s.pools = pool_tree_->Stats();
   s.makespan_s =
       first_submit_s_ >= 0.0 ? last_finish_s_ - first_submit_s_ : 0.0;
   s.slots = pool_.stats();

@@ -41,7 +41,6 @@
 #include "metrics/stopwatch.h"
 #include "net/transport.h"
 #include "sched/policy.h"
-#include "sched/pool_tree.h"
 #include "sched/slot_pool.h"
 #include "storage/file_manager.h"
 
@@ -73,12 +72,6 @@ struct SchedulerOptions {
   // registrations are NOT slots: a registry of only frontends still
   // defers placement.
   coord::WorkerRegistry* registry = nullptr;
-  // Hierarchical fair-share pools (sched/pool_tree.h).  Empty = no pool tree:
-  // the SchedPolicy alone orders contended slots.  Non-empty builds a
-  // PoolTree; jobs name their pool in JobRequest::pool, contended slots go
-  // to the tree's usage/weight pick, and a pool at its max_running_jobs
-  // quota holds its next job in the queue (quota_deferrals).
-  std::vector<PoolConfig> pools;
 };
 
 enum class JobTransport {
@@ -98,10 +91,6 @@ struct JobRequest {
   // Checkpoint-seeded speculative reduce attempts (see ClusterOptions).
   bool speculative_reduce = false;
   double reduce_speculation_threshold = 2.0;
-  // Fair-share pool this job charges (SchedulerOptions::pools).  Empty
-  // charges the root; a name that is not in the tree is rejected at
-  // Submit.
-  std::string pool;
 };
 
 struct JobReport {
@@ -124,19 +113,17 @@ struct SchedulerStats {
   int failed = 0;
   int peak_concurrent = 0;
   double makespan_s = 0.0;  // first submission -> last completion
-  // Dispatch episodes where a ready job was held back, with the reason
-  // split out below: placement_deferrals is the total of the three.
+  // Dispatch episodes where a ready job was held back by the registry
+  // gate, with the reason split out below: placement_deferrals is the sum
+  // of the two.
   std::int64_t placement_deferrals = 0;
   std::int64_t no_map_worker_deferrals = 0;     // registry: no live map group
   std::int64_t no_reduce_worker_deferrals = 0;  // registry: no live reducers
-  std::int64_t quota_deferrals = 0;             // pool at max_running_jobs
   // Of the registry deferrals, episodes where the registry DID hold live
   // frontend replicas: serve-plane workers are read-only and hold no job
   // slots, so they never satisfy the placement gate — heavy read traffic
   // cannot perturb placement (the OS4M operation-level separation).
   std::int64_t frontend_only_deferrals = 0;
-  // Per-pool usage, root first (empty without a pool tree).
-  std::vector<PoolTree::PoolStats> pools;
   SlotPool::Stats slots;
 };
 
@@ -166,11 +153,6 @@ class JobScheduler {
   // plotted against each other.
   [[nodiscard]] std::vector<TaskInterval> Timeline() const;
 
-  // The fair-share tree (nullptr without pools).
-  [[nodiscard]] PoolTree* pool_tree() noexcept {
-    return pool_tree_.get();
-  }
-
  private:
   struct Job {
     int handle = -1;
@@ -196,9 +178,6 @@ class JobScheduler {
   FileManager* files_;
   SchedulerOptions options_;
   WallTimer clock_;
-  // Declared before pool_ (which borrows it) and dispatcher_ (which
-  // consults it), so it outlives every user.
-  std::unique_ptr<PoolTree> pool_tree_;
   SlotPool pool_;
 
   mutable std::mutex mu_;
@@ -207,10 +186,8 @@ class JobScheduler {
   std::deque<int> queued_;
   int running_ = 0;
   int peak_concurrent_ = 0;
-  std::int64_t placement_deferrals_ = 0;
   std::int64_t no_map_worker_deferrals_ = 0;
   std::int64_t no_reduce_worker_deferrals_ = 0;
-  std::int64_t quota_deferrals_ = 0;
   std::int64_t frontend_only_deferrals_ = 0;
   bool head_deferred_ = false;  // current queue head already counted
   double first_submit_s_ = -1.0;

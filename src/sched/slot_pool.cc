@@ -23,11 +23,6 @@ SlotPool::JobState& SlotPool::StateLocked(int job) {
   return it->second;
 }
 
-void SlotPool::SetPoolTree(PoolTree* tree) {
-  std::scoped_lock lock(mu_);
-  tree_ = tree;
-}
-
 void SlotPool::RegisterJob(int job, std::int64_t remaining_ops) {
   std::scoped_lock lock(mu_);
   StateLocked(job).remaining_ops = remaining_ops;
@@ -69,14 +64,6 @@ bool SlotPool::RanksBefore(const JobState& a,
 
 int SlotPool::BestWaiterLocked(SlotKind kind) const {
   const int k = static_cast<int>(kind);
-  if (tree_ != nullptr) {
-    std::vector<PoolTree::Waiter> waiters;
-    for (const auto& [id, state] : jobs_) {
-      if (state.waiting[k] == 0) continue;
-      waiters.push_back({id, state.seq});
-    }
-    return tree_->Pick(waiters);
-  }
   int best = -1;
   const JobState* best_state = nullptr;
   for (const auto& [id, state] : jobs_) {
@@ -108,7 +95,6 @@ void SlotPool::Acquire(int job, SlotKind kind) {
   state.waiting[k] -= 1;
   state.held += 1;
   free_[k] -= 1;
-  if (tree_ != nullptr) tree_->OnGrant(job);
   const int in_use = capacity_[k] - free_[k];
   if (kind == SlotKind::kMap) {
     ++stats_.map_grants;
@@ -129,7 +115,6 @@ void SlotPool::Release(int job, SlotKind kind) {
     std::scoped_lock lock(mu_);
     free_[k] += 1;
     if (auto it = jobs_.find(job); it != jobs_.end()) it->second.held -= 1;
-    if (tree_ != nullptr) tree_->OnRelease(job);
   }
   cv_.notify_all();
 }

@@ -13,7 +13,6 @@
 #include <mutex>
 
 #include "sched/policy.h"
-#include "sched/pool_tree.h"
 
 namespace opmr::sched {
 
@@ -32,14 +31,6 @@ class SlotPool {
 
   SlotPool(int map_slots, int reduce_slots, std::size_t memory_budget_bytes,
            SchedPolicy policy);
-
-  // Hierarchical fair-share seam: with a pool tree installed (not owned;
-  // must outlive the pool; install before any job acquires), contended
-  // slots go to PoolTree::Pick's choice — the SchedPolicy then only orders
-  // jobs the tree cannot tell apart (same pool, same admission seq can't
-  // happen, so effectively the tree decides).  Job -> pool membership is
-  // the tree's (JoinJob), not the slot pool's.
-  void SetPoolTree(PoolTree* tree);
 
   // Jobs register with an initial remaining-operations estimate (map tasks
   // + reducers); progress hooks keep it current so kSrw ranks on live
@@ -80,7 +71,6 @@ class SlotPool {
 
   const SchedPolicy policy_;
   const int capacity_[2];
-  PoolTree* tree_ = nullptr;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   int free_[2];

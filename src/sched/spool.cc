@@ -73,8 +73,6 @@ SpoolSpec ParseSpoolSpec(const std::string& id, std::istream& in) {
       spec.checkpoint_interval = ParseCount(key, value);
     } else if (key == "checkpoint_retain") {
       spec.checkpoint_retain = static_cast<int>(ParseCount(key, value));
-    } else if (key == "pool") {
-      spec.pool = value;
     } else {
       throw std::invalid_argument("spool job '" + id + "': unknown key '" +
                                   key + "'");

@@ -35,7 +35,6 @@ struct SpoolSpec {
   bool speculative_reduce = false;
   std::uint64_t checkpoint_interval = 4096;
   int checkpoint_retain = 2;
-  std::string pool;  // fair-share pool name; "" charges the root
 };
 
 // Parses one spool block.  Throws std::invalid_argument on unknown keys or

@@ -158,6 +158,10 @@ TEST(SpoolTest, RejectsUnknownKeysAndBadValues) {
     std::istringstream in("reducers=0\n");
     EXPECT_THROW(sched::ParseSpoolSpec("j", in), std::invalid_argument);
   }
+  {
+    std::istringstream in("pool=batch\n");  // not a spool key
+    EXPECT_THROW(sched::ParseSpoolSpec("j", in), std::invalid_argument);
+  }
 }
 
 TEST(SpoolTest, DrainsDirectoryInNameOrderAndMarksDone) {

@@ -121,21 +121,17 @@
 //   opmr_cli serve spool=<dir|-> [map-slots=N] [reduce-slots=N]
 //                  [policy=fifo|fair|srw] [memory-budget=BYTES]
 //                  [max-concurrent=N] [nodes=N]
-//                  [pool=name:weight[:max_jobs][,...]]
 //       Multi-job mode: drains `*.job` spool files from <dir> (renaming
 //       each to `*.job.done`), or blank-line-separated key=value blocks
 //       from stdin with spool=-, and runs them all through the shared-slot
 //       JobScheduler (src/sched).  Each job gets its own `<id>.in` dataset
 //       and `<id>.out` output; the chosen policy arbitrates contended map/
 //       reduce slots, and each job's map tasks run local-first on the
-//       nodes holding their blocks.  pool= declares hierarchical
-//       fair-share pools ("parent/" prefix nests; declare parents first)
-//       that spool jobs join with their pool= key.  Prints per-job
-//       reports, scheduler stats (with deferral reasons and per-pool
-//       grants), and a cross-job task timeline.
+//       nodes holding their blocks.  Prints per-job reports, scheduler
+//       stats (with deferral reasons), and a cross-job task timeline.
 //       Spool keys: workload, runtime, transport (direct|loopback|tcp),
 //       records, reducers, memory_bytes, speculative_reduce,
-//       checkpoint_interval, checkpoint_retain, pool.
+//       checkpoint_interval, checkpoint_retain.
 //
 // Every subcommand rejects a key it does not read (a typo or a removed
 // flag) with exit 1 before it does any work.
@@ -625,18 +621,6 @@ int CmdServe(const Config& cfg) {
                                 " (expected fifo, fair, or srw)");
   }
   sopts.policy = *policy;
-  // Fair-share pools: pool=name:weight[:max_jobs][,more...] with an
-  // optional "parent/" prefix on each name (parents listed first).
-  if (const auto pool_list = cfg.GetString("pool", ""); !pool_list.empty()) {
-    std::size_t begin = 0;
-    while (begin <= pool_list.size()) {
-      auto end = pool_list.find(',', begin);
-      if (end == std::string::npos) end = pool_list.size();
-      const std::string spec = pool_list.substr(begin, end - begin);
-      if (!spec.empty()) sopts.pools.push_back(sched::ParsePoolConfig(spec));
-      begin = end + 1;
-    }
-  }
   // Before the spool is drained: a rejected flag leaves its jobs queued.
   RejectUnreadKeys(cfg, "serve");
 
@@ -688,7 +672,6 @@ int CmdServe(const Config& cfg) {
     request.transport = TransportByName(s.transport);
     request.memory_bytes = s.memory_bytes;
     request.speculative_reduce = s.speculative_reduce;
-    request.pool = s.pool;
     if (request.speculative_reduce && !request.options.checkpoint.enabled) {
       throw std::invalid_argument(
           "spool job '" + s.id +
@@ -724,16 +707,10 @@ int CmdServe(const Config& cfg) {
               static_cast<long long>(stats.slots.waits),
               HumanSeconds(stats.slots.wait_seconds).c_str());
   if (stats.placement_deferrals > 0) {
-    std::printf("deferrals %lld (no-map %lld, no-reduce %lld, quota %lld)\n",
+    std::printf("deferrals %lld (no-map %lld, no-reduce %lld)\n",
                 static_cast<long long>(stats.placement_deferrals),
                 static_cast<long long>(stats.no_map_worker_deferrals),
-                static_cast<long long>(stats.no_reduce_worker_deferrals),
-                static_cast<long long>(stats.quota_deferrals));
-  }
-  for (const auto& pool : stats.pools) {
-    std::printf("pool %-12s weight %.1f | %lld slot grants\n",
-                pool.name.c_str(), pool.weight,
-                static_cast<long long>(pool.total_grants));
+                static_cast<long long>(stats.no_reduce_worker_deferrals));
   }
   PrintCrossJobTimeline(scheduler.Timeline());
   return failures == 0 ? 0 : 1;
