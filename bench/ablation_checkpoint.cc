@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "checkpoint/checkpoint.h"
 #include "common/config.h"
 #include "core/opmr.h"
 #include "metrics/report.h"
@@ -84,15 +85,20 @@ int main(int argc, char** argv) {
         // Expected shape: push shuffle without checkpoints cannot replay.
         status = "unrecoverable";
       }
+      const auto written = r.Bytes(kCheckpointsWritten);
+      const auto checkpoint_bytes = r.Bytes(device::kCheckpointWrite);
+      const auto replayed = r.Bytes(kReplayRecords);
+      const double recover_s =
+          static_cast<double>(r.Bytes(kCheckpointRecoverUs)) / 1e6;
       table.AddRow({std::to_string(interval), fault_name, status,
                     status == "ok" ? HumanSeconds(r.wall_seconds) : "-",
-                    std::to_string(r.checkpoints_written) + " (" +
-                        HumanBytes(double(r.checkpoint_bytes)) + ")",
-                    std::to_string(r.replay_records),
-                    HumanSeconds(r.recover_seconds), output});
-      csv.Row(interval, fault_name, status, r.wall_seconds, output,
-              r.checkpoints_written, r.checkpoints_loaded, r.checkpoint_bytes,
-              r.replay_records, r.recover_seconds);
+                    std::to_string(written) + " (" +
+                        HumanBytes(double(checkpoint_bytes)) + ")",
+                    std::to_string(replayed), HumanSeconds(recover_s),
+                    output});
+      csv.Row(interval, fault_name, status, r.wall_seconds, output, written,
+              r.Bytes(kCheckpointsLoaded), checkpoint_bytes, replayed,
+              recover_s);
     }
   }
   std::printf("%s", table.ToString().c_str());

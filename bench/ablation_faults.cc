@@ -75,16 +75,20 @@ int main(int argc, char** argv) {
       } catch (const std::exception&) {
         status = "failed";
       }
+      const auto map_retries = r.Bytes(kRetryMapTask);
+      const auto reduce_retries = r.Bytes(kRetryReduceTask);
+      const auto spec_launched = r.Bytes(kSpecLaunched);
+      const auto spec_wins = r.Bytes(kSpecWins);
+      const auto faults = r.Bytes(kFaultsInjected);
       table.AddRow({std::to_string(rate), policy.name, status,
                     status == "ok" ? HumanSeconds(r.wall_seconds) : "-",
-                    std::to_string(r.map_task_retries),
-                    std::to_string(r.reduce_task_retries),
-                    std::to_string(r.speculative_launched) + " (" +
-                        std::to_string(r.speculative_wins) + ")",
-                    std::to_string(r.faults_injected)});
-      csv.Row(rate, policy.name, status, r.wall_seconds, r.map_task_retries,
-              r.reduce_task_retries, r.speculative_launched,
-              r.speculative_wins, r.faults_injected);
+                    std::to_string(map_retries),
+                    std::to_string(reduce_retries),
+                    std::to_string(spec_launched) + " (" +
+                        std::to_string(spec_wins) + ")",
+                    std::to_string(faults)});
+      csv.Row(rate, policy.name, status, r.wall_seconds, map_retries,
+              reduce_retries, spec_launched, spec_wins, faults);
     }
   }
   std::printf("%s", table.ToString().c_str());

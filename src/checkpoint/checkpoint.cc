@@ -224,7 +224,7 @@ std::uint64_t CheckpointManager::Write(CheckpointImage* image) {
   records_since_ = 0;
   bytes_since_ = 0;
   last_write_seconds_ = MonotonicSeconds();
-  if (metrics_ != nullptr) metrics_->Get("checkpoint.written")->Increment();
+  if (metrics_ != nullptr) metrics_->Get(kCheckpointsWritten)->Increment();
   const std::uint64_t bytes =
       sizeof(kMagic) + 4 + 1 + 8 + 4 + 8 + payload.size();
   return bytes;
@@ -276,8 +276,8 @@ std::optional<CheckpointImage> CheckpointManager::LoadLatest() {
       // never collides with (or is shadowed by) an existing file.
       next_seq_ = std::max(next_seq_, on_disk.back().first + 1);
       if (metrics_ != nullptr) {
-        metrics_->Get("checkpoint.loaded")->Increment();
-        metrics_->Get("checkpoint.recover_us")
+        metrics_->Get(kCheckpointsLoaded)->Increment();
+        metrics_->Get(kCheckpointRecoverUs)
             ->Add(static_cast<std::int64_t>(
                 (MonotonicSeconds() - begin) * 1e6));
       }
@@ -288,7 +288,7 @@ std::optional<CheckpointImage> CheckpointManager::LoadLatest() {
     }
   }
   if (metrics_ != nullptr) {
-    metrics_->Get("checkpoint.recover_us")
+    metrics_->Get(kCheckpointRecoverUs)
         ->Add(static_cast<std::int64_t>((MonotonicSeconds() - begin) * 1e6));
   }
   return std::nullopt;

@@ -47,6 +47,13 @@ namespace opmr {
 // covers both, so job-completion GC also reclaims published snapshots.
 inline constexpr const char* kServeJobSuffix = ".serve";
 
+// Checkpoint counters: images written and restored, stale files swept after
+// a job completes, and microseconds spent restoring.
+inline constexpr const char* kCheckpointsWritten = "checkpoint.written";
+inline constexpr const char* kCheckpointsLoaded = "checkpoint.loaded";
+inline constexpr const char* kCheckpointsSwept = "checkpoint.swept";
+inline constexpr const char* kCheckpointRecoverUs = "checkpoint.recover_us";
+
 // One checkpoint's logical content, independent of on-disk framing.  The
 // owner (batch reducer / streaming worker) fills it before Write and applies
 // it after LoadLatest.

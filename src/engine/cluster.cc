@@ -295,7 +295,7 @@ void ClusterExecutor::RetryBackoff(int attempt, std::uint64_t salt) const {
   // reproducibility.
   Rng rng(salt * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(attempt));
   ms *= 0.5 + 0.5 * rng.NextDouble();
-  metrics_->Get("retry.backoff_ms")->Add(static_cast<std::int64_t>(ms));
+  metrics_->Get(kRetryBackoffMs)->Add(static_cast<std::int64_t>(ms));
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
@@ -463,10 +463,6 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
   std::atomic<std::uint64_t> map_output_records{0};
   std::atomic<std::uint64_t> output_records{0};
   std::vector<std::uint64_t> per_reducer_records(num_reducers, 0);
-  std::atomic<int> map_retries{0};
-  std::atomic<int> reduce_retries{0};
-  std::atomic<int> spec_launched{0};
-  std::atomic<int> spec_wins{0};
   std::atomic<bool> maps_failed{false};
 
   // Reduce-speculation state: the watchdog raises a reducer's preempt flag;
@@ -480,8 +476,6 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
       static_cast<std::size_t>(num_reducers));
   std::atomic<int> reducers_completed{0};
   std::atomic<std::int64_t> reduce_completed_us{0};
-  std::atomic<int> spec_reduce_launched{0};
-  std::atomic<int> spec_reduce_wins{0};
 
   // --- Reducer threads (start immediately: reducers shuffle while maps run).
   std::vector<std::jthread> reducer_threads;
@@ -522,8 +516,7 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
           output_records.fetch_add(records, std::memory_order_relaxed);
           per_reducer_records[r] = records;  // one writer per slot
           if (renv.speculative_attempt) {
-            spec_reduce_wins.fetch_add(1, std::memory_order_relaxed);
-            metrics_->Get("speculation.reduce_wins")->Increment();
+            metrics_->Get(kSpecReduceWins)->Increment();
           }
           reduce_finished[r].store(true, std::memory_order_release);
           const int done =
@@ -544,8 +537,7 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
           // max_task_attempts and never rewinds to ordinal 0.
           reduce_preempt[r].store(false, std::memory_order_relaxed);
           renv.speculative_attempt = true;
-          spec_reduce_launched.fetch_add(1, std::memory_order_relaxed);
-          metrics_->Get("speculation.reduce_launched")->Increment();
+          metrics_->Get(kSpecReduceLaunched)->Increment();
           continue;
         } catch (const ReplayError&) {
           // The feed is unrecoverable; another attempt would fail the same
@@ -577,8 +569,7 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
               return;
             }
           }
-          reduce_retries.fetch_add(1, std::memory_order_relaxed);
-          metrics_->Get("retry.reduce_task")->Increment();
+          metrics_->Get(kRetryReduceTask)->Increment();
           RetryBackoff(attempt, 0x5edce5ull + static_cast<std::uint64_t>(r));
         }
       }
@@ -737,8 +728,7 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
               why);
         }
         if (attempt >= cluster_.max_task_attempts) throw;
-        map_retries.fetch_add(1, std::memory_order_relaxed);
-        metrics_->Get("retry.map_task")->Increment();
+        metrics_->Get(kRetryMapTask)->Increment();
         RetryBackoff(attempt, static_cast<std::uint64_t>(task_id));
         continue;
       }
@@ -760,10 +750,7 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
           cluster_.sched_hooks->on_map_progress(static_cast<int>(done_now),
                                                 num_maps);
         }
-        if (speculative) {
-          spec_wins.fetch_add(1, std::memory_order_relaxed);
-          metrics_->Get("speculation.wins")->Increment();
-        }
+        if (speculative) metrics_->Get(kSpecWins)->Increment();
         input_records.fetch_add(stats.input_records,
                                 std::memory_order_relaxed);
         map_output_records.fetch_add(stats.output_records,
@@ -799,8 +786,7 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
             if (all_entries_done()) break;
             if (MapTaskEntry* victim = pick_straggler()) {
               MapSlotLease lease(cluster_.sched_hooks);
-              spec_launched.fetch_add(1, std::memory_order_relaxed);
-              metrics_->Get("speculation.launched")->Increment();
+              metrics_->Get(kSpecLaunched)->Increment();
               run_map_attempts(victim, node, /*speculative=*/true);
             } else {
               std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -814,9 +800,6 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
       });
     }
     // jthreads join at scope exit.
-  }
-  if (maps_failed.load()) {
-    // Reducers are unwinding via the aborted shuffle; join then rethrow.
   }
 
   // Map group over a transport: close the connection before joining
@@ -860,7 +843,7 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
   if (run_reducers && checkpoint_enabled) {
     const int swept =
         CheckpointManager::SweepFinishedJobs(env.checkpoint_dir, spec.name);
-    metrics_->Get("checkpoint.swept")->Add(swept);
+    metrics_->Get(kCheckpointsSwept)->Add(swept);
   }
 
   emissions.Finish();
@@ -872,12 +855,6 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
   result.num_map_tasks = num_maps;
   result.num_reduce_tasks = num_reducers;
   result.local_map_tasks = scheduler.local_count();
-  result.map_task_retries = map_retries.load();
-  result.reduce_task_retries = reduce_retries.load();
-  result.speculative_launched = spec_launched.load();
-  result.speculative_wins = spec_wins.load();
-  result.spec_reduce_launched = spec_reduce_launched.load();
-  result.spec_reduce_wins = spec_reduce_wins.load();
   result.reducer_output_records = std::move(per_reducer_records);
   result.input_records = input_records.load();
   result.map_output_records = map_output_records.load();
@@ -905,27 +882,12 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
     const std::int64_t before = it == counters_before.end() ? 0 : it->second;
     result.counters[name] = value - before;
   }
-  result.faults_injected = result.Bytes("faults.injected");
-  result.checkpoints_written = result.Bytes("checkpoint.written");
-  result.checkpoints_loaded = result.Bytes("checkpoint.loaded");
-  result.checkpoint_bytes = result.Bytes(device::kCheckpointWrite);
-  result.replay_records = result.Bytes("recovery.replay_records");
-  result.recover_seconds =
-      static_cast<double>(result.Bytes("checkpoint.recover_us")) / 1e6;
-  result.checkpoints_swept = result.Bytes("checkpoint.swept");
+  // opmrbench is the only reader of these named copies.
   result.net_bytes_sent = result.Bytes(net::kNetBytesSent);
-  result.net_bytes_received = result.Bytes(net::kNetBytesReceived);
   result.net_frames_sent = result.Bytes(net::kNetFramesSent);
   result.net_frames_received = result.Bytes(net::kNetFramesReceived);
   result.net_retransmits = result.Bytes(net::kNetRetransmits);
-  result.net_reconnects = result.Bytes(net::kNetReconnects);
-  result.net_stall_seconds =
-      static_cast<double>(result.Bytes(net::kNetStallNanos)) / 1e9;
-  result.shuffle_ack_replays = result.Bytes(kShuffleAckReplays);
-  result.shuffle_ack_replayed_frames = result.Bytes(kShuffleAckReplayedFrames);
   result.shuffle_dup_frames = result.Bytes(kShuffleDupFrames);
-  result.spec_reduce_seeded_from_ckpt =
-      static_cast<int>(result.Bytes("speculation.reduce_seeded"));
   return result;
 }
 

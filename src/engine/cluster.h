@@ -174,11 +174,25 @@ struct ClusterOptions {
   coord::Coordinator* coordinator = nullptr;
 };
 
+// Recovery counters ClusterExecutor charges (all zero in a clean run).
+inline constexpr const char* kRetryMapTask = "retry.map_task";
+inline constexpr const char* kRetryReduceTask = "retry.reduce_task";
+inline constexpr const char* kRetryBackoffMs = "retry.backoff_ms";
+// Backup map attempts started, and those that published first.
+inline constexpr const char* kSpecLaunched = "speculation.launched";
+inline constexpr const char* kSpecWins = "speculation.wins";
+// Takeover reduce attempts started, seeded from a checkpoint, and completed.
+inline constexpr const char* kSpecReduceLaunched =
+    "speculation.reduce_launched";
+inline constexpr const char* kSpecReduceSeeded = "speculation.reduce_seeded";
+inline constexpr const char* kSpecReduceWins = "speculation.reduce_wins";
+
 struct JobResult {
   std::string job_name;
   double wall_seconds = 0.0;
 
-  // Data volumes (job-scoped deltas of the metric registry).
+  // Job-scoped deltas of the metric registry: data volumes, recovery,
+  // checkpoint, fault and wire activity.  Read one through Bytes().
   std::map<std::string, std::int64_t> counters;
 
   // Per-phase CPU seconds across all task threads (Table II / §V).
@@ -197,35 +211,13 @@ struct JobResult {
   int num_reduce_tasks = 0;
   int local_map_tasks = 0;   // scheduled on a node holding the block
 
-  // Recovery activity (all zero in a clean run).
-  int map_task_retries = 0;     // failed map attempts that were re-executed
-  int reduce_task_retries = 0;  // failed reduce attempts that were re-run
-  int speculative_launched = 0; // backup map attempts started
-  int speculative_wins = 0;     // backups that published before the original
-  int spec_reduce_launched = 0; // backup reduce attempts started (takeover)
-  int spec_reduce_seeded_from_ckpt = 0;  // backups seeded from a checkpoint
-  int spec_reduce_wins = 0;     // backup reduce attempts that completed
-  std::int64_t faults_injected = 0;  // chaos-plane faults fired (all points)
-
-  // Checkpoint activity (all zero with checkpointing off).
-  std::int64_t checkpoints_written = 0;
-  std::int64_t checkpoints_loaded = 0;   // restores performed by retries
-  std::int64_t checkpoint_bytes = 0;     // bytes committed to checkpoints
-  std::int64_t replay_records = 0;       // shuffle records re-delivered
-  double recover_seconds = 0.0;          // time spent restoring checkpoints
-  std::int64_t checkpoints_swept = 0;    // stale files GC'd after completion
-
-  // Wire activity (all zero on the seed's direct in-process path).
+  // Wire totals, copied from `counters` for opmrbench, their only reader;
+  // everything else reads counters through Bytes().
   std::int64_t net_bytes_sent = 0;
-  std::int64_t net_bytes_received = 0;
   std::int64_t net_frames_sent = 0;
   std::int64_t net_frames_received = 0;
-  std::int64_t net_retransmits = 0;      // frame sends retried after a drop
-  std::int64_t net_reconnects = 0;       // client connections re-established
-  double net_stall_seconds = 0.0;        // injected stalls + reconnect waits
-  std::int64_t shuffle_ack_replays = 0;  // ack-window replay passes
-  std::int64_t shuffle_ack_replayed_frames = 0;  // frames resent by replays
-  std::int64_t shuffle_dup_frames = 0;   // dups absorbed by the watermark
+  std::int64_t net_retransmits = 0;
+  std::int64_t shuffle_dup_frames = 0;
 
   // Per-reducer output records: the partition-skew signal (related work
   // [19] targets exactly this imbalance).
@@ -246,7 +238,8 @@ struct JobResult {
 
   std::vector<TaskInterval> timeline;
 
-  // Convenience accessors over `counters`.
+  // This job's delta of any counter (bytes or a count); 0 when the counter
+  // is absent.
   [[nodiscard]] std::int64_t Bytes(const std::string& name) const {
     auto it = counters.find(name);
     return it == counters.end() ? 0 : it->second;

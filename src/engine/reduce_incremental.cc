@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "engine/cluster.h"
 #include "engine/reduce_hash.h"
 #include "fault/fault.h"
 
@@ -294,7 +295,7 @@ std::uint64_t IncrementalHashReducer::PrepareCheckpoint() {
     if (env_.speculative_attempt && env_.metrics != nullptr) {
       // A speculative backup attempt seeded itself from the primary's
       // newest image instead of re-folding the whole feed.
-      env_.metrics->Get("speculation.reduce_seeded")->Increment();
+      env_.metrics->Get(kSpecReduceSeeded)->Increment();
     }
   }
   // No (valid) checkpoint degrades to a full re-execution — feasible for

@@ -20,7 +20,7 @@ ShuffleService::ShuffleService(int num_map_tasks, int num_reducers,
       shuffle_read_(metrics, device::kShuffleRead),
       retain_write_(metrics, device::kRetainWrite),
       replay_records_(metrics != nullptr
-                          ? metrics->Get("recovery.replay_records")
+                          ? metrics->Get(kReplayRecords)
                           : nullptr),
       queues_(num_reducers) {
   if (num_reducers <= 0) {

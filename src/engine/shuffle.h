@@ -28,6 +28,10 @@
 
 namespace opmr {
 
+// Shuffle records re-delivered to a re-executed or restored reducer (and,
+// in a streaming job, source records re-ingested after Recover()).
+inline constexpr const char* kReplayRecords = "recovery.replay_records";
+
 // Thrown by a reduce attempt when its shuffle feed cannot be rewound to the
 // watermark it needs (e.g. every checkpoint is corrupt and pushed chunks
 // below the acknowledgement floor are gone).  Never retryable: another

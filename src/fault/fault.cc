@@ -206,7 +206,7 @@ const FaultScope::Frame& FaultScope::Current() noexcept { return t_frame; }
 
 FaultInjector::FaultInjector(FaultPlan plan, MetricRegistry* metrics)
     : plan_(std::move(plan)), metrics_(metrics) {
-  injected_ = metrics_->Get("faults.injected");
+  injected_ = metrics_->Get(kFaultsInjected);
   slowed_records_ = metrics_->Get("faults.slowed_records");
   per_spec_.reserve(plan_.faults.size());
   for (const auto& spec : plan_.faults) {

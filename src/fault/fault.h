@@ -131,10 +131,13 @@ class FaultScope {
   Frame saved_;
 };
 
+// Every fault fired at any point, the chaos plane's headline counter.
+inline constexpr const char* kFaultsInjected = "faults.injected";
+
 // Evaluates a FaultPlan at the engine's fault sites.  Thread-safe and
 // stateless between calls: decisions depend only on (seed, coordinates),
 // so concurrent tasks cannot perturb each other's faults.  Counts every
-// fired fault into the metric registry ("faults.injected", "faults.<point>",
+// fired fault into the metric registry (kFaultsInjected, "faults.<point>",
 // "faults.slowed_records") so chaos activity lands in JobResult::counters.
 class FaultInjector final : public IoFaultHook, public net::NetFaultHook {
  public:

@@ -143,8 +143,8 @@ void SetNetFaultHook(NetFaultHook* hook);
 [[nodiscard]] NetFaultHook* GetNetFaultHook() noexcept;
 
 // --- Wire metric names -------------------------------------------------------
-// Charged into the owning MetricRegistry by both transports; surfaced as
-// the wire-metrics block of JobResult and the CSV reports.
+// Charged into the owning MetricRegistry by both transports; a job reads
+// them from its counter delta through JobResult::Bytes.
 
 inline constexpr const char* kNetBytesSent = "net.bytes_sent";
 inline constexpr const char* kNetBytesReceived = "net.bytes_received";

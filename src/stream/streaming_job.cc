@@ -363,7 +363,7 @@ void StreamingJob::Ingest(Slice record) {
   // watermark currency of checkpoints and replay deduplication.
   const std::uint64_t seq = records_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (seq <= replay_until_.load(std::memory_order_relaxed)) {
-    metrics_.Get("recovery.replay_records")->Increment();
+    metrics_.Get(kReplayRecords)->Increment();
   }
   // Local class: routes map output to the owning worker as framed pairs
   // (local classes of member functions share the class's access rights).

@@ -63,8 +63,8 @@ TEST(ChaosTest, SpillWriteFaultRecovers) {
   const auto chaos = RunPerUserCount(
       popts, "seed=3;io_write:tag=map_out,task=0,after_bytes=1",
       HadoopOptions());
-  EXPECT_EQ(chaos.result.map_task_retries, 1);
-  EXPECT_EQ(chaos.result.faults_injected, 1);
+  EXPECT_EQ(chaos.result.Bytes(kRetryMapTask), 1);
+  EXPECT_EQ(chaos.result.Bytes(kFaultsInjected), 1);
   EXPECT_EQ(chaos.rows, clean.rows);
 }
 
@@ -73,8 +73,8 @@ TEST(ChaosTest, DfsReadFaultRecovers) {
   const auto clean = RunPerUserCount(popts, "", HadoopOptions());
   const auto chaos = RunPerUserCount(
       popts, "seed=3;io_read:tag=dfs_block,task=1", HadoopOptions());
-  EXPECT_EQ(chaos.result.map_task_retries, 1);
-  EXPECT_EQ(chaos.result.faults_injected, 1);
+  EXPECT_EQ(chaos.result.Bytes(kRetryMapTask), 1);
+  EXPECT_EQ(chaos.result.Bytes(kFaultsInjected), 1);
   EXPECT_EQ(chaos.rows, clean.rows);
 }
 
@@ -83,8 +83,8 @@ TEST(ChaosTest, MidTaskMapCrashRecovers) {
   const auto clean = RunPerUserCount(popts, "", HadoopOptions());
   const auto chaos = RunPerUserCount(
       popts, "seed=3;map_crash:task=2,record=100", HadoopOptions());
-  EXPECT_EQ(chaos.result.map_task_retries, 1);
-  EXPECT_EQ(chaos.result.faults_injected, 1);
+  EXPECT_EQ(chaos.result.Bytes(kRetryMapTask), 1);
+  EXPECT_EQ(chaos.result.Bytes(kFaultsInjected), 1);
   EXPECT_EQ(chaos.rows, clean.rows);
 }
 
@@ -97,8 +97,8 @@ TEST(ChaosTest, CombinedPlanIsByteIdenticalToCleanRun) {
       "seed=5;io_write:tag=map_out,task=0,after_bytes=1;"
       "io_read:tag=dfs_block,task=1;map_crash:task=2,record=100",
       HadoopOptions());
-  EXPECT_EQ(chaos.result.map_task_retries, 3);
-  EXPECT_EQ(chaos.result.faults_injected, 3);
+  EXPECT_EQ(chaos.result.Bytes(kRetryMapTask), 3);
+  EXPECT_EQ(chaos.result.Bytes(kFaultsInjected), 3);
   EXPECT_GT(chaos.rows.size(), 0u);
   EXPECT_EQ(chaos.rows, clean.rows);
 }
@@ -129,9 +129,9 @@ TEST(ChaosTest, ReduceCrashReExecutesFromReplayedShuffle) {
   const auto clean = RunPerUserCount(popts, "", HadoopOptions());
   const auto chaos = RunPerUserCount(
       popts, "seed=7;reduce_crash:task=0,record=50", HadoopOptions());
-  EXPECT_EQ(chaos.result.reduce_task_retries, 1);
-  EXPECT_EQ(chaos.result.map_task_retries, 0);
-  EXPECT_EQ(chaos.result.faults_injected, 1);
+  EXPECT_EQ(chaos.result.Bytes(kRetryReduceTask), 1);
+  EXPECT_EQ(chaos.result.Bytes(kRetryMapTask), 0);
+  EXPECT_EQ(chaos.result.Bytes(kFaultsInjected), 1);
   EXPECT_EQ(chaos.rows, clean.rows);
 }
 
@@ -140,8 +140,8 @@ TEST(ChaosTest, FetchStallsOnlyDelayTheJob) {
   const auto clean = RunPerUserCount(popts, "", HadoopOptions());
   const auto chaos = RunPerUserCount(
       popts, "seed=9;fetch_stall:rate=1,delay_ms=0.5", HadoopOptions());
-  EXPECT_GT(chaos.result.faults_injected, 0);
-  EXPECT_EQ(chaos.result.map_task_retries, 0);
+  EXPECT_GT(chaos.result.Bytes(kFaultsInjected), 0);
+  EXPECT_EQ(chaos.result.Bytes(kRetryMapTask), 0);
   EXPECT_EQ(chaos.rows, clean.rows);
 }
 
@@ -154,7 +154,7 @@ TEST(ChaosTest, ReplicaLossDegradesLocalityNotCorrectness) {
   const auto chaos = RunPerUserCount(popts, "seed=11;replica_loss",
                                      HadoopOptions());
   EXPECT_EQ(chaos.result.local_map_tasks, 0);
-  EXPECT_GT(chaos.result.faults_injected, 0);
+  EXPECT_GT(chaos.result.Bytes(kFaultsInjected), 0);
   EXPECT_EQ(chaos.rows, clean.rows);
 }
 
@@ -170,8 +170,8 @@ TEST(ChaosTest, SpeculationBeatsInjectedSlowNode) {
   const auto chaos = RunPerUserCount(
       popts, "seed=13;slow_node:node=0,delay_ms=0.3", HadoopOptions(),
       10'000);
-  EXPECT_GE(chaos.result.speculative_launched, 1);
-  EXPECT_GE(chaos.result.speculative_wins, 1);
+  EXPECT_GE(chaos.result.Bytes(kSpecLaunched), 1);
+  EXPECT_GE(chaos.result.Bytes(kSpecWins), 1);
   EXPECT_EQ(chaos.rows, clean.rows);
 }
 
@@ -182,8 +182,8 @@ TEST(ChaosTest, SamePlanInjectsIdenticallyAcrossRuns) {
   const std::string plan = "seed=17;map_crash:rate=0.0005";
   const auto a = RunPerUserCount(popts, plan, HadoopOptions());
   const auto b = RunPerUserCount(popts, plan, HadoopOptions());
-  EXPECT_EQ(a.result.faults_injected, b.result.faults_injected);
-  EXPECT_EQ(a.result.map_task_retries, b.result.map_task_retries);
+  EXPECT_EQ(a.result.Bytes(kFaultsInjected), b.result.Bytes(kFaultsInjected));
+  EXPECT_EQ(a.result.Bytes(kRetryMapTask), b.result.Bytes(kRetryMapTask));
   EXPECT_EQ(a.rows, b.rows);
 }
 

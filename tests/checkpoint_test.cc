@@ -124,8 +124,8 @@ TEST_F(CheckpointManagerTest, RoundTripPreservesEveryField) {
   EXPECT_EQ(loaded->entries[0].state, std::string("\x01\x00s", 3));
   EXPECT_FALSE(loaded->entries[0].early_emitted);
   EXPECT_TRUE(loaded->entries[1].early_emitted);
-  EXPECT_EQ(metrics_.Value("checkpoint.written"), 1);
-  EXPECT_EQ(metrics_.Value("checkpoint.loaded"), 1);
+  EXPECT_EQ(metrics_.Value(kCheckpointsWritten), 1);
+  EXPECT_EQ(metrics_.Value(kCheckpointsLoaded), 1);
 }
 
 TEST_F(CheckpointManagerTest, CompressedImagesRoundTrip) {
@@ -337,18 +337,18 @@ TEST(CheckpointRecovery, PushReduceCrashRestoresAndReplaysOnlySuffix) {
   const auto chaos = RunCheckpointedPerUserCount(
       "seed=11;reduce_crash:task=1,record=50", 4'000);
 
-  EXPECT_EQ(chaos.result.reduce_task_retries, 1);
-  EXPECT_EQ(chaos.result.faults_injected, 1);
-  EXPECT_GT(chaos.result.checkpoints_written, 0);
-  EXPECT_GE(chaos.result.checkpoints_loaded, 1);
-  EXPECT_GT(chaos.result.checkpoint_bytes, 0);
+  EXPECT_EQ(chaos.result.Bytes(kRetryReduceTask), 1);
+  EXPECT_EQ(chaos.result.Bytes(kFaultsInjected), 1);
+  EXPECT_GT(chaos.result.Bytes(kCheckpointsWritten), 0);
+  EXPECT_GE(chaos.result.Bytes(kCheckpointsLoaded), 1);
+  EXPECT_GT(chaos.result.Bytes(device::kCheckpointWrite), 0);
   // On completion the executor GCs the job's images from the checkpoint
   // directory (multi-job sweep).
-  EXPECT_GT(chaos.result.checkpoints_swept, 0);
+  EXPECT_GT(chaos.result.Bytes(kCheckpointsSwept), 0);
   // Suffix-only replay: more than nothing (the crash happened after the
   // last image), far less than the reducer's whole feed.
-  EXPECT_GT(chaos.result.replay_records, 0);
-  EXPECT_LT(chaos.result.replay_records,
+  EXPECT_GT(chaos.result.Bytes(kReplayRecords), 0);
+  EXPECT_LT(chaos.result.Bytes(kReplayRecords),
             static_cast<std::int64_t>(chaos.result.map_output_records));
   ASSERT_GT(clean.rows.size(), 0u);
   EXPECT_EQ(chaos.rows, clean.rows);  // byte-identical, order included
@@ -460,10 +460,10 @@ TEST(StreamingRecovery, CrashedWorkerRestoresAndStreamStaysExact) {
   EXPECT_GT(resume, 0u);
   EXPECT_LT(resume, source.size());
   EXPECT_EQ(job.records_ingested(), resume);
-  EXPECT_GE(job.CounterValue("checkpoint.loaded"), 1);
+  EXPECT_GE(job.CounterValue(kCheckpointsLoaded), 1);
 
   for (std::size_t i = resume; i < source.size(); ++i) job.Ingest(source[i]);
-  EXPECT_EQ(job.CounterValue("recovery.replay_records"),
+  EXPECT_EQ(job.CounterValue(kReplayRecords),
             static_cast<std::int64_t>(source.size() - resume));
 
   std::map<std::string, std::uint64_t> actual;

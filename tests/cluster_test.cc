@@ -253,7 +253,7 @@ TEST_F(ClusterTest, FlakyMapTasksSucceedWithRetries) {
     if (n == 700 || n == 5'000) throw std::runtime_error("transient fault");
   };
   const auto result = platform.Run(flaky, HadoopOptions());
-  EXPECT_GT(result.map_task_retries, 0);
+  EXPECT_GT(result.Bytes(kRetryMapTask), 0);
 
   // Exactness despite retries: totals must match a clean run.
   const auto clean =
@@ -262,7 +262,7 @@ TEST_F(ClusterTest, FlakyMapTasksSucceedWithRetries) {
   for (const auto& kv : platform.ReadOutput("flaky_out", 2)) a.insert(kv);
   for (const auto& kv : platform.ReadOutput("clean_out", 2)) b.insert(kv);
   EXPECT_EQ(a, b);
-  EXPECT_EQ(clean.map_task_retries, 0);
+  EXPECT_EQ(clean.Bytes(kRetryMapTask), 0);
 }
 
 TEST_F(ClusterTest, SingleTransientFailureRetriesExactlyOnce) {
@@ -285,8 +285,8 @@ TEST_F(ClusterTest, SingleTransientFailureRetriesExactlyOnce) {
     inner(record, out);
   };
   const auto result = platform.Run(flaky, HadoopOptions());
-  EXPECT_EQ(result.map_task_retries, 1);
-  EXPECT_EQ(result.reduce_task_retries, 0);
+  EXPECT_EQ(result.Bytes(kRetryMapTask), 1);
+  EXPECT_EQ(result.Bytes(kRetryReduceTask), 0);
 
   // Byte-identical to a clean run, part by part (sort-merge output is
   // deterministically ordered within each reducer).
@@ -323,7 +323,7 @@ TEST_F(ClusterTest, RetriesWithPushShuffleRunCleanly) {
   const auto result =
       platform.Run(PerUserCountJob("clicks", "o12", 2), HashOnePassOptions());
   EXPECT_GT(result.output_records, 0u);
-  EXPECT_EQ(result.reduce_task_retries, 0);
+  EXPECT_EQ(result.Bytes(kRetryReduceTask), 0);
 }
 
 TEST_F(ClusterTest, EmptyInputProducesEmptyOutput) {

@@ -20,6 +20,7 @@
 #include "coord/member.h"
 #include "coord/registry.h"
 #include "core/opmr.h"
+#include "engine/shuffle_remote.h"
 #include "fault/fault.h"
 #include "net/tcp.h"
 #include "sched/scheduler.h"
@@ -268,7 +269,7 @@ TEST(CoordChaos, HeartbeatLossAndPeerCrashRecoverViaAckReplay) {
   // ReplayUnacked through the coordination wiring) and crashes the
   // reducer-side connection after discarding a delivered-but-unapplied
   // frame (peer_crash -> reconnect replay).  The job must not fail, must
-  // replay the unacked window (shuffle_ack_replays > 0), and the answer
+  // replay the unacked window (shuffle.ack_replays > 0), and the answer
   // must match the clean in-process run exactly.
   const auto truth = DirectTruth();
 
@@ -316,9 +317,9 @@ TEST(CoordChaos, HeartbeatLossAndPeerCrashRecoverViaAckReplay) {
   coordinator.Stop();
   coord_wire.Shutdown();
 
-  EXPECT_GE(result.shuffle_ack_replays, 1);
-  EXPECT_GE(result.shuffle_ack_replayed_frames, 1);
-  EXPECT_GE(result.faults_injected, 1);
+  EXPECT_GE(result.Bytes(kShuffleAckReplays), 1);
+  EXPECT_GE(result.Bytes(kShuffleAckReplayedFrames), 1);
+  EXPECT_GE(result.Bytes(kFaultsInjected), 1);
   EXPECT_EQ(AsMap(platform.ReadOutput("out", 2)), truth);
 }
 
@@ -362,8 +363,8 @@ TEST(CoordChaos, ConnDropUnderCoordinationWiringStaysCorrect) {
   coordinator.Stop();
   coord_wire.Shutdown();
 
-  EXPECT_GE(result.faults_injected, 1);
-  EXPECT_GE(result.net_reconnects, 1);
+  EXPECT_GE(result.Bytes(kFaultsInjected), 1);
+  EXPECT_GE(result.Bytes(net::kNetReconnects), 1);
   EXPECT_EQ(AsMap(platform.ReadOutput("out", 2)), truth);
 }
 

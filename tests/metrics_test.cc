@@ -3,6 +3,7 @@
 #include <thread>
 #include <vector>
 
+#include "metrics/counter_rows.h"
 #include "metrics/counters.h"
 #include "metrics/phase_profiler.h"
 #include "metrics/stopwatch.h"
@@ -29,6 +30,29 @@ TEST(Counters, SnapshotContainsAllCounters) {
   EXPECT_EQ(snap.at("a"), 1);
   EXPECT_EQ(snap.at("b"), 2);
   EXPECT_EQ(registry.Value("absent"), 0);
+}
+
+TEST(CounterRows, SkipsZerosSortsByNameAndFormatsByName) {
+  const std::map<std::string, std::int64_t> counters = {
+      {"shuffle.bytes_read", 2048},
+      {"shuffle.bytes_read.ops", 4},
+      {"retry.map_task", 3},
+      {"retry.reduce_task", 0},
+      {"net.stall_nanos", 40'000'000},
+      {"checkpoint.recover_us", 1'500'000},
+      {"retry.backoff_ms", 250},
+      {"checkpoint.bytes_written", 0},
+  };
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"checkpoint.recover_us", "1.5 s"},
+      {"net.stall_nanos", "40.0 ms"},
+      {"retry.backoff_ms", "250.0 ms"},
+      {"retry.map_task", "3"},
+      {"shuffle.bytes_read", "2.00 KB"},
+      {"shuffle.bytes_read.ops", "4"},
+  };
+  EXPECT_EQ(CounterRows(counters), expected);
+  EXPECT_TRUE(CounterRows({{"a", 0}}).empty());
 }
 
 TEST(Counters, ConcurrentIncrementsAreLossless) {

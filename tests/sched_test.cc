@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "checkpoint/checkpoint.h"
 #include "core/opmr.h"
 #include "sched/slot_pool.h"
 #include "sched/spool.h"
@@ -386,13 +387,13 @@ TEST(ReduceSpeculationTest, SlowReducerTakenOverFromCheckpoint) {
   const auto result = slow.Run(PerUserCountJob("clicks", "out", 2),
                                CheckpointedOnePassOptions(512));
 
-  EXPECT_GE(result.spec_reduce_launched, 1);
-  EXPECT_GE(result.spec_reduce_seeded_from_ckpt, 1);
-  EXPECT_GE(result.spec_reduce_wins, 1);
-  EXPECT_GE(result.checkpoints_loaded, 1);
+  EXPECT_GE(result.Bytes(kSpecReduceLaunched), 1);
+  EXPECT_GE(result.Bytes(kSpecReduceSeeded), 1);
+  EXPECT_GE(result.Bytes(kSpecReduceWins), 1);
+  EXPECT_GE(result.Bytes(kCheckpointsLoaded), 1);
   // The backup replays only the un-acked suffix, not the whole partition.
-  EXPECT_GT(result.replay_records, 0u);
-  EXPECT_LT(result.replay_records, result.map_output_records);
+  EXPECT_GT(result.Bytes(kReplayRecords), 0);
+  EXPECT_LT(result.Bytes(kReplayRecords), result.map_output_records);
 
   auto actual = slow.ReadOutput("out", 2);
   std::sort(actual.begin(), actual.end());

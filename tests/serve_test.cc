@@ -549,7 +549,7 @@ TEST_F(ServeTest, ConnDropDuringFetchHealsWithoutServingATornView) {
   net::SetNetFaultHook(nullptr);
   ASSERT_TRUE(applied);
 
-  EXPECT_GE(fault_metrics.Value("faults.injected"), 1)
+  EXPECT_GE(fault_metrics.Value(kFaultsInjected), 1)
       << "the drop must actually have fired";
   EXPECT_EQ(metrics_.Value("serve.fetch_corrupt"), 0)
       << "a healed link must never surface a torn image";

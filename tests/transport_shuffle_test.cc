@@ -104,7 +104,7 @@ TEST(TransportShuffle, SortMergeJobIsByteIdenticalAcrossTransports) {
     EXPECT_GT(loopback.result.net_frames_sent, 0);
     EXPECT_GT(loopback.result.net_bytes_sent, 0);
     EXPECT_GT(tcp.result.net_frames_sent, 0);
-    EXPECT_GT(tcp.result.net_bytes_received, 0);
+    EXPECT_GT(tcp.result.Bytes(net::kNetBytesReceived), 0);
     EXPECT_EQ(tcp.result.net_retransmits, 0);
 
     // The push case really pushed over tcp, and really diverted.
@@ -153,9 +153,9 @@ TEST(TransportShuffle, InjectedConnDropIsInvisibleInTheAnswer) {
                                "seed=7;conn_drop:record=2");
 
   EXPECT_EQ(AsMap(dropped.rows), AsMap(clean.rows));
-  EXPECT_GE(dropped.result.faults_injected, 1);
+  EXPECT_GE(dropped.result.Bytes(kFaultsInjected), 1);
   EXPECT_GE(dropped.result.net_retransmits, 1);
-  EXPECT_GE(dropped.result.net_reconnects, 1);
+  EXPECT_GE(dropped.result.Bytes(net::kNetReconnects), 1);
 }
 
 TEST(TransportShuffle, CheckpointRestartReplaysRetentionSpills) {
@@ -181,8 +181,8 @@ TEST(TransportShuffle, CheckpointRestartReplaysRetentionSpills) {
   const JobResult result =
       platform.Run(PerUserCountJob("clicks", "out", 2), options);
 
-  EXPECT_EQ(result.reduce_task_retries, 1);
-  EXPECT_GT(result.replay_records, 0);
+  EXPECT_EQ(result.Bytes(kRetryReduceTask), 1);
+  EXPECT_GT(result.Bytes(kReplayRecords), 0);
 
   // The spill replay is invisible in the answer: same rows as a clean run
   // with a roomy retention budget and no fault.
@@ -200,8 +200,8 @@ TEST(TransportShuffle, InjectedStallIsAccountedAsStallTime) {
   const auto stalled = RunMode(Mode::kTcp, HashOnePassOptions(),
                                "seed=7;net_stall:record=3,delay_ms=40");
   ASSERT_GT(stalled.rows.size(), 0u);
-  EXPECT_GE(stalled.result.faults_injected, 1);
-  EXPECT_GE(stalled.result.net_stall_seconds, 0.04);
+  EXPECT_GE(stalled.result.Bytes(kFaultsInjected), 1);
+  EXPECT_GE(stalled.result.Bytes(net::kNetStallNanos), 40'000'000);
   EXPECT_EQ(stalled.result.net_retransmits, 0) << "a stall is not a drop";
 }
 

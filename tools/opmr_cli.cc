@@ -157,6 +157,7 @@
 #include "coord/coordinator.h"
 #include "coord/member.h"
 #include "core/opmr.h"
+#include "metrics/counter_rows.h"
 #include "metrics/timeseries.h"
 #include "net/loopback.h"
 #include "net/tcp.h"
@@ -284,61 +285,8 @@ void PrintJobReport(const JobResult& r) {
                 r.first_output_seconds < 0
                     ? "-"
                     : HumanSeconds(r.first_output_seconds)});
-  table.AddRow({"dfs read", HumanBytes(double(r.Bytes(device::kDfsRead)))});
-  table.AddRow({"map output bytes",
-                HumanBytes(double(r.Bytes(device::kMapOutputWrite)))});
-  table.AddRow({"shuffle bytes",
-                HumanBytes(double(r.Bytes(device::kShuffleRead)))});
-  table.AddRow({"reduce spill",
-                HumanBytes(double(r.Bytes(device::kSpillWrite)))});
-  table.AddRow({"dfs written", HumanBytes(double(r.Bytes(device::kDfsWrite)))});
-  if (r.map_task_retries > 0 || r.reduce_task_retries > 0 ||
-      r.speculative_launched > 0 || r.spec_reduce_launched > 0 ||
-      r.faults_injected > 0) {
-    table.AddRow({"map task retries", std::to_string(r.map_task_retries)});
-    table.AddRow(
-        {"reduce task retries", std::to_string(r.reduce_task_retries)});
-    table.AddRow({"speculative (wins)",
-                  std::to_string(r.speculative_launched) + " (" +
-                      std::to_string(r.speculative_wins) + ")"});
-    table.AddRow({"spec reduce (seeded/wins)",
-                  std::to_string(r.spec_reduce_launched) + " (" +
-                      std::to_string(r.spec_reduce_seeded_from_ckpt) + "/" +
-                      std::to_string(r.spec_reduce_wins) + ")"});
-    table.AddRow({"faults injected", std::to_string(r.faults_injected)});
-  }
-  if (r.checkpoints_written > 0 || r.checkpoints_loaded > 0 ||
-      r.replay_records > 0) {
-    table.AddRow(
-        {"checkpoints written", std::to_string(r.checkpoints_written)});
-    table.AddRow({"checkpoints loaded", std::to_string(r.checkpoints_loaded)});
-    table.AddRow(
-        {"checkpoint bytes", HumanBytes(double(r.checkpoint_bytes))});
-    table.AddRow({"replayed records", std::to_string(r.replay_records)});
-    table.AddRow({"recover time", HumanSeconds(r.recover_seconds)});
-  }
-  if (r.net_frames_sent > 0 || r.net_frames_received > 0) {
-    table.AddRow({"net sent",
-                  HumanBytes(double(r.net_bytes_sent)) + " (" +
-                      std::to_string(r.net_frames_sent) + " frames)"});
-    table.AddRow({"net received",
-                  HumanBytes(double(r.net_bytes_received)) + " (" +
-                      std::to_string(r.net_frames_received) + " frames)"});
-    table.AddRow({"net retransmits", std::to_string(r.net_retransmits)});
-    table.AddRow({"net reconnects", std::to_string(r.net_reconnects)});
-    table.AddRow({"net stall time", HumanSeconds(r.net_stall_seconds)});
-    if (r.Bytes(net::kNetSendSyscalls) > 0) {
-      table.AddRow({"net syscalls (send/recv)",
-                    std::to_string(r.Bytes(net::kNetSendSyscalls)) + "/" +
-                        std::to_string(r.Bytes(net::kNetRecvSyscalls))});
-    }
-    if (r.shuffle_ack_replays > 0 || r.shuffle_dup_frames > 0) {
-      table.AddRow({"ack replays (frames)",
-                    std::to_string(r.shuffle_ack_replays) + " (" +
-                        std::to_string(r.shuffle_ack_replayed_frames) + ")"});
-      table.AddRow(
-          {"dup frames absorbed", std::to_string(r.shuffle_dup_frames)});
-    }
+  for (auto& [name, value] : CounterRows(r.counters)) {
+    table.AddRow({std::move(name), std::move(value)});
   }
   std::printf("%s", table.ToString().c_str());
   std::printf("\nper-phase CPU seconds:\n");
