@@ -4,7 +4,8 @@
 // them by time; the composite-key variant lets the framework's existing
 // sort-merge machinery deliver clicks pre-ordered, so reduce streams with
 // O(1) state.  The framework sorts longer keys; the reduce function stops
-// sorting entirely — a real Hadoop-era trade to measure.
+// sorting entirely — a real Hadoop-era trade to measure.  Both variants must
+// produce the same output rows; the program exits 1 when they do not.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "core/opmr.h"
 #include "metrics/report.h"
 #include "opmrbench/harness.h"
+#include "storage/record_stream.h"
 #include "workloads/tasks.h"
 
 namespace {
@@ -29,6 +31,24 @@ Run Measure(const opmr::JobResult& r) {
   };
   return {r.wall_seconds, r.total_cpu_seconds, phase("map_sort"),
           phase("reduce_function")};
+}
+
+// The order-insensitive digest of a job's output rows.
+std::uint64_t OutputDigest(opmr::Platform& platform, const std::string& out,
+                           int reducers) {
+  opmr::bench::RowDigest digest;
+  for (int r = 0; r < reducers; ++r) {
+    for (const auto& block :
+         platform.dfs().ListBlocks(out + ".part" + std::to_string(r))) {
+      const auto reader = platform.dfs().OpenBlock(block);
+      opmr::Slice record;
+      while (reader->Next(&record)) {
+        opmr::MemoryRunStream rows(record);
+        while (rows.Next()) digest.Add(rows.key(), rows.value());
+      }
+    }
+  }
+  return digest.value();
 }
 
 // "median [q1-q3]" of one column over a variant's runs.
@@ -60,6 +80,8 @@ int main(int argc, char** argv) {
   bench::CsvSink csv("ablation_secondary_sort.csv");
   csv.Row("variant", "rep", "order", "wall_s", "cpu_s", "map_sort_s",
           "reduce_fn_s");
+  constexpr int kReducers = 4;
+  bool rows_match = true;
   for (int rep = 0; rep < reps; ++rep) {
     Platform platform({.num_nodes = 2, .block_bytes = 8u << 20});
     ClickStreamOptions gen;
@@ -69,14 +91,20 @@ int main(int argc, char** argv) {
     for (int order = 0; order < 2; ++order) {
       const int v = (rep + order) % 2;
       const Run run = Measure(
-          v == 0 ? platform.Run(SessionizationJob("clicks", "a7_classic", 4),
-                                HadoopOptions())
-                 : platform.Run(
-                       SessionizationSecondarySortJob("clicks", "a7_ss", 4),
-                       HadoopOptions()));
+          v == 0 ? platform.Run(
+                       SessionizationJob("clicks", "a7_classic", kReducers),
+                       HadoopOptions())
+                 : platform.Run(SessionizationSecondarySortJob(
+                                    "clicks", "a7_ss", kReducers),
+                                HadoopOptions()));
       runs[v].push_back(run);
       csv.Row(names[v], rep, order, run.wall, run.cpu, run.map_sort,
               run.reduce_fn);
+    }
+    if (OutputDigest(platform, "a7_classic", kReducers) !=
+        OutputDigest(platform, "a7_ss", kReducers)) {
+      std::fprintf(stderr, "rep %d: the variants' output rows differ\n", rep);
+      rows_match = false;
     }
   }
 
@@ -93,12 +121,14 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.ToString().c_str());
 
-  std::printf("\nExpected shape: reduce-function CPU moves little (the "
-              "classic reduce buffers clicks\nwithout per-click heap "
-              "objects, and the phase also charges the merge pull);\n"
-              "map-sort CPU rises (20-byte composite keys tie on their "
-              "8-byte sort prefix within\na user) — and, per the paper's "
-              "thesis, EVERY sort-merge variant still pays CPU\nthe hash "
-              "runtime avoids altogether.\n");
-  return 0;
+  std::printf("\nExpected shape: the composite-key variant saves some "
+              "reduce-function CPU (it\nneither buffers nor sorts clicks; "
+              "the classic reduce's sort mostly finds its\ninput in time "
+              "order already, since the stable map sort keeps each user's "
+              "clicks\nin input order); its map sort costs about 3x the "
+              "classic's (20-byte keys tie on\ntheir 8-byte radix key within "
+              "a user, so each user's run is comparison-sorted\non the "
+              "timestamp bytes) — and, per the paper's thesis, EVERY sort-merge "
+              "variant\nstill pays CPU the hash runtime avoids altogether.\n");
+  return rows_match ? 0 : 1;
 }

@@ -49,7 +49,7 @@ void BM_MapBufferSort(benchmark::State& state) {
       buffer.Add(static_cast<std::uint32_t>(BytesHash(k) % 8), k, one);
     }
     buffer.Sort();
-    benchmark::DoNotOptimize(buffer.records().data());
+    benchmark::DoNotOptimize(buffer.entries().data());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }

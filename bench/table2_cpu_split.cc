@@ -4,7 +4,9 @@
 // Shape targets (paper): sorting consumes a large share of map-phase CPU —
 // 39 % for sessionization and up to 48 % for per-user counting (whose map
 // function merely emits (user, 1) pairs).  The per-user share must exceed
-// the sessionization share.
+// the sessionization share.  The engine's stable radix sort on (partition,
+// key prefix) costs less per record than Hadoop's comparison sort, so its
+// shares sit below the paper's.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -70,6 +72,7 @@ int main(int argc, char** argv) {
   std::printf("%s", table.ToString().c_str());
   std::printf("\nConclusion check: sorting is a significant CPU overhead in "
               "the map phase,\nlargest for the lightweight per-user map "
-              "function (paper: up to 48%%).\n");
+              "function (paper: 39-48%%; a radix sort\non (partition, key "
+              "prefix) lowers the share below Hadoop's comparison sort).\n");
   return 0;
 }

@@ -120,18 +120,32 @@ void DfsFileWriter::FinishBlock() {
   current_.reset();
 }
 
-void DfsFileWriter::Append(Slice record) {
+void DfsFileWriter::Reserve(std::uint64_t framed) {
   if (closed_) throw std::logic_error("DfsFileWriter: append after close");
-  const std::uint64_t framed = 4ull + record.size();
   if (current_ == nullptr ||
       current_bytes_ + framed > dfs_->options_.block_bytes) {
     FinishBlock();
     StartBlock();
   }
-  current_->AppendU32(static_cast<std::uint32_t>(record.size()));
-  current_->Append(record);
   current_bytes_ += framed;
   total_bytes_ += framed;
+}
+
+void DfsFileWriter::Append(Slice record) {
+  Reserve(4ull + record.size());
+  char length[4];
+  EncodeU32(length, static_cast<std::uint32_t>(record.size()));
+  current_->Append(Slice(length, sizeof(length)), record);
+}
+
+void DfsFileWriter::AppendFrame(Slice key, Slice value) {
+  const std::size_t frame = 8 + key.size() + value.size();
+  Reserve(4ull + frame);
+  char header[12];
+  EncodeU32(header, static_cast<std::uint32_t>(frame));
+  EncodeU32(header + 4, static_cast<std::uint32_t>(key.size()));
+  EncodeU32(header + 8, static_cast<std::uint32_t>(value.size()));
+  current_->Append(Slice(header, sizeof(header)), key, value);
 }
 
 std::uint64_t DfsFileWriter::Close() {

@@ -57,12 +57,19 @@ class DfsFileWriter {
   // them).  Records are length-prefixed in the block payload.
   void Append(Slice record);
 
+  // Appends one record holding the run frame of (key, value) — the bytes
+  // Append() of [u32 key size][u32 value size][key][value] writes, without
+  // building that frame first.
+  void AppendFrame(Slice key, Slice value);
+
   // Finishes the file and publishes its block list; returns total bytes.
   std::uint64_t Close();
 
  private:
   friend class Dfs;
   DfsFileWriter(Dfs* dfs, std::string name);
+  // Starts a new block when `framed` more bytes would overflow this one.
+  void Reserve(std::uint64_t framed);
   void StartBlock();
   void FinishBlock();
 

@@ -63,10 +63,7 @@ void FileSink::BatchAppend(std::uint32_t partition, Slice key, Slice value) {
     segment_start_ = writer_->bytes_written();
     segment_records_ = 0;
   }
-  writer_->AppendU32(static_cast<std::uint32_t>(key.size()));
-  writer_->AppendU32(static_cast<std::uint32_t>(value.size()));
-  writer_->Append(key);
-  writer_->Append(value);
+  writer_->AppendFrame(key, value);
   ++segment_records_;
   bytes_out_ += key.size() + value.size();
 }

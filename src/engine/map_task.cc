@@ -123,30 +123,29 @@ void MapTask::FlushSortedBuffer(MapOutputBuffer& buffer) {
 
   const bool combine = spec_.has_aggregator() && options_.map_side_combine;
   sink_->BeginBatch(/*sorted=*/true);
+  const auto& entries = buffer.entries();
   if (combine) {
     PhaseScope cpu(env_.profiler, "map_combine");
     const Aggregator* agg = spec_.aggregator.get();
-    const auto& records = buffer.records();
     std::string state;
     std::size_t i = 0;
-    while (i < records.size()) {
+    while (i < entries.size()) {
       // One combine group: a run of equal (partition, key).
-      const auto& head = records[i];
-      const Slice key(head.key, head.key_len);
-      agg->Init(Slice(head.value(), head.value_len), &state);
+      const auto& head = entries[i];
+      const Slice key = buffer.Key(head);
+      agg->Init(buffer.Value(head), &state);
       std::size_t j = i + 1;
-      while (j < records.size() && records[j].partition == head.partition &&
-             Slice(records[j].key, records[j].key_len) == key) {
-        agg->Update(&state, Slice(records[j].value(), records[j].value_len));
+      while (j < entries.size() && entries[j].partition == head.partition &&
+             entries[j].prefix == head.prefix && buffer.Key(entries[j]) == key) {
+        agg->Update(&state, buffer.Value(entries[j]));
         ++j;
       }
       sink_->BatchAppend(head.partition, key, state);
       i = j;
     }
   } else {
-    for (const auto& r : buffer.records()) {
-      sink_->BatchAppend(r.partition, Slice(r.key, r.key_len),
-                         Slice(r.value(), r.value_len));
+    for (const auto& e : entries) {
+      sink_->BatchAppend(e.partition, buffer.Key(e), buffer.Value(e));
     }
   }
   sink_->EndBatch();

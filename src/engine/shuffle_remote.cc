@@ -567,9 +567,13 @@ void ShuffleServer::HandleFrame(net::Connection* from, net::Frame frame) {
       case net::FrameType::kBye: {
         const auto msg = net::ByeMsg::Parse(frame);
         if (merge_client_wire_stats_) {
-          // Client-process-only events, folded in so the reduce-side job
-          // report covers the whole wire.  Skipped when both endpoints
+          // The client process's own counters (its sends, retransmits, ...),
+          // folded in so the reduce-side job report covers the whole wire.  Skipped when both endpoints
           // share one registry (kAll mode) — they are already counted.
+          metrics_->Get(net::kNetFramesSent)
+              ->Add(static_cast<std::int64_t>(msg.frames_sent));
+          metrics_->Get(net::kNetBytesSent)
+              ->Add(static_cast<std::int64_t>(msg.bytes_sent));
           metrics_->Get(net::kNetRetransmits)
               ->Add(static_cast<std::int64_t>(msg.retransmits));
           metrics_->Get(net::kNetReconnects)

@@ -32,10 +32,12 @@ IoFaultHook* GetIoFaultHook() noexcept {
 
 SequentialWriter::SequentialWriter(const std::filesystem::path& path,
                                    IoChannel channel, std::size_t buffer_bytes)
-    : path_(path), channel_(channel), buffer_cap_(buffer_bytes) {
+    : path_(path),
+      channel_(channel),
+      buffer_(std::make_unique_for_overwrite<char[]>(buffer_bytes)),
+      buffer_cap_(buffer_bytes) {
   file_ = std::fopen(path.c_str(), "wb");
   if (file_ == nullptr) ThrowErrno("SequentialWriter: cannot open", path);
-  buffer_.reserve(buffer_cap_);
 }
 
 SequentialWriter::SequentialWriter(SequentialWriter&& other) noexcept
@@ -44,8 +46,10 @@ SequentialWriter::SequentialWriter(SequentialWriter&& other) noexcept
       file_(other.file_),
       buffer_(std::move(other.buffer_)),
       buffer_cap_(other.buffer_cap_),
+      buffered_(other.buffered_),
       bytes_written_(other.bytes_written_) {
   other.file_ = nullptr;
+  other.buffered_ = 0;
 }
 
 SequentialWriter::~SequentialWriter() {
@@ -57,47 +61,33 @@ SequentialWriter::~SequentialWriter() {
   }
 }
 
-void SequentialWriter::Append(Slice data) {
-  if (buffer_.empty() && data.size() >= buffer_cap_) {
-    // Nothing to coalesce with: write straight through instead of copying
-    // a buffer's worth (or more) into buffer_ first.
-    WriteOut(data.data(), data.size());
-    bytes_written_ += data.size();
-    return;
+void SequentialWriter::AppendSlow(Slice a, Slice b, Slice c) {
+  const bool coalesced = buffered_ > 0;
+  WriteOut(a, b, c);
+  bytes_written_ += a.size() + b.size() + c.size();
+  if (coalesced && std::fflush(file_) != 0) {
+    ThrowErrno("SequentialWriter: fflush", path_);
   }
-  buffer_.append(data.data(), data.size());
-  bytes_written_ += data.size();
-  if (buffer_.size() >= buffer_cap_) Flush();
 }
 
-void SequentialWriter::AppendU32(std::uint32_t v) {
-  opmr::AppendU32(buffer_, v);
-  bytes_written_ += sizeof(v);
-  if (buffer_.size() >= buffer_cap_) Flush();
-}
-
-void SequentialWriter::AppendU64(std::uint64_t v) {
-  opmr::AppendU64(buffer_, v);
-  bytes_written_ += sizeof(v);
-  if (buffer_.size() >= buffer_cap_) Flush();
-}
-
-void SequentialWriter::WriteOut(const char* data, std::size_t n) {
+void SequentialWriter::WriteOut(Slice a, Slice b, Slice c) {
   if (file_ == nullptr) throw std::logic_error("write on closed writer");
-  const std::uint64_t offset = bytes_written_ - buffer_.size();
-  if (auto* hook = GetIoFaultHook()) hook->BeforeWrite(path_, offset, n);
-  if (std::fwrite(data, 1, n, file_) != n) {
-    ThrowErrno("SequentialWriter: short write", path_);
+  const std::size_t n = buffered_ + a.size() + b.size() + c.size();
+  if (auto* hook = GetIoFaultHook()) {
+    hook->BeforeWrite(path_, bytes_written_ - buffered_, n);
   }
+  for (const Slice part : {Slice(buffer_.get(), buffered_), a, b, c}) {
+    if (std::fwrite(part.data(), 1, part.size(), file_) != part.size()) {
+      ThrowErrno("SequentialWriter: short write", path_);
+    }
+  }
+  buffered_ = 0;
   channel_.Add(static_cast<std::int64_t>(n));
 }
 
 void SequentialWriter::Flush(bool sync) {
   if (file_ == nullptr) throw std::logic_error("Flush on closed writer");
-  if (!buffer_.empty()) {
-    WriteOut(buffer_.data(), buffer_.size());
-    buffer_.clear();
-  }
+  if (buffered_ > 0) WriteOut();
   if (std::fflush(file_) != 0) ThrowErrno("SequentialWriter: fflush", path_);
   if (sync) {
     // fdatasync, the persistence point Hadoop requires of completed maps.
@@ -108,7 +98,7 @@ void SequentialWriter::Flush(bool sync) {
 }
 
 void SequentialWriter::Abandon() noexcept {
-  buffer_.clear();
+  buffered_ = 0;
   if (file_ != nullptr) {
     std::fclose(file_);
     file_ = nullptr;

@@ -43,7 +43,8 @@ void SetIoFaultHook(IoFaultHook* hook);
 
 // Buffers appends up to `buffer_bytes` per physical write; an append at
 // least that large that finds the buffer empty is written straight through
-// (so a buffer_bytes of 0 writes every append unbuffered).
+// (so a buffer_bytes of 0 writes every append unbuffered).  An append that
+// fits the buffer is a memcpy inline in the caller.
 class SequentialWriter {
  public:
   SequentialWriter(const std::filesystem::path& path, IoChannel channel,
@@ -55,9 +56,38 @@ class SequentialWriter {
   SequentialWriter(SequentialWriter&& other) noexcept;
   SequentialWriter& operator=(SequentialWriter&&) = delete;
 
-  void Append(Slice data);
-  void AppendU32(std::uint32_t v);
-  void AppendU64(std::uint64_t v);
+  // Appends a, b and c back to back as one append: a frame header and the
+  // key and value it describes cost one buffer check, not three.
+  void Append(Slice a, Slice b = {}, Slice c = {}) {
+    const std::size_t n = a.size() + b.size() + c.size();
+    if (n >= buffer_cap_ - buffered_) {
+      AppendSlow(a, b, c);
+      return;
+    }
+    char* dst = buffer_.get() + buffered_;
+    std::memcpy(dst, a.data(), a.size());
+    std::memcpy(dst + a.size(), b.data(), b.size());
+    std::memcpy(dst + a.size() + b.size(), c.data(), c.size());
+    buffered_ += n;
+    bytes_written_ += n;
+  }
+  void AppendU32(std::uint32_t v) {
+    char bytes[sizeof(v)];
+    EncodeU32(bytes, v);
+    Append(Slice(bytes, sizeof(bytes)));
+  }
+  void AppendU64(std::uint64_t v) {
+    char bytes[sizeof(v)];
+    EncodeU64(bytes, v);
+    Append(Slice(bytes, sizeof(bytes)));
+  }
+  // Appends one run frame: [u32 key size][u32 value size][key][value].
+  void AppendFrame(Slice key, Slice value) {
+    char header[8];
+    EncodeU32(header, static_cast<std::uint32_t>(key.size()));
+    EncodeU32(header + 4, static_cast<std::uint32_t>(value.size()));
+    Append(Slice(header, sizeof(header)), key, value);
+  }
 
   // Flushes buffered bytes to the OS.  The Hadoop baseline calls this with
   // `sync=true` after a map task's output (the paper's "synchronous I/O ...
@@ -81,14 +111,19 @@ class SequentialWriter {
   }
 
  private:
-  // One physical write of n bytes at the file's end.
-  void WriteOut(const char* data, std::size_t n);
+  // An append that does not fit the buffer: written straight through when
+  // the buffer is empty, else written out together with the buffered bytes
+  // and flushed.
+  void AppendSlow(Slice a, Slice b, Slice c);
+  // One physical write at the file's end: the buffered bytes, then a, b, c.
+  void WriteOut(Slice a = {}, Slice b = {}, Slice c = {});
 
   std::filesystem::path path_;
   IoChannel channel_;
   std::FILE* file_ = nullptr;
-  std::string buffer_;
+  std::unique_ptr<char[]> buffer_;
   std::size_t buffer_cap_;
+  std::size_t buffered_ = 0;  // bytes in buffer_
   std::uint64_t bytes_written_ = 0;
 };
 

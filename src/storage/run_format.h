@@ -38,10 +38,7 @@ class RunWriter final : public RecordSink {
       : writer_(path, channel, buffer_bytes) {}
 
   void Append(Slice key, Slice value) override {
-    writer_.AppendU32(static_cast<std::uint32_t>(key.size()));
-    writer_.AppendU32(static_cast<std::uint32_t>(value.size()));
-    writer_.Append(key);
-    writer_.Append(value);
+    writer_.AppendFrame(key, value);
     ++num_records_;
   }
 

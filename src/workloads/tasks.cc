@@ -75,8 +75,11 @@ JobSpec SessionizationJob(const std::string& input, const std::string& output,
     // Group click logs by user id; the value carries everything the
     // sessionization algorithm needs (paper §III-A).
     if (format == ClickFormat::kText) {
+      // One value buffer per map thread: an 8-byte timestamp plus the url
+      // outgrows the small-string buffer, so a fresh string per record
+      // would allocate.
+      static thread_local std::string value;
       const ClickRecord click = ParseClick(record, format);
-      std::string value;
       EncodeClickValue(value, click.timestamp, TextUrlField(record));
       out.Emit(TextUserField(record), value);
     } else {
@@ -115,8 +118,15 @@ JobSpec SessionizationJob(const std::string& input, const std::string& output,
       clicks.push_back({DecodeU64(v.data()), urls.size(), v.size() - 8});
       urls.append(v.data() + 8, v.size() - 8);
     }
-    std::sort(clicks.begin(), clicks.end(),
-              [](const Click& a, const Click& b) { return a.ts < b.ts; });
+    // The map sort is stable, so each map task's clicks of a user arrive in
+    // input order — time order for click logs — and the sort often has
+    // nothing to do.
+    const auto by_time = [](const Click& a, const Click& b) {
+      return a.ts < b.ts;
+    };
+    if (!std::is_sorted(clicks.begin(), clicks.end(), by_time)) {
+      std::sort(clicks.begin(), clicks.end(), by_time);
+    }
 
     std::uint32_t session = 0;
     for (std::size_t i = 0; i < clicks.size(); ++i) {
@@ -146,13 +156,15 @@ JobSpec SessionizationSecondarySortJob(const std::string& input,
     if (user.size() > kUserWidth) {
       throw std::runtime_error("sessionization_ss: user id too long");
     }
-    std::string key(kUserGroupBytes, '\0');
+    // Key and value buffers are reused per map thread, as in the classic map.
+    static thread_local std::string key;
+    static thread_local std::string value;
+    key.assign(kUserGroupBytes, '\0');
     key[0] = static_cast<char>(user.size());
     std::memcpy(key.data() + 1, user.data(), user.size());
     for (int shift = 56; shift >= 0; shift -= 8) {
       key.push_back(static_cast<char>((click.timestamp >> shift) & 0xff));
     }
-    std::string value;
     EncodeClickValue(value, click.timestamp, TextUrlField(record));
     out.Emit(key, value);
   };

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "engine/aggregators.h"
+#include "storage/file_manager.h"
 #include "storage/record_stream.h"
 
 namespace opmr {
@@ -250,6 +251,58 @@ TEST(EmissionLog, ConcurrentRecordersKeepAnExactMonotoneCurve) {
     EXPECT_GE(samples[i].value, samples[i - 1].value) << i;
   }
   EXPECT_DOUBLE_EQ(samples.back().value, static_cast<double>(expected + 1));
+}
+
+TEST(ReducerOutput, LogsTheFirstRowAtOnceAndTheRestInBatches) {
+  FileManager files = FileManager::CreateTemp("opmr-reducer-output");
+  MetricRegistry metrics;
+  Dfs dfs(&files, &metrics);
+  WallTimer start;
+  EmissionLog log(&start);
+  RuntimeEnv env;
+  env.dfs = &dfs;
+  env.emissions = &log;
+
+  // Not a multiple of the batch, so Close() has a remainder to log.
+  constexpr std::uint64_t kRows = 5 * ReducerOutput::kLogBatch + 17;
+  static_assert(kRows % ReducerOutput::kLogBatch != 0);
+  ReducerOutput out(env, "out");
+  out.Emit("k0", "v0");
+  EXPECT_GE(log.first_emit_seconds(), 0.0);
+  EXPECT_EQ(log.total(), 1u);
+  for (std::uint64_t i = 1; i < kRows; ++i) {
+    out.Emit("k" + std::to_string(i), "v");
+    EXPECT_LE(log.total(), i + 1);
+    EXPECT_GT(log.total() + ReducerOutput::kLogBatch, i + 1);
+  }
+  out.Close();
+  EXPECT_EQ(out.records(), kRows);
+  EXPECT_EQ(log.total(), kRows);
+  log.Finish();
+
+  const auto samples = log.series().Snapshot();
+  ASSERT_GE(samples.size(), 2u);
+  EXPECT_EQ(samples.front().time_s, log.first_emit_seconds());
+  for (std::size_t i = 1; i < samples.size(); ++i) {
+    EXPECT_GE(samples[i].time_s, samples[i - 1].time_s) << i;
+    EXPECT_GE(samples[i].value, samples[i - 1].value) << i;
+  }
+  EXPECT_DOUBLE_EQ(samples.back().value, static_cast<double>(kRows));
+
+  // Each row is one DFS record holding one run frame.
+  std::uint64_t rows = 0;
+  for (const auto& block : dfs.ListBlocks("out")) {
+    const auto reader = dfs.OpenBlock(block);
+    Slice record;
+    while (reader->Next(&record)) {
+      MemoryRunStream frame(record);
+      ASSERT_TRUE(frame.Next());
+      EXPECT_EQ(frame.key().ToString(), "k" + std::to_string(rows));
+      EXPECT_FALSE(frame.Next());
+      ++rows;
+    }
+  }
+  EXPECT_EQ(rows, kRows);
 }
 
 }  // namespace
