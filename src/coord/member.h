@@ -15,15 +15,12 @@
 // ClusterExecutor hangs ShuffleClient::ReplayUnacked(), turning a
 // membership flap into an ack-window replay instead of a failed job.
 //
-// HA mode: `endpoints` lists every replica of a replicated coordinator.
-// On leader loss (consecutive heartbeat send failures) or a kLeaderClaim
-// redirect from a standby, the client rotates to the next endpoint,
-// reconnects, and re-registers under the same worker id.  The replicated
-// registry still holds its record, so the new leader bumps the generation
-// (continuity, never a reset to 1), no eviction fires, and in-flight
-// shuffle ack windows replay exactly as on any reconnect.  Membership
-// views carry the sender's leadership epoch; views from a deposed leader
-// (lower epoch) are dropped — the fencing half of the election protocol.
+// The coordinator is not on the data path: once a map worker has found
+// its reducer in the view, a job runs to the end without it.  So a lost
+// coordinator must cost nothing either, least of all at Stop().  Every
+// dial is one attempt and every send one transmission; the Join loop and
+// the heartbeat tick are the only retry loops, and a failed send drops the
+// connection for the next tick to redial.
 #pragma once
 
 #include <condition_variable>
@@ -52,20 +49,12 @@ class CoordClient {
  public:
   struct Options {
     std::string coordinator;  // host:port of the coordinator endpoint
-    // HA endpoint list (every replica, any order).  Empty falls back to
-    // {coordinator}; the client starts on the first entry and rotates on
-    // failure or redirect.
-    std::vector<std::string> endpoints;
     std::string worker_id;    // stable unique id for this worker process
     std::string endpoint;     // advertised host:port this worker serves on
     net::WireRole role = net::WireRole::kMap;
     std::string secret;       // shared secret for Register auth
     double heartbeat_interval_ms = 200;
     double register_retry_ms = 100;  // backoff between Register attempts
-    int register_attempts = 100;     // bound on initial-join attempts
-    // Consecutive heartbeat send failures before rotating endpoints (only
-    // meaningful with > 1 endpoint).
-    int failover_threshold = 2;
   };
 
   CoordClient(MetricRegistry* metrics, Options options);
@@ -90,14 +79,6 @@ class CoordClient {
   [[nodiscard]] net::MembershipMsg View() const;
   [[nodiscard]] std::uint64_t generation() const;
   [[nodiscard]] std::uint64_t evictions() const;
-  // Completed endpoint failovers (re-registration confirmed by the new
-  // leader).  Evictions are counted separately — a failover keeps the
-  // worker's registry record alive throughout.
-  [[nodiscard]] std::uint64_t failovers() const;
-  // Highest leadership epoch observed in any Membership view (0 when
-  // talking to an unreplicated coordinator).
-  [[nodiscard]] std::uint64_t leader_epoch() const;
-  [[nodiscard]] std::string current_endpoint() const;
   [[nodiscard]] bool failed() const;
   [[nodiscard]] std::string error() const;
 
@@ -107,17 +88,16 @@ class CoordClient {
                    std::vector<net::MembershipMsg::Entry>* out = nullptr);
 
  private:
-  enum class SendResult { kSent, kSuppressed, kUnreachable };
-
   void HandleReply(net::Connection* from, net::Frame frame);
   void HeartbeatLoop();
   // Sends one Register through the OnRegisterSend gate.
-  SendResult SendRegisterOnce(int attempt);
-  // Tears down the current transport and dials `target` (empty = the next
-  // endpoint in the rotation).  Only called from the Join thread before
+  void SendRegisterOnce(int attempt);
+  // Sends `frame` on the coordinator connection, dialing once first when
+  // there is none; a failed send drops the connection.  False when the
+  // coordinator is unreachable.  Only called from the Join thread before
   // the heartbeat thread starts, or from the heartbeat thread after.
-  // Returns false when the dial failed (conn_ left empty).
-  bool RotateTransport(const std::string& target);
+  bool SendToCoordinator(const net::Frame& frame);
+  void Disconnect();
 
   Options options_;
   MetricRegistry* metrics_;
@@ -126,11 +106,7 @@ class CoordClient {
   Counter* registers_sent_ = nullptr;
   Counter* registers_suppressed_ = nullptr;
   Counter* evictions_ = nullptr;
-  Counter* failovers_ = nullptr;
-  Counter* fenced_views_ = nullptr;
 
-  std::vector<std::string> endpoints_;
-  std::size_t active_ = 0;  // index into endpoints_ (Join/heartbeat thread)
   std::unique_ptr<net::TcpTransport> transport_;
   std::shared_ptr<net::Connection> conn_;
 
@@ -140,25 +116,12 @@ class CoordClient {
   bool failed_ = false;
   std::string error_;
   net::MembershipMsg view_;
-  std::string current_endpoint_;
   std::uint64_t generation_ = 0;   // 0 = not yet confirmed registered
   std::uint64_t heartbeat_seq_ = 0;  // ordinal within the current generation
-  std::uint64_t leader_epoch_seen_ = 0;
   bool evicted_ = false;           // view says we are dead; must re-register
   int rejoin_attempt_ = 0;
   bool notify_evicted_ = false;    // rejoin confirmed; fire on_evicted
   std::uint64_t eviction_count_ = 0;
-  // Failover machinery.
-  bool pending_switch_ = false;    // rotate endpoints at the next tick
-  std::string switch_target_;      // redirect destination ("" = rotate)
-  // Endpoint we just abandoned for send failures.  A standby that has not
-  // yet noticed the leader's death redirects us straight back to it;
-  // dialing a dead endpoint costs the full connect backoff, so redirects
-  // naming this endpoint are ignored until a registration is confirmed.
-  std::string avoid_endpoint_;
-  bool rejoining_ = false;         // re-register against the new leader
-  int hb_failures_ = 0;            // consecutive heartbeat send failures
-  std::uint64_t failover_count_ = 0;
   std::function<void()> on_evicted_;
   std::thread heartbeat_thread_;
 };

@@ -55,18 +55,6 @@ std::vector<std::string> WorkerRegistry::ExpireLeases(double now_s,
   return expired;
 }
 
-void WorkerRegistry::Restore(std::vector<WorkerInfo> workers,
-                             std::uint64_t epoch) {
-  std::scoped_lock lock(mu_);
-  workers_ = std::move(workers);
-  epoch_ = epoch;
-}
-
-std::vector<WorkerInfo> WorkerRegistry::Dump() const {
-  std::scoped_lock lock(mu_);
-  return workers_;
-}
-
 net::MembershipMsg WorkerRegistry::Snapshot() const {
   std::scoped_lock lock(mu_);
   net::MembershipMsg msg;

@@ -57,15 +57,6 @@ class WorkerRegistry {
   // Membership view for broadcasting (entries in registration order).
   [[nodiscard]] net::MembershipMsg Snapshot() const;
 
-  // Replaces the whole registry with `workers` (registration order) at
-  // `epoch` — the snapshot-install path of the replicated coordinator.
-  // Never called on a registry that is also taking live mutations.
-  void Restore(std::vector<WorkerInfo> workers, std::uint64_t epoch);
-
-  // Full state dump in registration order (the snapshot-capture path;
-  // Snapshot() is the wire view, this is the replication image).
-  [[nodiscard]] std::vector<WorkerInfo> Dump() const;
-
   [[nodiscard]] std::uint64_t epoch() const;
   [[nodiscard]] std::size_t LiveCount(net::WireRole role) const;
   [[nodiscard]] bool Lookup(const std::string& id, WorkerInfo* out) const;

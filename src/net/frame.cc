@@ -26,18 +26,13 @@ const char* FrameTypeName(FrameType type) noexcept {
     case FrameType::kSnapshotFetch: return "snapshot_fetch";
     case FrameType::kQuery: return "query";
     case FrameType::kQueryResult: return "query_result";
-    case FrameType::kLogAppend: return "log_append";
-    case FrameType::kLogAck: return "log_ack";
-    case FrameType::kSnapshotOffer: return "snapshot_offer";
-    case FrameType::kVote: return "vote";
-    case FrameType::kLeaderClaim: return "leader_claim";
   }
   return "unknown";
 }
 
 bool IsKnownFrameType(std::uint8_t type) noexcept {
   return type >= static_cast<std::uint8_t>(FrameType::kHello) &&
-         type <= static_cast<std::uint8_t>(FrameType::kLeaderClaim);
+         type <= static_cast<std::uint8_t>(FrameType::kQueryResult);
 }
 
 void AppendFrame(std::string* out, const Frame& frame) {

@@ -46,11 +46,6 @@ enum class FrameType : std::uint8_t {
   kSnapshotFetch = 15,     // replica <-> publisher: image request / bytes
   kQuery = 16,             // client -> frontend: point / top-k / scan
   kQueryResult = 17,       // frontend -> client: rows or rejection status
-  kLogAppend = 18,     // leader -> standby: one replicated changelog record
-  kLogAck = 19,        // standby -> leader: cumulative applied log index
-  kSnapshotOffer = 20, // leader -> standby: full registry image (catch-up)
-  kVote = 21,          // replica <-> replica: liveness ping for election
-  kLeaderClaim = 22,   // new leader announcement / standby redirect
 };
 
 [[nodiscard]] const char* FrameTypeName(FrameType type) noexcept;

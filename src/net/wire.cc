@@ -145,34 +145,9 @@ static void Fields(Like<MembershipMsg::Entry> auto& m, auto& io) {
 }
 
 static void Fields(Like<MembershipMsg> auto& m, auto& io) {
-  io(m.epoch, m.entries, m.leader_epoch, m.leader);
+  io(m.epoch, m.entries);
 }
 OPMR_WIRE_MESSAGE(MembershipMsg, kMembership)
-
-static void Fields(Like<LogAppendMsg> auto& m, auto& io) {
-  io(m.epoch, m.index, m.record_type, m.record, m.auth);
-}
-OPMR_WIRE_MESSAGE(LogAppendMsg, kLogAppend)
-
-static void Fields(Like<LogAckMsg> auto& m, auto& io) {
-  io(m.replica, m.epoch, m.index, m.auth);
-}
-OPMR_WIRE_MESSAGE(LogAckMsg, kLogAck)
-
-static void Fields(Like<SnapshotOfferMsg> auto& m, auto& io) {
-  io(m.epoch, m.index, m.crc, m.bytes, m.auth);
-}
-OPMR_WIRE_MESSAGE(SnapshotOfferMsg, kSnapshotOffer)
-
-static void Fields(Like<VoteMsg> auto& m, auto& io) {
-  io(m.replica, m.epoch, m.index, m.auth);
-}
-OPMR_WIRE_MESSAGE(VoteMsg, kVote)
-
-static void Fields(Like<LeaderClaimMsg> auto& m, auto& io) {
-  io(m.replica, m.epoch, m.endpoint, m.auth);
-}
-OPMR_WIRE_MESSAGE(LeaderClaimMsg, kLeaderClaim)
 
 static void Fields(Like<SnapshotAnnounceMsg> auto& m, auto& io) {
   io(m.job, m.version, m.watermark, m.bytes, m.crc);

@@ -234,106 +234,10 @@ struct MembershipMsg {
 
   std::uint64_t epoch = 0;
   std::vector<Entry> entries;
-  // Leadership fields: fencing for replicated coordinators.
-  // `leader_epoch` bumps on every leadership transition; receivers drop
-  // views carrying a lower one.  0 = unreplicated coordinator, never
-  // fenced.
-  std::uint64_t leader_epoch = 0;
-  std::uint32_t leader = 0;  // sender's replica id (0 = unreplicated)
 
   bool operator==(const MembershipMsg&) const = default;
   [[nodiscard]] Frame ToFrame() const;
   static MembershipMsg Parse(const Frame& frame);
-};
-
-// --- Coordinator-replication messages (src/replica) --------------------------
-//
-// Protocol sketch (leader = lowest live replica id, epoch bumps on every
-// leadership transition; every leader-originated frame carries the epoch
-// and receivers drop anything older):
-//
-//   leader                              standby
-//   ----------------------------------------------------------
-//   Vote{id, epoch, index}          <-> Vote{id, epoch, index}   (liveness)
-//   LeaderClaim{id, epoch, endpoint} ->                    (on transition)
-//   SnapshotOffer{epoch, index, image} ->                  (catch-up)
-//   LogAppend{epoch, index, record}  ->
-//                                    <- LogAck{id, epoch, applied}
-//
-// Every replication frame also carries `auth`, the group's shared secret
-// (empty when auth is off).  Epoch fencing alone would let any process
-// that can reach a replica's port depose the leader with a high-epoch
-// LeaderClaim or inject registry mutations; replicas verify `auth` in
-// constant time and drop unauthenticated peer frames.
-
-// Leader → standby: one serialized changelog record.  `index` is 1-based
-// and contiguous; a standby applies it iff index == applied + 1 and acks
-// its cumulative applied index either way (a gap triggers a SnapshotOffer).
-struct LogAppendMsg {
-  std::uint64_t epoch = 0;       // leader epoch (stale-leader fence)
-  std::uint64_t index = 0;       // changelog position of this record
-  std::uint8_t record_type = 0;  // replica::LogRecordType
-  std::string record;            // LogRecord payload bytes
-  std::string auth;              // group shared secret (empty = auth off)
-
-  bool operator==(const LogAppendMsg&) const = default;
-  [[nodiscard]] Frame ToFrame() const;
-  static LogAppendMsg Parse(const Frame& frame);
-};
-
-// Standby → leader: cumulative replication acknowledgement.
-struct LogAckMsg {
-  std::uint32_t replica = 0;  // acking replica id
-  std::uint64_t epoch = 0;    // highest leader epoch the sender has seen
-  std::uint64_t index = 0;    // every record <= index is applied
-  std::string auth;           // group shared secret (empty = auth off)
-
-  bool operator==(const LogAckMsg&) const = default;
-  [[nodiscard]] Frame ToFrame() const;
-  static LogAckMsg Parse(const Frame& frame);
-};
-
-// Leader → standby: full registry image (the checkpoint-plane codec) for
-// catch-up when the standby's applied index is behind the leader's log.
-struct SnapshotOfferMsg {
-  std::uint64_t epoch = 0;  // leader epoch (stale-leader fence)
-  std::uint64_t index = 0;  // applied log index the image covers
-  std::uint32_t crc = 0;    // CRC32 of `bytes`
-  std::string bytes;        // SerializeCheckpointImage of the registry
-  std::string auth;         // group shared secret (empty = auth off)
-
-  bool operator==(const SnapshotOfferMsg&) const = default;
-  [[nodiscard]] Frame ToFrame() const;
-  static SnapshotOfferMsg Parse(const Frame& frame);
-};
-
-// Replica ↔ replica: liveness ping driving the deterministic election
-// (lowest live replica id wins).  Carries the sender's highest seen epoch
-// and applied index for observability; no reply is expected.
-struct VoteMsg {
-  std::uint32_t replica = 0;
-  std::uint64_t epoch = 0;
-  std::uint64_t index = 0;
-  std::string auth;  // group shared secret (empty = auth off)
-
-  bool operator==(const VoteMsg&) const = default;
-  [[nodiscard]] Frame ToFrame() const;
-  static VoteMsg Parse(const Frame& frame);
-};
-
-// New-leader announcement (replica → replica on every transition) and
-// standby → worker redirect (answering a Register sent to a non-leader).
-struct LeaderClaimMsg {
-  std::uint32_t replica = 0;  // claiming replica id
-  std::uint64_t epoch = 0;    // the new leadership term
-  std::string endpoint;       // leader's serving endpoint (for redirects)
-  // Group shared secret (empty = auth off).  Redirects to workers carry
-  // it too — only already-authenticated registrants receive them.
-  std::string auth;
-
-  bool operator==(const LeaderClaimMsg&) const = default;
-  [[nodiscard]] Frame ToFrame() const;
-  static LeaderClaimMsg Parse(const Frame& frame);
 };
 
 // --- Serving-plane messages (src/serve) --------------------------------------

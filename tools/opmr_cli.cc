@@ -47,8 +47,6 @@
 //
 //   opmr_cli coordinator listen=<host:port> [secret=S] [map-workers=N]
 //                  [reduce-workers=N] [lease-ms=MS] [grace-ms=MS] [wait=SECONDS]
-//                  [replica-id=I] [peers=<id@host:port,...>]
-//                  [changelog-dir=PATH]
 //       Cluster mode, membership endpoint: binds <host:port>, serves
 //       Register/Heartbeat frames from joining workers (authenticated
 //       against `secret` when set), broadcasts the Membership view, and
@@ -56,16 +54,11 @@
 //       lease-ms of silence, LOST after grace-ms more).  Waits for the
 //       expected worker counts, prints the roster and every
 //       suspect/returned/lost transition, and exits once all workers
-//       have departed.
-//       With replica-id= the process becomes one member of a REPLICATED
-//       coordinator group (HA mode): peers= lists the other replicas,
-//       changelog-dir= holds the durable changelog + snapshot images.
-//       The lowest live replica id leads; standbys tail the leader's log
-//       and take over with a single epoch bump when it dies (kill -9 it
-//       and watch).  Workers should be given every replica endpoint via
-//       a comma-separated join= list.
+//       have departed.  The coordinator is not on the data path: a job
+//       whose map workers have found their reducer finishes, with the
+//       same output, if the coordinator dies (kill -9 it and watch).
 //
-//   opmr_cli worker join=<host:port[,host:port...]> id=<worker>
+//   opmr_cli worker join=<host:port> id=<worker>
 //                  role=map|reduce [secret=S]
 //                  [index=I] [count=N] [shared-fs=0|1] [bind=ADDR]
 //                  [advertise=ADDR] [dump-output=PATH] <workload flags>
@@ -161,7 +154,6 @@
 #include "metrics/timeseries.h"
 #include "net/loopback.h"
 #include "net/tcp.h"
-#include "replica/replica.h"
 #include "metrics/timeline.h"
 #include "sched/scheduler.h"
 #include "sched/spool.h"
@@ -776,6 +768,10 @@ int CmdSort(const Config& cfg) {
 // Splits "host:port" at the last colon; throws on malformed input.
 std::pair<std::string, int> SplitHostPort(const std::string& endpoint,
                                           const std::string& flag) {
+  if (endpoint.find(',') != std::string::npos) {
+    throw std::invalid_argument(flag + ": takes one <host:port>, got the "
+                                "list '" + endpoint + "'");
+  }
   const auto colon = endpoint.rfind(':');
   if (endpoint.empty() || colon == std::string::npos || colon == 0 ||
       colon + 1 == endpoint.size()) {
@@ -1088,132 +1084,6 @@ int CmdQuery(const Config& cfg) {
   return result.status == net::QueryStatus::kOk ? 0 : 1;
 }
 
-// Splits "a,b,c" into non-empty tokens.
-std::vector<std::string> SplitCommaList(const std::string& arg) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= arg.size()) {
-    const std::size_t comma = arg.find(',', start);
-    const std::size_t end = comma == std::string::npos ? arg.size() : comma;
-    if (end > start) out.push_back(arg.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-// Parses peers=<id@host:port,...> for replicated-coordinator mode.
-std::vector<replica::CoordinatorReplica::Peer> ParsePeers(
-    const std::string& arg) {
-  std::vector<replica::CoordinatorReplica::Peer> peers;
-  for (const std::string& token : SplitCommaList(arg)) {
-    const std::size_t at = token.find('@');
-    if (at == std::string::npos || at == 0) {
-      throw std::invalid_argument("peers: expected id@host:port, got '" +
-                                  token + "'");
-    }
-    replica::CoordinatorReplica::Peer peer;
-    unsigned long id_value = 0;
-    std::size_t consumed = 0;
-    try {
-      id_value = std::stoul(token.substr(0, at), &consumed);
-    } catch (const std::exception&) {
-      consumed = 0;
-    }
-    if (consumed != at || id_value == 0) {
-      throw std::invalid_argument("peers: replica id in '" + token +
-                                  "' must be a positive integer");
-    }
-    peer.id = static_cast<std::uint32_t>(id_value);
-    peer.endpoint = token.substr(at + 1);
-    (void)SplitHostPort(peer.endpoint, "peers");
-    peers.push_back(std::move(peer));
-  }
-  return peers;
-}
-
-// Replicated-coordinator mode: this process is ONE member of an HA group.
-// It serves workers only while leading; as a standby it tails the leader's
-// changelog and answers worker Registers with a redirect.  Runs until the
-// job's workers have all departed (observed while leading) or `wait`
-// elapses.  `ropts` carries the parsed replica flags; the endpoint comes
-// from the bound transport.
-int RunCoordinatorReplica(replica::CoordinatorReplica::Options ropts,
-                          net::TcpTransport& transport,
-                          MetricRegistry& metrics, int want_maps,
-                          int want_reduces, double wait_s) {
-  ropts.endpoint = transport.endpoint();
-  const std::uint32_t self = ropts.replica_id;
-  ropts.on_worker_lost = [](const std::string& id) {
-    std::printf("coordinator: worker '%s' LOST (lease + rejoin grace "
-                "expired)\n", id.c_str());
-    std::fflush(stdout);
-  };
-  ropts.on_worker_returned = [](const std::string& id) {
-    std::printf("coordinator: worker '%s' returned (re-registered while "
-                "suspect)\n", id.c_str());
-    std::fflush(stdout);
-  };
-  ropts.on_leadership = [self](bool leading, std::uint64_t epoch) {
-    std::printf("coordinator: replica %u %s at epoch %llu\n", self,
-                leading ? "LEADING" : "standing by",
-                static_cast<unsigned long long>(epoch));
-    std::fflush(stdout);
-  };
-  replica::CoordinatorReplica rep(&transport, &metrics, ropts);
-  std::printf("coordinator: replica %u listening on %s (%zu peer(s), "
-              "changelog %s, auth %s)\n", self, transport.endpoint().c_str(),
-              ropts.peers.size(), ropts.changelog_dir.string().c_str(),
-              ropts.secret.empty() ? "off" : "on");
-  std::fflush(stdout);
-
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(wait_s);
-  bool group_complete = false;
-  bool ever_led = false;
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (rep.is_leader()) {
-      ever_led = true;
-      const std::size_t maps = rep.registry().LiveCount(net::WireRole::kMap);
-      const std::size_t reduces =
-          rep.registry().LiveCount(net::WireRole::kReduce);
-      if (!group_complete && maps >= static_cast<std::size_t>(want_maps) &&
-          reduces >= static_cast<std::size_t>(want_reduces)) {
-        group_complete = true;
-        const auto roster = rep.registry().Snapshot();
-        std::printf("coordinator: group complete (epoch %llu, leader epoch "
-                    "%llu):\n",
-                    static_cast<unsigned long long>(roster.epoch),
-                    static_cast<unsigned long long>(rep.leader_epoch()));
-        for (const auto& e : roster.entries) {
-          std::printf("  %-12s %-6s gen %llu  %s\n", e.worker.c_str(),
-                      e.role == net::WireRole::kMap ? "map" : "reduce",
-                      static_cast<unsigned long long>(e.generation),
-                      e.endpoint.c_str());
-        }
-        std::fflush(stdout);
-      }
-      if (group_complete && maps == 0 && reduces == 0) break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  rep.Stop();
-  transport.Shutdown();
-  std::printf("coordinator: replica %u exiting | applied %llu record(s), "
-              "%lld election(s), %lld snapshot(s) written, %lld installed, "
-              "%lld stale frame(s) fenced, %lld redirect(s)\n", self,
-              static_cast<unsigned long long>(rep.applied_index()),
-              static_cast<long long>(metrics.Value("replica.elections")),
-              static_cast<long long>(metrics.Value("replica.snapshots_written")),
-              static_cast<long long>(
-                  metrics.Value("replica.snapshots_installed")),
-              static_cast<long long>(metrics.Value("replica.stale_frames")),
-              static_cast<long long>(metrics.Value("replica.redirects")));
-  // A standby that never led has done its duty by tailing; only a leader
-  // that timed out waiting for its group reports failure.
-  return ever_led && !group_complete ? 1 : 0;
-}
-
 int CmdCoordinator(const Config& cfg) {
   const auto [host, port] =
       SplitHostPort(cfg.GetString("listen", ""), "listen");
@@ -1228,22 +1098,6 @@ int CmdCoordinator(const Config& cfg) {
   const double wait_s =
       static_cast<double>(GetCheckedInt(cfg, "wait", 120, /*min_value=*/1));
   const auto secret = cfg.GetString("secret", "");
-  // Any replica key makes this process one member of a replicated group.
-  const auto replica_id = cfg.Get("replica-id");
-  const auto peers = cfg.Get("peers");
-  const auto changelog_dir = cfg.Get("changelog-dir");
-  const bool replicated = replica_id || peers || changelog_dir;
-  replica::CoordinatorReplica::Options ropts;
-  if (replicated) {
-    ropts.replica_id = static_cast<std::uint32_t>(
-        GetCheckedInt(cfg, "replica-id", 1, /*min_value=*/1));
-    ropts.peers = ParsePeers(peers.value_or(""));
-    ropts.changelog_dir = changelog_dir.value_or(
-        "opmr_replica_" + std::to_string(ropts.replica_id));
-    ropts.secret = secret;
-    ropts.lease_s = lease_s;
-    ropts.rejoin_grace_s = grace_s;
-  }
   RejectUnreadKeys(cfg, "coordinator");
 
   MetricRegistry metrics;
@@ -1252,11 +1106,6 @@ int CmdCoordinator(const Config& cfg) {
   topts.bind_port = port;
   net::TcpTransport transport(&metrics, topts);
   transport.Bind();
-
-  if (replicated) {
-    return RunCoordinatorReplica(std::move(ropts), transport, metrics,
-                                 want_maps, want_reduces, wait_s);
-  }
 
   coord::Coordinator::Options copts;
   copts.secret = secret;
@@ -1333,14 +1182,10 @@ int CmdCoordinator(const Config& cfg) {
 
 int CmdWorker(const Config& cfg) {
   const auto join = cfg.GetString("join", "");
-  const std::vector<std::string> join_list = SplitCommaList(join);
-  if (join_list.empty()) {
-    throw std::invalid_argument(
-        "worker: join=<host:port[,host:port...]> is required");
+  if (join.empty()) {
+    throw std::invalid_argument("worker: join=<host:port> is required");
   }
-  for (const std::string& ep : join_list) {
-    (void)SplitHostPort(ep, "join");  // validate shape early
-  }
+  (void)SplitHostPort(join, "join");  // validate shape early
   const auto id = cfg.GetString("id", "");
   if (id.empty()) throw std::invalid_argument("worker: id=<name> is required");
   const auto role = cfg.GetString("role", "");
@@ -1398,8 +1243,7 @@ int CmdWorker(const Config& cfg) {
     shuffle_server.Bind();
 
     coord::CoordClient::Options mopts;
-    mopts.coordinator = join_list.front();
-    mopts.endpoints = join_list;
+    mopts.coordinator = join;
     mopts.worker_id = id;
     mopts.endpoint = shuffle_server.endpoint();
     mopts.role = net::WireRole::kReduce;
@@ -1430,8 +1274,7 @@ int CmdWorker(const Config& cfg) {
     member.Stop();
   } else {
     coord::CoordClient::Options mopts;
-    mopts.coordinator = join_list.front();
-    mopts.endpoints = join_list;
+    mopts.coordinator = join;
     mopts.worker_id = id;
     mopts.endpoint = "-";  // map workers serve nothing
     mopts.role = net::WireRole::kMap;
