@@ -149,6 +149,7 @@ void CoordClient::HandleReply(net::Connection* from, net::Frame frame) {
               evicted_ = false;
               notify_evicted_ = true;
               ++eviction_count_;
+              evictions_->Increment();
             }
           } else if (!e.alive && generation_ != 0 &&
                      e.generation == generation_) {

@@ -75,8 +75,6 @@ Platform::Platform(PlatformOptions options) {
   cluster.retry_backoff_max_ms = options.retry_backoff_max_ms;
   cluster.speculative_execution = options.speculative_execution;
   cluster.speculation_threshold = options.speculation_threshold;
-  cluster.speculative_reduce = options.speculative_reduce;
-  cluster.reduce_speculation_threshold = options.reduce_speculation_threshold;
   executor_ = std::make_unique<ClusterExecutor>(dfs_.get(), files_.get(),
                                                 metrics_.get(), cluster);
   if (!options.fault_plan.empty()) {

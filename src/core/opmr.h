@@ -41,10 +41,6 @@ struct PlatformOptions {
   double retry_backoff_max_ms = 250.0;
   bool speculative_execution = false;
   double speculation_threshold = 2.0;
-  // Checkpoint-seeded speculative reduce attempts (see ClusterOptions);
-  // requires a checkpointing runtime (CheckpointedOnePassOptions).
-  bool speculative_reduce = false;
-  double reduce_speculation_threshold = 2.0;
   // Chaos plane: FaultPlan spec string or plan-file path (see
   // FaultPlan::Load); empty = no injection.
   std::string fault_plan;

@@ -251,13 +251,6 @@ void ClusterExecutor::Validate(const JobSpec& spec,
         "speculative re-execution requires pull shuffle: a duplicate "
         "attempt's pushed output cannot be recalled");
   }
-  if (cluster_.speculative_reduce && !options.checkpoint.enabled) {
-    throw std::invalid_argument(
-        "speculative_reduce requires checkpointing: a backup reduce attempt "
-        "seeds from the primary's newest checkpoint image and replays only "
-        "the un-acknowledged shuffle suffix — enable JobOptions::checkpoint "
-        "(e.g. CheckpointedOnePassOptions)");
-  }
   if (cluster_.max_task_attempts > 1 && options.snapshot_interval > 0.0) {
     throw std::invalid_argument(
         "task retries with snapshots are unsupported: a re-executed reducer "
@@ -465,17 +458,7 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
   std::vector<std::uint64_t> per_reducer_records(num_reducers, 0);
   std::atomic<bool> maps_failed{false};
 
-  // Reduce-speculation state: the watchdog raises a reducer's preempt flag;
-  // the reducer converts it to a ReducePreempted throw at the next record
-  // boundary and the following attempt is the checkpoint-seeded backup.
-  const bool reduce_spec_enabled =
-      cluster_.speculative_reduce && run_reducers && checkpoint_enabled;
-  std::vector<std::atomic<bool>> reduce_preempt(
-      static_cast<std::size_t>(num_reducers));
-  std::vector<std::atomic<bool>> reduce_finished(
-      static_cast<std::size_t>(num_reducers));
   std::atomic<int> reducers_completed{0};
-  std::atomic<std::int64_t> reduce_completed_us{0};
 
   // --- Reducer threads (start immediately: reducers shuffle while maps run).
   std::vector<std::jthread> reducer_threads;
@@ -486,20 +469,17 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
       // shared reduce slot (push-mode map output destined here simply
       // queues or diverts to files while the lease waits).
       ReduceSlotLease slot(cluster_.sched_hooks);
-      const double reducer_begin = job_start.Seconds();
-      RuntimeEnv renv = env;
-      if (reduce_spec_enabled) renv.reduce_preempt = &reduce_preempt[r];
       auto run_reducer = [&]() -> std::uint64_t {
         if (options.group_by == GroupBy::kSortMerge) {
-          SortMergeReducer reducer(r, spec, options, renv);
+          SortMergeReducer reducer(r, spec, options, env);
           return reducer.Run();
         }
         switch (options.hash_reduce) {
           case HashReduce::kHybridHash:
-            return RunHybridHashReducer(r, spec, options, renv);
+            return RunHybridHashReducer(r, spec, options, env);
           case HashReduce::kIncremental:
           case HashReduce::kHotKeyIncremental: {
-            IncrementalHashReducer reducer(r, spec, options, renv);
+            IncrementalHashReducer reducer(r, spec, options, env);
             return reducer.Run();
           }
         }
@@ -515,30 +495,13 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
           const std::uint64_t records = run_reducer();
           output_records.fetch_add(records, std::memory_order_relaxed);
           per_reducer_records[r] = records;  // one writer per slot
-          if (renv.speculative_attempt) {
-            metrics_->Get(kSpecReduceWins)->Increment();
-          }
-          reduce_finished[r].store(true, std::memory_order_release);
           const int done =
               reducers_completed.fetch_add(1, std::memory_order_relaxed) + 1;
-          reduce_completed_us.fetch_add(
-              static_cast<std::int64_t>(
-                  (job_start.Seconds() - reducer_begin) * 1e6),
-              std::memory_order_relaxed);
           if (cluster_.sched_hooks != nullptr &&
               cluster_.sched_hooks->on_reduce_progress) {
             cluster_.sched_hooks->on_reduce_progress(done, num_reducers);
           }
           return;
-        } catch (const ReducePreempted&) {
-          // Takeover speculation: the next attempt IS the backup — it seeds
-          // from the newest checkpoint image and replays only the shuffle
-          // suffix past its watermark.  A preemption never counts against
-          // max_task_attempts and never rewinds to ordinal 0.
-          reduce_preempt[r].store(false, std::memory_order_relaxed);
-          renv.speculative_attempt = true;
-          metrics_->Get(kSpecReduceLaunched)->Increment();
-          continue;
         } catch (const ReplayError&) {
           // The feed is unrecoverable; another attempt would fail the same
           // way (Table III).
@@ -571,44 +534,6 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
           }
           metrics_->Get(kRetryReduceTask)->Increment();
           RetryBackoff(attempt, 0x5edce5ull + static_cast<std::uint64_t>(r));
-        }
-      }
-    });
-  }
-
-  // --- Reduce-speculation watchdog: picks straggling reducers (or ones on
-  // a fault-plan-designated slow node) and raises their preempt flag — but
-  // only once a checkpoint acknowledgement proves a seed image exists, so
-  // the backup always replays a strict suffix of the feed.  Declared after
-  // the reducer threads so an unwinding Run() stops it first.
-  std::jthread reduce_watchdog;
-  if (reduce_spec_enabled) {
-    reduce_watchdog = std::jthread([&](std::stop_token stop) {
-      std::vector<bool> backed_up(static_cast<std::size_t>(num_reducers));
-      while (!stop.stop_requested()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        const int done_n = reducers_completed.load(std::memory_order_relaxed);
-        const double mean_s =
-            done_n > 0
-                ? static_cast<double>(reduce_completed_us.load(
-                      std::memory_order_relaxed)) /
-                      1e6 / done_n
-                : 0.0;
-        // Reducers all start with the job, so job time is reducer elapsed
-        // time.
-        const double elapsed_s = job_start.Seconds();
-        for (int r = 0; r < num_reducers; ++r) {
-          if (backed_up[r]) continue;
-          if (reduce_finished[r].load(std::memory_order_acquire)) continue;
-          if (shuffle.AckedOrdinal(r) == 0) continue;  // nothing to seed from
-          const bool on_slow_node =
-              fault != nullptr &&
-              fault->SlowNodeDelayMs(r % cluster_.num_nodes) > 0.0;
-          const bool straggling = IsStraggler(
-              elapsed_s, mean_s, cluster_.reduce_speculation_threshold);
-          if (!on_slow_node && !straggling) continue;
-          backed_up[r] = true;
-          reduce_preempt[r].store(true, std::memory_order_relaxed);
         }
       }
     });
@@ -827,10 +752,6 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
   }
 
   reducer_threads.clear();  // join all reducers
-  if (reduce_watchdog.joinable()) {
-    reduce_watchdog.request_stop();
-    reduce_watchdog.join();
-  }
 
   {
     std::scoped_lock lock(failure_mu);

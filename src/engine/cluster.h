@@ -61,10 +61,10 @@ struct SchedHooks {
   std::function<void(int done, int total)> on_reduce_progress;
 };
 
-// Straggler predicate shared by map speculation and the reduce-speculation
-// watchdog: an attempt is a straggler once its elapsed time reaches
-// threshold x the mean completed-task time (boundary inclusive).  With no
-// completions yet there is no baseline, so nothing is a straggler.
+// Straggler predicate of map speculation: an attempt is a straggler once
+// its elapsed time reaches threshold x the mean completed-task time
+// (boundary inclusive).  With no completions yet there is no baseline, so
+// nothing is a straggler.
 [[nodiscard]] inline bool IsStraggler(double elapsed_s,
                                       double mean_completed_s,
                                       double threshold) noexcept {
@@ -97,18 +97,6 @@ struct ClusterOptions {
   // Pull shuffle only — a duplicate pushed attempt cannot be recalled.
   bool speculative_execution = false;
   double speculation_threshold = 2.0;
-
-  // Checkpoint-aware speculative reduce attempts: a reducer whose elapsed
-  // time reaches reduce_speculation_threshold x the mean completed-reducer
-  // time — or one running on a fault-plan-designated slow node — is
-  // preempted at a record boundary once a checkpoint exists to seed from;
-  // the backup attempt restores the newest image and replays only the
-  // un-acknowledged shuffle suffix.  Requires checkpointing
-  // (JobOptions::checkpoint.enabled) and, unlike map speculation, works
-  // under push shuffle: the retained-until-acknowledged feed makes the
-  // takeover recallable.
-  bool speculative_reduce = false;
-  double reduce_speculation_threshold = 2.0;
 
   // Multi-job slot metering (see SchedHooks).  Not owned; must outlive
   // every Run() that observes it.
@@ -181,11 +169,6 @@ inline constexpr const char* kRetryBackoffMs = "retry.backoff_ms";
 // Backup map attempts started, and those that published first.
 inline constexpr const char* kSpecLaunched = "speculation.launched";
 inline constexpr const char* kSpecWins = "speculation.wins";
-// Takeover reduce attempts started, seeded from a checkpoint, and completed.
-inline constexpr const char* kSpecReduceLaunched =
-    "speculation.reduce_launched";
-inline constexpr const char* kSpecReduceSeeded = "speculation.reduce_seeded";
-inline constexpr const char* kSpecReduceWins = "speculation.reduce_wins";
 
 struct JobResult {
   std::string job_name;
@@ -299,10 +282,6 @@ class ClusterExecutor {
   }
   void set_shuffle_shared_fs(bool shared) {
     cluster_.shuffle_shared_fs = shared;
-  }
-  void set_speculative_reduce(bool on, double threshold = 2.0) {
-    cluster_.speculative_reduce = on;
-    cluster_.reduce_speculation_threshold = threshold;
   }
   void set_sched_hooks(const SchedHooks* hooks) {
     cluster_.sched_hooks = hooks;

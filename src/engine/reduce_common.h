@@ -77,16 +77,6 @@ class EmissionLog {
   TimeSeries series_;
 };
 
-// Thrown by a checkpointing reduce attempt when the executor's reduce-
-// speculation watchdog preempts it in favour of a backup attempt.  The
-// backup seeds itself from the newest checkpoint image and replays only
-// the un-acknowledged shuffle suffix; a preemption never counts against
-// max_task_attempts.
-class ReducePreempted : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 // Everything a task needs from the runtime; plain non-owning pointers, all
 // services outlive the tasks (owned by ClusterExecutor::Run's scope).
 struct RuntimeEnv {
@@ -101,13 +91,6 @@ struct RuntimeEnv {
   FaultInjector* fault = nullptr;  // chaos plane; nullptr in clean runs
   // Resolved checkpoint directory (empty when checkpointing is off).
   std::filesystem::path checkpoint_dir;
-  // Reduce-speculation plumbing (ClusterOptions::speculative_reduce): the
-  // watchdog raises the flag, the reducer throws ReducePreempted at the
-  // next record/item boundary, and the backup attempt runs with
-  // speculative_attempt set so its checkpoint restore counts as a
-  // speculation seed.
-  std::atomic<bool>* reduce_preempt = nullptr;
-  bool speculative_attempt = false;
 };
 
 // Writes one reducer's output into the DFS and logs emission times.  The

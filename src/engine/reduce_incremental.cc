@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "engine/cluster.h"
 #include "engine/reduce_hash.h"
 #include "fault/fault.h"
 
@@ -292,11 +291,6 @@ std::uint64_t IncrementalHashReducer::PrepareCheckpoint() {
       feed_records_[feed] = records;
     }
     watermark = image->watermark;
-    if (env_.speculative_attempt && env_.metrics != nullptr) {
-      // A speculative backup attempt seeded itself from the primary's
-      // newest image instead of re-folding the whole feed.
-      env_.metrics->Get(kSpecReduceSeeded)->Increment();
-    }
   }
   // No (valid) checkpoint degrades to a full re-execution — feasible for
   // retained-feed shuffles, a structured Table III error otherwise.
@@ -324,14 +318,6 @@ void IncrementalHashReducer::WriteCheckpoint(std::uint64_t watermark) {
   }
 }
 
-void IncrementalHashReducer::ThrowIfPreempted() const {
-  if (env_.reduce_preempt != nullptr &&
-      env_.reduce_preempt->load(std::memory_order_relaxed)) {
-    throw ReducePreempted("reduce task " + std::to_string(reducer_id_) +
-                          " preempted for a speculative backup");
-  }
-}
-
 std::uint64_t IncrementalHashReducer::Run() {
   const double shuffle_begin = env_.job_start->Seconds();
   IoChannel shuffle_read(env_.metrics, device::kShuffleRead);
@@ -339,7 +325,6 @@ std::uint64_t IncrementalHashReducer::Run() {
   out_.emplace(env_, spec_.output_file + ".part" + std::to_string(reducer_id_));
 
   ShuffleItem item;
-  std::uint64_t since_check = 0;
   while (env_.shuffle->NextItem(reducer_id_, &item)) {
     auto stream = OpenShuffleItem(item, shuffle_read);
     {
@@ -347,10 +332,6 @@ std::uint64_t IncrementalHashReducer::Run() {
       while (stream->Next()) {
         if (env_.fault != nullptr) env_.fault->OnReduceFold(++folded_);
         store_.Fold(stream->key(), stream->value());
-        if (++since_check >= 64) {
-          since_check = 0;
-          ThrowIfPreempted();
-        }
       }
     }
     if (ckpt_ != nullptr) {
@@ -361,7 +342,6 @@ std::uint64_t IncrementalHashReducer::Run() {
       ckpt_->OnProgress(item.records, item.size_bytes());
       if (ckpt_->Due()) WriteCheckpoint(watermark);
     }
-    ThrowIfPreempted();
   }
   env_.timeline->Record(TaskKind::kShuffle, shuffle_begin,
                         env_.job_start->Seconds());

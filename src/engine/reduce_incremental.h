@@ -137,7 +137,6 @@ class IncrementalHashReducer {
   // restored watermark (0 = start from scratch).
   std::uint64_t PrepareCheckpoint();
   void WriteCheckpoint(std::uint64_t watermark);
-  void ThrowIfPreempted() const;
 
   int reducer_id_;
   const JobSpec& spec_;

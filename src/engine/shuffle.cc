@@ -330,16 +330,6 @@ bool ShuffleService::Rewind(int reducer, std::uint64_t from_ordinal,
   return true;
 }
 
-std::uint64_t ShuffleService::ConsumedOrdinal(int reducer) const {
-  std::scoped_lock lock(mu_);
-  return queues_.at(reducer).next_ordinal;
-}
-
-std::uint64_t ShuffleService::AckedOrdinal(int reducer) const {
-  std::scoped_lock lock(mu_);
-  return queues_.at(reducer).acked_upto;
-}
-
 double ShuffleService::MapsDoneFraction() const {
   std::scoped_lock lock(mu_);
   return num_map_tasks_ == 0

@@ -245,13 +245,6 @@ class ShuffleService : public ShuffleMapEndpoint {
   // Fraction of map tasks completed (drives HOP snapshot points).
   [[nodiscard]] double MapsDoneFraction() const;
 
-  // Progress probes for the reduce-speculation watchdog: the highest
-  // consume ordinal handed to `reducer` so far, and the highest ordinal its
-  // checkpoint acknowledgements cover.  AckedOrdinal > 0 means a backup
-  // attempt has a checkpoint image to seed from.
-  [[nodiscard]] std::uint64_t ConsumedOrdinal(int reducer) const;
-  [[nodiscard]] std::uint64_t AckedOrdinal(int reducer) const;
-
   // Poisons the shuffle after a task failure: all blocked and future
   // NextItem calls throw, so reducer threads unwind instead of waiting for
   // map completions that will never come.

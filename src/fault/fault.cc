@@ -312,16 +312,6 @@ void FaultInjector::OnReduceFold(std::uint64_t record) {
   }
 }
 
-double FaultInjector::SlowNodeDelayMs(int node) const noexcept {
-  double delay = 0.0;
-  for (const FaultSpec& s : plan_.faults) {
-    if (s.point != FaultPoint::kSlowNode) continue;
-    if (s.node >= 0 && s.node != node) continue;
-    delay = std::max(delay, s.delay_ms);
-  }
-  return delay;
-}
-
 void FaultInjector::OnShuffleFetch(int reducer, int map_task) {
   if (!has_point_[static_cast<int>(FaultPoint::kFetchStall)]) return;
   const auto& frame = FaultScope::Current();

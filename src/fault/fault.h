@@ -155,13 +155,6 @@ class FaultInjector final : public IoFaultHook, public net::NetFaultHook {
   void OnShuffleFetch(int reducer, int map_task);
   void FilterReplicas(std::vector<int>* replica_nodes, std::uint64_t block_id);
 
-  // Scheduler-visible slow-node signal: the largest slow_node delay the
-  // plan schedules for `node` (0 = the node is not designated slow).  The
-  // executor's reduce-speculation watchdog and the multi-job scheduler
-  // treat injected stragglers as a first-class signal instead of
-  // rediscovering them from task timings.
-  [[nodiscard]] double SlowNodeDelayMs(int node) const noexcept;
-
   // --- storage-layer fault sites (IoFaultHook) -----------------------------
   void BeforeWrite(const std::filesystem::path& path, std::uint64_t offset,
                    std::size_t bytes) override;

@@ -182,9 +182,6 @@ void JobScheduler::RunJob(Job* job) {
     ClusterOptions cluster;
     cluster.num_nodes = options_.num_nodes;
     cluster.map_slots_per_node = options_.map_slots_per_node;
-    cluster.speculative_reduce = job->request.speculative_reduce;
-    cluster.reduce_speculation_threshold =
-        job->request.reduce_speculation_threshold;
     cluster.sched_hooks = &job->hooks;
     switch (job->request.transport) {
       case JobTransport::kDirect:

@@ -12,9 +12,7 @@
 // not attributed per job.
 //
 // Jobs submitted here never install fault injectors: the chaos plane's
-// I/O hook is process-global and concurrent jobs would race on it.  The
-// scheduler-visible slow-node signal (FaultInjector::SlowNodeDelayMs) is
-// consumed inside single-job runs instead.
+// I/O hook is process-global and concurrent jobs would race on it.
 //
 // Per-job shuffle transports are built in-process: kLoopback wraps the
 // run in a LoopbackTransport, kTcp binds a TcpTransport and self-dials it
@@ -88,9 +86,6 @@ struct JobRequest {
   // Memory-budget admission charge; 0 derives reduce_buffer_bytes x
   // num_reducers from `options`/`spec`.
   std::size_t memory_bytes = 0;
-  // Checkpoint-seeded speculative reduce attempts (see ClusterOptions).
-  bool speculative_reduce = false;
-  double reduce_speculation_threshold = 2.0;
 };
 
 struct JobReport {

@@ -28,13 +28,6 @@ std::uint64_t ParseCount(const std::string& key, const std::string& value) {
   }
 }
 
-bool ParseBool(const std::string& key, const std::string& value) {
-  if (value == "1" || value == "true" || value == "yes") return true;
-  if (value == "0" || value == "false" || value == "no") return false;
-  throw std::invalid_argument("spool: bad boolean for '" + key +
-                              "': " + value);
-}
-
 }  // namespace
 
 SpoolSpec ParseSpoolSpec(const std::string& id, std::istream& in) {
@@ -67,8 +60,6 @@ SpoolSpec ParseSpoolSpec(const std::string& id, std::istream& in) {
       spec.reducers = static_cast<int>(ParseCount(key, value));
     } else if (key == "memory_bytes") {
       spec.memory_bytes = static_cast<std::size_t>(ParseCount(key, value));
-    } else if (key == "speculative_reduce") {
-      spec.speculative_reduce = ParseBool(key, value);
     } else if (key == "checkpoint_interval") {
       spec.checkpoint_interval = ParseCount(key, value);
     } else if (key == "checkpoint_retain") {

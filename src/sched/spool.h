@@ -32,7 +32,6 @@ struct SpoolSpec {
   std::uint64_t records = 100000;
   int reducers = 4;
   std::size_t memory_bytes = 0;  // 0 = derive from the runtime options
-  bool speculative_reduce = false;
   std::uint64_t checkpoint_interval = 4096;
   int checkpoint_retain = 2;
 };

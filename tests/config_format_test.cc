@@ -55,7 +55,7 @@ TEST(Config, UnreadKeysNamesEveryKeyNoGetterRead) {
   EXPECT_EQ(cfg.GetInt("records", 0), 100);
   EXPECT_TRUE(cfg.Get("speculate").has_value());
   // Reading a key nobody set leaves nothing behind to report.
-  EXPECT_FALSE(cfg.GetBool("speculate-reduce", false));
+  EXPECT_FALSE(cfg.GetBool("compress", false));
   EXPECT_EQ(cfg.UnreadKeys(), (std::vector<std::string>{
                                   "dump-output", "sock-buf-bytes", "typo"}));
   EXPECT_EQ(cfg.GetString("dump-output", ""), "o.tsv");

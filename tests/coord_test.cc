@@ -247,6 +247,8 @@ TEST(Coordinator, HeartbeatLossRunsTheTwoStageDetector) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_GE(client.evictions(), 1u);
+  EXPECT_EQ(metrics.Value("coord.client.evictions"),
+            static_cast<std::int64_t>(client.evictions()));
   EXPECT_GE(evicted.load(), 1);
   EXPECT_GE(returned.load(), 1);
   EXPECT_EQ(lost.load(), 0);

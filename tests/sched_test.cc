@@ -1,6 +1,6 @@
 // Multi-job scheduler tests: slot-pool policy arbitration, admission
-// control, spool parsing, concurrent-vs-sequential output identity across
-// transports, and checkpoint-seeded reduce speculation.
+// control, spool parsing, and concurrent-vs-sequential output identity
+// across transports.
 #include "sched/scheduler.h"
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "checkpoint/checkpoint.h"
 #include "core/opmr.h"
 #include "sched/slot_pool.h"
 #include "sched/spool.h"
@@ -126,7 +125,6 @@ TEST(SpoolTest, ParsesFullSpec) {
       "records=5000\n"
       "reducers=3\n"
       "memory_bytes=1048576\n"
-      "speculative_reduce=yes\n"
       "checkpoint_interval=512\n"
       "checkpoint_retain=3\n");
   const auto spec = sched::ParseSpoolSpec("j1", in);
@@ -137,7 +135,6 @@ TEST(SpoolTest, ParsesFullSpec) {
   EXPECT_EQ(spec.records, 5000u);
   EXPECT_EQ(spec.reducers, 3);
   EXPECT_EQ(spec.memory_bytes, 1048576u);
-  EXPECT_TRUE(spec.speculative_reduce);
   EXPECT_EQ(spec.checkpoint_interval, 512u);
   EXPECT_EQ(spec.checkpoint_retain, 3);
 }
@@ -161,6 +158,10 @@ TEST(SpoolTest, RejectsUnknownKeysAndBadValues) {
   }
   {
     std::istringstream in("pool=batch\n");  // not a spool key
+    EXPECT_THROW(sched::ParseSpoolSpec("j", in), std::invalid_argument);
+  }
+  {
+    std::istringstream in("speculative_reduce=1\n");  // not a spool key
     EXPECT_THROW(sched::ParseSpoolSpec("j", in), std::invalid_argument);
   }
 }
@@ -352,64 +353,6 @@ TEST_F(SchedulerTest, RunAsyncDeliversResultOnFuture) {
   const auto bad = PerUserCountJob("no_such_file", "async2.out", 2);
   auto bad_future = executor.RunAsync(bad, options);
   EXPECT_THROW(bad_future.get(), std::exception);
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint-seeded reduce speculation
-// ---------------------------------------------------------------------------
-
-// Acceptance: a fault-injected slow reducer under push shuffle gets a
-// backup attempt seeded from the newest checkpoint image, replaying only
-// the un-acked suffix, and the output stays byte-identical to a clean run.
-TEST(ReduceSpeculationTest, SlowReducerTakenOverFromCheckpoint) {
-  ClickStreamOptions gen;
-  gen.num_records = 30'000;
-  gen.num_users = 1'000;
-
-  // Clean baseline (same seeded generator => identical input data).
-  Platform clean({.num_nodes = 4, .block_bytes = 256u << 10});
-  GenerateClickStream(clean.dfs(), "clicks", gen);
-  clean.Run(PerUserCountJob("clicks", "out", 2),
-            CheckpointedOnePassOptions(512));
-  auto expected = clean.ReadOutput("out", 2);
-  std::sort(expected.begin(), expected.end());
-
-  // Slow node 0 => reducer 0 (r % num_nodes) crawls through its folds
-  // until the watchdog preempts it in favor of a checkpoint-seeded backup.
-  PlatformOptions popts;
-  popts.num_nodes = 4;
-  popts.block_bytes = 256u << 10;
-  popts.speculative_reduce = true;
-  popts.reduce_speculation_threshold = 2.0;
-  popts.fault_plan = "seed=5;slow_node:node=0,delay_ms=0.2";
-  Platform slow(popts);
-  GenerateClickStream(slow.dfs(), "clicks", gen);
-  const auto result = slow.Run(PerUserCountJob("clicks", "out", 2),
-                               CheckpointedOnePassOptions(512));
-
-  EXPECT_GE(result.Bytes(kSpecReduceLaunched), 1);
-  EXPECT_GE(result.Bytes(kSpecReduceSeeded), 1);
-  EXPECT_GE(result.Bytes(kSpecReduceWins), 1);
-  EXPECT_GE(result.Bytes(kCheckpointsLoaded), 1);
-  // The backup replays only the un-acked suffix, not the whole partition.
-  EXPECT_GT(result.Bytes(kReplayRecords), 0);
-  EXPECT_LT(result.Bytes(kReplayRecords), result.map_output_records);
-
-  auto actual = slow.ReadOutput("out", 2);
-  std::sort(actual.begin(), actual.end());
-  EXPECT_EQ(actual, expected);
-}
-
-TEST(ReduceSpeculationTest, RequiresCheckpointing) {
-  Platform platform({.num_nodes = 2,
-                     .block_bytes = 256u << 10,
-                     .speculative_reduce = true});
-  ClickStreamOptions gen;
-  gen.num_records = 2'000;
-  GenerateClickStream(platform.dfs(), "clicks", gen);
-  EXPECT_THROW(
-      platform.Run(PerUserCountJob("clicks", "out", 2), HashOnePassOptions()),
-      std::invalid_argument);
 }
 
 }  // namespace

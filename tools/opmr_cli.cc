@@ -22,7 +22,7 @@
 //       --fault-plan takes a FaultPlan spec string or plan file (see
 //       src/fault/fault.h), e.g. --fault-plan='seed=7;map_crash:task=0,record=500';
 //       --max-attempts enables task re-execution (pull shuffle only) and
-//       --speculate turns on straggler backup attempts.
+//       --speculate turns on backup attempts of straggler map tasks.
 //       --checkpoint-interval=N checkpoints reducer state every N folded
 //       records, making reduce failures recoverable even under the pipelined
 //       push shuffle; --checkpoint-dir overrides the image directory,
@@ -123,8 +123,8 @@
 //       nodes holding their blocks.  Prints per-job reports, scheduler
 //       stats (with deferral reasons), and a cross-job task timeline.
 //       Spool keys: workload, runtime, transport (direct|loopback|tcp),
-//       records, reducers, memory_bytes, speculative_reduce,
-//       checkpoint_interval, checkpoint_retain.
+//       records, reducers, memory_bytes, checkpoint_interval,
+//       checkpoint_retain.
 //
 // Every subcommand rejects a key it does not read (a typo or a removed
 // flag) with exit 1 before it does any work.
@@ -366,7 +366,6 @@ int CmdRun(const Config& cfg) {
   popts.max_task_attempts = static_cast<int>(
       GetCheckedInt(cfg, "max-attempts", 1, /*min_value=*/1));
   popts.speculative_execution = cfg.GetBool("speculate", false);
-  popts.speculative_reduce = cfg.GetBool("speculate-reduce", false);
   popts.fault_plan = cfg.GetString("fault-plan", "");
 
   JobOptions options = RuntimeByName(runtime);
@@ -411,8 +410,7 @@ int CmdRun(const Config& cfg) {
         "--speculate is map-side speculation over a pull shuffle and is "
         "inert under the pipelined push shuffle of runtime '" + runtime +
         "': a duplicate map attempt's pushed output cannot be recalled. "
-        "Use a pull runtime (runtime=hadoop), or speculate on the reduce "
-        "side with --speculate-reduce + checkpointing.");
+        "Use a pull runtime (runtime=hadoop).");
   }
   if (popts.max_task_attempts > 1 && options.shuffle == Shuffle::kPush &&
       !options.checkpoint.enabled) {
@@ -422,13 +420,6 @@ int CmdRun(const Config& cfg) {
         "so retries could never succeed. Use runtime=hadoop, or add "
         "--checkpoint-interval=N so reduce attempts resume from a "
         "checkpoint image.");
-  }
-  if (popts.speculative_reduce && !options.checkpoint.enabled) {
-    throw std::invalid_argument(
-        "--speculate-reduce requires checkpointing: the backup reduce "
-        "attempt seeds from the primary's newest checkpoint image and "
-        "replays only the un-acked shuffle suffix. Add "
-        "--checkpoint-interval=N or use runtime=checkpoint.");
   }
   if (transport == "direct" &&
       (cfg.Get("shuffle-timeout") || cfg.Get("ship-segments"))) {
@@ -611,13 +602,6 @@ int CmdServe(const Config& cfg) {
             : RuntimeByName(s.runtime);
     request.transport = TransportByName(s.transport);
     request.memory_bytes = s.memory_bytes;
-    request.speculative_reduce = s.speculative_reduce;
-    if (request.speculative_reduce && !request.options.checkpoint.enabled) {
-      throw std::invalid_argument(
-          "spool job '" + s.id +
-          "': speculative_reduce=1 requires runtime=checkpoint (the backup "
-          "attempt seeds from a checkpoint image)");
-    }
     scheduler.Submit(std::move(request));
   }
   std::printf("admitted %zu job(s): policy %s, %d map + %d reduce slots, "
