@@ -73,8 +73,6 @@ Platform::Platform(PlatformOptions options) {
   cluster.max_task_attempts = options.max_task_attempts;
   cluster.retry_backoff_base_ms = options.retry_backoff_base_ms;
   cluster.retry_backoff_max_ms = options.retry_backoff_max_ms;
-  cluster.speculative_execution = options.speculative_execution;
-  cluster.speculation_threshold = options.speculation_threshold;
   executor_ = std::make_unique<ClusterExecutor>(dfs_.get(), files_.get(),
                                                 metrics_.get(), cluster);
   if (!options.fault_plan.empty()) {

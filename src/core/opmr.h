@@ -36,11 +36,9 @@ struct PlatformOptions {
   int replication = 1;
   // Task re-execution attempts (pull shuffle only; see ClusterOptions).
   int max_task_attempts = 1;
-  // Retry pacing and straggler backup attempts (see ClusterOptions).
+  // Retry pacing (see ClusterOptions).
   double retry_backoff_base_ms = 5.0;
   double retry_backoff_max_ms = 250.0;
-  bool speculative_execution = false;
-  double speculation_threshold = 2.0;
   // Chaos plane: FaultPlan spec string or plan-file path (see
   // FaultPlan::Load); empty = no injection.
   std::string fault_plan;

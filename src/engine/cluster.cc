@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <deque>
 #include <exception>
 #include <future>
 #include <stdexcept>
@@ -80,19 +79,6 @@ class CoordRunGuard {
   }
   coord::CoordClient* client = nullptr;
   coord::Coordinator* coordinator = nullptr;
-};
-
-// One logical map task: its input block plus the coordination state rival
-// attempts (original + speculative backup) race on.  `published` makes the
-// publish step exactly-once; the losing attempt's output is discarded
-// without ever becoming visible to reducers.
-struct MapTaskEntry {
-  BlockInfo block;
-  int task_id = 0;
-  double started_s = 0.0;
-  std::atomic<bool> done{false};
-  std::atomic<bool> speculated{false};
-  std::atomic<bool> published{false};
 };
 
 // RAII slot leases against the (optional) multi-job scheduler hooks; with
@@ -246,11 +232,6 @@ void ClusterExecutor::Validate(const JobSpec& spec,
           "interval_bytes, or interval_seconds");
     }
   }
-  if (cluster_.speculative_execution && options.shuffle == Shuffle::kPush) {
-    throw std::invalid_argument(
-        "speculative re-execution requires pull shuffle: a duplicate "
-        "attempt's pushed output cannot be recalled");
-  }
   if (cluster_.max_task_attempts > 1 && options.snapshot_interval > 0.0) {
     throw std::invalid_argument(
         "task retries with snapshots are unsupported: a re-executed reducer "
@@ -337,7 +318,6 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
     }
     blocks = std::move(mine);
   }
-  const int local_map_tasks = static_cast<int>(blocks.size());
   const int num_reducers = spec.num_reducers;
 
   WallTimer job_start;
@@ -539,68 +519,20 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
     });
   }
 
-  // --- Map task table: rival attempts (retry waves, speculative backups)
-  // coordinate through these entries.
-  std::deque<MapTaskEntry> task_entries;
-  std::mutex entries_mu;
+  std::atomic<int> next_task_id{0};
   std::atomic<std::uint64_t> completed_maps{0};
-  std::atomic<std::int64_t> completed_us_total{0};
 
-  auto register_entry = [&](BlockInfo block) -> MapTaskEntry* {
-    std::scoped_lock lock(entries_mu);
-    MapTaskEntry& entry = task_entries.emplace_back();
+  // Runs one task's attempt loop on `node`: the original attempt, then its
+  // retries, one at a time.
+  auto run_map_attempts = [&](const BlockInfo& block, int node) {
     // Partitioned map groups use the globally-unique listing index;
     // otherwise ids stay in claim order (the seed's behaviour, which fault
     // plans target by task number).
-    entry.task_id = cluster_.map_partition_count > 1
-                        ? global_task_id.at(block.block_id)
-                        : static_cast<int>(task_entries.size()) - 1;
-    entry.block = std::move(block);
-    entry.started_s = job_start.Seconds();
-    return &entry;
-  };
-
-  auto all_entries_done = [&] {
-    std::scoped_lock lock(entries_mu);
-    if (static_cast<int>(task_entries.size()) < local_map_tasks) return false;
-    for (const auto& entry : task_entries) {
-      if (!entry.done.load(std::memory_order_acquire)) return false;
-    }
-    return true;
-  };
-
-  // An idle slot picks the longest-overdue running task that nobody has
-  // backed up yet (elapsed > threshold x mean completed-task time).
-  auto pick_straggler = [&]() -> MapTaskEntry* {
-    const std::uint64_t done_n = completed_maps.load();
-    if (done_n == 0) return nullptr;
-    const double mean_s =
-        static_cast<double>(completed_us_total.load()) / 1e6 / done_n;
-    const double now = job_start.Seconds();
-    std::scoped_lock lock(entries_mu);
-    for (auto& entry : task_entries) {
-      if (entry.done.load(std::memory_order_acquire)) continue;
-      if (!IsStraggler(now - entry.started_s, mean_s,
-                       cluster_.speculation_threshold)) {
-        continue;
-      }
-      if (entry.speculated.exchange(true)) continue;
-      return &entry;
-    }
-    return nullptr;
-  };
-
-  // Runs one task's attempt loop on `node`.  Speculative backups get a
-  // single attempt numbered past max_task_attempts (so budgeted faults do
-  // not re-fire) and never fail the job — the original attempt still owns
-  // recovery.
-  auto run_map_attempts = [&](MapTaskEntry* entry, int node,
-                              bool speculative) {
-    const int task_id = entry->task_id;
+    const int task_id = cluster_.map_partition_count > 1
+                            ? global_task_id.at(block.block_id)
+                            : next_task_id.fetch_add(1);
     const double begin = job_start.Seconds();
-    const int first_attempt =
-        speculative ? cluster_.max_task_attempts + 1 : 1;
-    for (int attempt = first_attempt;; ++attempt) {
+    for (int attempt = 1;; ++attempt) {
       FaultScope scope(FaultScope::Kind::kMap, task_id, attempt, node);
       std::unique_ptr<MapOutputSink> sink;
       if (options.shuffle == Shuffle::kPush) {
@@ -612,7 +544,7 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
             task_id, files_, metrics_, endpoint, num_reducers,
             options.map_buffer_bytes);
       }
-      MapTask task(task_id, spec, options, env, entry->block, sink.get());
+      MapTask task(task_id, spec, options, env, block, sink.get());
       MapTask::Stats stats;
       try {
         stats = task.Run();
@@ -620,8 +552,6 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
         // Already the Table III diagnosis (a dead reducer consumed pushed
         // output); never retryable and never re-wrapped.
         sink->Abandon();
-        if (entry->done.load(std::memory_order_acquire)) return;
-        if (speculative) return;
         throw;
       } catch (...) {
         // Drop the attempt's buffered output first: once the exception is
@@ -629,8 +559,6 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
         // its cleanup flush must not write — or re-fire the fault hook for —
         // bytes of a dead attempt.
         sink->Abandon();
-        if (entry->done.load(std::memory_order_acquire)) return;  // lost race
-        if (speculative) return;  // backup failures never fail the job
         if (sink->publishes_eagerly()) {
           // The paper's Table III trade-off, demonstrated: this attempt's
           // output already reached reducers, so re-execution would
@@ -657,31 +585,21 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
         RetryBackoff(attempt, static_cast<std::uint64_t>(task_id));
         continue;
       }
-      // Success: publish exactly once across rival attempts; the loser's
-      // output was never registered and is simply discarded.
-      if (!entry->published.exchange(true)) {
-        sink->Publish();
-        endpoint->MapTaskDone(task_id, stats.input_records,
-                              stats.output_records);
-        entry->done.store(true, std::memory_order_release);
-        const double end = job_start.Seconds();
-        const std::uint64_t done_now =
-            completed_maps.fetch_add(1, std::memory_order_relaxed) + 1;
-        completed_us_total.fetch_add(
-            static_cast<std::int64_t>((end - begin) * 1e6),
-            std::memory_order_relaxed);
-        if (cluster_.sched_hooks != nullptr &&
-            cluster_.sched_hooks->on_map_progress) {
-          cluster_.sched_hooks->on_map_progress(static_cast<int>(done_now),
-                                                num_maps);
-        }
-        if (speculative) metrics_->Get(kSpecWins)->Increment();
-        input_records.fetch_add(stats.input_records,
-                                std::memory_order_relaxed);
-        map_output_records.fetch_add(stats.output_records,
-                                     std::memory_order_relaxed);
-        timeline.Record(TaskKind::kMap, begin, end);
+      sink->Publish();
+      endpoint->MapTaskDone(task_id, stats.input_records,
+                            stats.output_records);
+      const double end = job_start.Seconds();
+      const std::uint64_t done_now =
+          completed_maps.fetch_add(1, std::memory_order_relaxed) + 1;
+      if (cluster_.sched_hooks != nullptr &&
+          cluster_.sched_hooks->on_map_progress) {
+        cluster_.sched_hooks->on_map_progress(static_cast<int>(done_now),
+                                              num_maps);
       }
+      input_records.fetch_add(stats.input_records, std::memory_order_relaxed);
+      map_output_records.fetch_add(stats.output_records,
+                                   std::memory_order_relaxed);
+      timeline.Record(TaskKind::kMap, begin, end);
       return;
     }
   };
@@ -699,23 +617,11 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
           while (!maps_failed.load(std::memory_order_relaxed)) {
             bool was_local = false;
             auto block = scheduler.Next(node, &was_local);
-            if (block) {
-              // Lease a shared slot per task, after claiming the block:
-              // an idle worker never sits on a slot another job could use.
-              MapSlotLease lease(cluster_.sched_hooks);
-              run_map_attempts(register_entry(std::move(*block)), node,
-                               /*speculative=*/false);
-              continue;
-            }
-            if (!cluster_.speculative_execution) break;
-            if (all_entries_done()) break;
-            if (MapTaskEntry* victim = pick_straggler()) {
-              MapSlotLease lease(cluster_.sched_hooks);
-              metrics_->Get(kSpecLaunched)->Increment();
-              run_map_attempts(victim, node, /*speculative=*/true);
-            } else {
-              std::this_thread::sleep_for(std::chrono::microseconds(200));
-            }
+            if (!block) break;
+            // Lease a shared slot per task, after claiming the block: an
+            // idle worker never sits on a slot another job could use.
+            MapSlotLease lease(cluster_.sched_hooks);
+            run_map_attempts(*block, node);
           }
         } catch (...) {
           maps_failed.store(true, std::memory_order_relaxed);

@@ -48,10 +48,10 @@ enum class WorkerRole {
 // Slot-lease hooks a multi-job scheduler (src/sched) installs to meter an
 // executor's parallelism out of a shared pool.  Acquire callbacks may block
 // until a slot is granted; all callbacks must be thread-safe, and unset
-// members are no-ops.  A map slot is leased per task attempt (the worker
-// thread holds no slot while idle); a reduce slot is held for the whole
-// reducer-thread lifetime.  The progress probes feed shortest-remaining-
-// work admission policies.
+// members are no-ops.  A map slot is leased per map task, across its
+// retries (the worker thread holds no slot while idle); a reduce slot is
+// held for the whole reducer-thread lifetime.  The progress probes feed
+// shortest-remaining-work admission policies.
 struct SchedHooks {
   std::function<void()> acquire_map_slot;
   std::function<void()> release_map_slot;
@@ -60,16 +60,6 @@ struct SchedHooks {
   std::function<void(int done, int total)> on_map_progress;
   std::function<void(int done, int total)> on_reduce_progress;
 };
-
-// Straggler predicate of map speculation: an attempt is a straggler once
-// its elapsed time reaches threshold x the mean completed-task time
-// (boundary inclusive).  With no completions yet there is no baseline, so
-// nothing is a straggler.
-[[nodiscard]] inline bool IsStraggler(double elapsed_s,
-                                      double mean_completed_s,
-                                      double threshold) noexcept {
-  return mean_completed_s > 0.0 && elapsed_s >= threshold * mean_completed_s;
-}
 
 struct ClusterOptions {
   int num_nodes = 4;
@@ -88,15 +78,6 @@ struct ClusterOptions {
   // deterministic function of (task, attempt).  Base <= 0 disables backoff.
   double retry_backoff_base_ms = 5.0;
   double retry_backoff_max_ms = 250.0;
-
-  // Speculative re-execution of straggler map tasks (paper §VI on [35]):
-  // once the block pool is drained, an idle map slot launches a backup
-  // attempt of any running task whose elapsed time exceeds
-  // speculation_threshold x the mean completed-task time; the first attempt
-  // to finish publishes, the loser's output is discarded unpublished.
-  // Pull shuffle only — a duplicate pushed attempt cannot be recalled.
-  bool speculative_execution = false;
-  double speculation_threshold = 2.0;
 
   // Multi-job slot metering (see SchedHooks).  Not owned; must outlive
   // every Run() that observes it.
@@ -166,9 +147,6 @@ struct ClusterOptions {
 inline constexpr const char* kRetryMapTask = "retry.map_task";
 inline constexpr const char* kRetryReduceTask = "retry.reduce_task";
 inline constexpr const char* kRetryBackoffMs = "retry.backoff_ms";
-// Backup map attempts started, and those that published first.
-inline constexpr const char* kSpecLaunched = "speculation.launched";
-inline constexpr const char* kSpecWins = "speculation.wins";
 
 struct JobResult {
   std::string job_name;

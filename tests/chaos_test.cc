@@ -158,20 +158,17 @@ TEST(ChaosTest, ReplicaLossDegradesLocalityNotCorrectness) {
   EXPECT_EQ(chaos.rows, clean.rows);
 }
 
-TEST(ChaosTest, SpeculationBeatsInjectedSlowNode) {
+TEST(ChaosTest, SlowNodeKeepsOutputExact) {
   PlatformOptions popts;
   popts.num_nodes = 2;
   popts.block_bytes = 64u << 10;
-  popts.speculative_execution = true;
-  popts.speculation_threshold = 1.5;
   const auto clean = RunPerUserCount(popts, "", HadoopOptions(), 10'000);
-  // Node 0 processes every record ~0.3 ms slower; once node 1 drains the
-  // block pool its idle slots launch full-speed backups that win.
+  // Node 0 processes every record ~0.3 ms slower: the delay lands on real
+  // records but changes no output.
   const auto chaos = RunPerUserCount(
       popts, "seed=13;slow_node:node=0,delay_ms=0.3", HadoopOptions(),
       10'000);
-  EXPECT_GE(chaos.result.Bytes(kSpecLaunched), 1);
-  EXPECT_GE(chaos.result.Bytes(kSpecWins), 1);
+  EXPECT_GT(chaos.result.Bytes("faults.slowed_records"), 0);
   EXPECT_EQ(chaos.rows, clean.rows);
 }
 

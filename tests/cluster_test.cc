@@ -219,19 +219,6 @@ TEST_F(ClusterTest, BlockSchedulerLocalityTieBreakIsDeterministic) {
   }
 }
 
-TEST_F(ClusterTest, StragglerThresholdBoundaryIsInclusive) {
-  // elapsed == threshold * mean is a straggler (>=, not >); just below is
-  // not; a zero mean (no completed tasks yet) never speculates.
-  EXPECT_TRUE(IsStraggler(/*elapsed_s=*/2.0, /*mean_completed_s=*/1.0,
-                          /*threshold=*/2.0));
-  EXPECT_FALSE(IsStraggler(1.999999, 1.0, 2.0));
-  EXPECT_TRUE(IsStraggler(2.000001, 1.0, 2.0));
-  EXPECT_FALSE(IsStraggler(100.0, 0.0, 2.0));
-  // Scales with the mean, not absolute time.
-  EXPECT_FALSE(IsStraggler(5.0, 4.0, 2.0));
-  EXPECT_TRUE(IsStraggler(8.0, 4.0, 2.0));
-}
-
 TEST_F(ClusterTest, FlakyMapTasksSucceedWithRetries) {
   Platform platform({.num_nodes = 2, .block_bytes = 256u << 10,
                      .max_task_attempts = 3});

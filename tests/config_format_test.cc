@@ -51,9 +51,9 @@ TEST(Config, LaterValueWins) {
 
 TEST(Config, UnreadKeysNamesEveryKeyNoGetterRead) {
   const auto cfg = ParseArgs({"records=100", "--sock-buf-bytes=4096",
-                              "--speculate", "typo=1", "dump-output=o.tsv"});
+                              "--verbose", "typo=1", "dump-output=o.tsv"});
   EXPECT_EQ(cfg.GetInt("records", 0), 100);
-  EXPECT_TRUE(cfg.Get("speculate").has_value());
+  EXPECT_TRUE(cfg.Get("verbose").has_value());
   // Reading a key nobody set leaves nothing behind to report.
   EXPECT_FALSE(cfg.GetBool("compress", false));
   EXPECT_EQ(cfg.UnreadKeys(), (std::vector<std::string>{

@@ -3,7 +3,7 @@
 //   opmr_cli run workload=<w> runtime=<r> [records=N] [reducers=R]
 //                [nodes=N] [combine=0|1] [compress=0|1] [reduce_buffer=BYTES]
 //                [dump-output=PATH]
-//                [--max-attempts=N] [--speculate] [--fault-plan=<file|spec>]
+//                [--max-attempts=N] [--fault-plan=<file|spec>]
 //                [--checkpoint-interval=N] [--checkpoint-dir=PATH]
 //                [--checkpoint-retain=K] [--checkpoint-compress]
 //                [--transport=loopback|tcp|direct]
@@ -21,8 +21,7 @@
 //       would.
 //       --fault-plan takes a FaultPlan spec string or plan file (see
 //       src/fault/fault.h), e.g. --fault-plan='seed=7;map_crash:task=0,record=500';
-//       --max-attempts enables task re-execution (pull shuffle only) and
-//       --speculate turns on backup attempts of straggler map tasks.
+//       --max-attempts enables task re-execution (pull shuffle only).
 //       --checkpoint-interval=N checkpoints reducer state every N folded
 //       records, making reduce failures recoverable even under the pipelined
 //       push shuffle; --checkpoint-dir overrides the image directory,
@@ -365,7 +364,6 @@ int CmdRun(const Config& cfg) {
       GetCheckedInt(cfg, "replication", 1, /*min_value=*/1));
   popts.max_task_attempts = static_cast<int>(
       GetCheckedInt(cfg, "max-attempts", 1, /*min_value=*/1));
-  popts.speculative_execution = cfg.GetBool("speculate", false);
   popts.fault_plan = cfg.GetString("fault-plan", "");
 
   JobOptions options = RuntimeByName(runtime);
@@ -405,13 +403,6 @@ int CmdRun(const Config& cfg) {
 
   // Flag-combination validation: combinations that would silently do
   // nothing are rejected with a pointer at what the user probably wanted.
-  if (popts.speculative_execution && options.shuffle == Shuffle::kPush) {
-    throw std::invalid_argument(
-        "--speculate is map-side speculation over a pull shuffle and is "
-        "inert under the pipelined push shuffle of runtime '" + runtime +
-        "': a duplicate map attempt's pushed output cannot be recalled. "
-        "Use a pull runtime (runtime=hadoop).");
-  }
   if (popts.max_task_attempts > 1 && options.shuffle == Shuffle::kPush &&
       !options.checkpoint.enabled) {
     throw std::invalid_argument(
