@@ -70,9 +70,14 @@ int main(int argc, char** argv) {
       } catch (const std::exception&) {
         status = "failed";
       }
-      const auto map_retries = r.Bytes(kRetryMapTask);
-      const auto reduce_retries = r.Bytes(kRetryReduceTask);
-      const auto faults = r.Bytes(kFaultsInjected);
+      // A failed Run leaves `r` empty; the platform is this cell's alone,
+      // so its registry holds the same job-scoped counts.
+      const auto count = [&](const char* name) {
+        return status == "ok" ? r.Bytes(name) : platform.metrics().Value(name);
+      };
+      const auto map_retries = count(kRetryMapTask);
+      const auto reduce_retries = count(kRetryReduceTask);
+      const auto faults = count(kFaultsInjected);
       table.AddRow({std::to_string(rate), policy.name, status,
                     status == "ok" ? HumanSeconds(r.wall_seconds) : "-",
                     std::to_string(map_retries),

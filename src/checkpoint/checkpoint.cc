@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/bytes.h"
+#include "common/crc32c.h"
 #include "storage/codec.h"
 #include "storage/io.h"
 #include "storage/io_stats.h"
@@ -15,7 +16,7 @@ namespace opmr {
 namespace {
 
 constexpr char kMagic[8] = {'O', 'P', 'M', 'R', 'C', 'K', 'P', '1'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 constexpr std::uint8_t kFlagCompressed = 0x01;
 
 double MonotonicSeconds() {
@@ -190,7 +191,7 @@ std::uint64_t CheckpointManager::Write(CheckpointImage* image) {
     payload = OzCompress(payload);
     flags |= kFlagCompressed;
   }
-  const std::uint32_t crc = Crc32(payload.data(), payload.size());
+  const std::uint32_t crc = Crc32c(payload.data(), payload.size());
 
   const auto final_path = PathFor(image->seq);
   const auto tmp_path =
@@ -264,7 +265,7 @@ std::optional<CheckpointImage> CheckpointManager::LoadLatest() {
       if (payload_size > 0 && !reader.ReadExact(payload.data(), payload_size)) {
         throw std::runtime_error("truncated checkpoint payload");
       }
-      if (Crc32(payload.data(), payload.size()) != crc) {
+      if (Crc32c(payload.data(), payload.size()) != crc) {
         throw std::runtime_error("checkpoint CRC mismatch");
       }
       if ((static_cast<std::uint8_t>(flags_byte) & kFlagCompressed) != 0) {

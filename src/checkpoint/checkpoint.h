@@ -3,17 +3,17 @@
 // input watermarks, written in the byte-slice run idiom through the
 // instrumented storage writers.
 //
-// Commit protocol: serialize → (optional) OZ-compress → CRC32 → write to a
+// Commit protocol: serialize → (optional) OZ-compress → CRC-32C → write to a
 // `.tmp` sibling → fsync → rename into place.  A crash mid-write leaves at
 // worst a dangling tmp file; a torn or bit-flipped image fails CRC on load
 // and the manager falls back to the next-oldest retained checkpoint.
 //
 // File layout (little-endian):
 //   [8]  magic "OPMRCKP1"
-//   [u32] format version (1)
+//   [u32] format version (2)
 //   [u8]  flags (bit 0: payload is OZ-compressed)
 //   [u64] checkpoint sequence number
-//   [u32] CRC32 of the payload bytes as stored
+//   [u32] CRC-32C of the payload bytes as stored
 //   [u64] payload byte count
 //   payload (after decompression):
 //     [u64] watermark (consumed shuffle ordinal / ingest record seq)
@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "checkpoint/options.h"
-#include "common/crc32.h"
 #include "metrics/counters.h"
 
 namespace opmr {

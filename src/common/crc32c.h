@@ -1,16 +1,16 @@
-// CRC-32C (Castagnoli, reflected polynomial 0x82F63B78), used by the
-// network frame layer (protocol v5+).
+// CRC-32C (Castagnoli, reflected polynomial 0x82F63B78), the one checksum
+// of the repo: network frames (protocol v5+), checkpoint images (format
+// v2+) and serve snapshot announces (protocol v10+).
 //
-// Same streaming API shape as crc32.h — Crc32c(buf) ==
-// Crc32cFinal(Crc32cUpdate(kCrc32cInit, buf, n)) — but a different
-// polynomial: Castagnoli is the one modern CPUs accelerate.  On x86-64
+// Two forms: the one-shot Crc32c() over a contiguous buffer, and a
+// streaming Init/Update/Final triple so callers can checksum a frame
+// header and its payload without concatenating them first —
+// Crc32c(buf) == Crc32cFinal(Crc32cUpdate(kCrc32cInit, buf, n)).
+// Castagnoli is the polynomial modern CPUs accelerate.  On x86-64
 // the SSE4.2 `crc32` instruction is used when the CPU reports it, on
 // AArch64 the ARMv8 CRC32 extension; otherwise a table-driven software
 // path computes the identical value.  Dispatch is decided once at first
 // use, so the per-call cost is a single indirect branch.
-//
-// The checkpoint/changelog planes keep the IEEE polynomial in crc32.h:
-// their checksums are persisted on disk and must not change meaning.
 #pragma once
 
 #include <array>

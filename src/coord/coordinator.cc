@@ -27,10 +27,7 @@ Coordinator::Coordinator(net::Transport* transport, MetricRegistry* metrics,
       stale_heartbeats_(metrics->Get("coord.stale_heartbeats")),
       expirations_(metrics->Get("coord.expirations")),
       auth_failures_(metrics->Get("coord.auth_failures")),
-      workers_lost_(metrics->Get("coord.workers_lost")),
       workers_returned_(metrics->Get("coord.workers_returned")) {
-  on_worker_lost_ = options_.on_worker_lost;
-  on_worker_returned_ = options_.on_worker_returned;
   transport_->Listen([this](net::Connection* from, net::Frame frame) {
     HandleFrame(from, std::move(frame));
   });
@@ -66,23 +63,21 @@ void Coordinator::HandleFrame(net::Connection* from, net::Frame frame) {
           }
           return;
         }
+        WorkerInfo before;
+        const bool returned =
+            registry_.Lookup(msg.worker, &before) && !before.alive;
         registry_.Register(msg.worker, msg.endpoint, msg.role, NowSeconds());
         registers_->Increment();
-        bool returned = false;
         {
           std::scoped_lock lock(mu_);
           member_conns_[msg.worker] = from;
-          returned = suspects_.erase(msg.worker) > 0;
         }
         cv_.notify_all();
         if (returned) {
           workers_returned_->Increment();
-          std::function<void(const std::string&)> cb;
-          {
-            std::scoped_lock cb_lock(cb_mu_);
-            cb = on_worker_returned_;
+          if (options_.on_worker_returned) {
+            options_.on_worker_returned(msg.worker);
           }
-          if (cb) cb(msg.worker);
         }
         BroadcastMembership();
         return;
@@ -130,61 +125,6 @@ void Coordinator::BroadcastMembership() {
   }
 }
 
-std::size_t Coordinator::SweepNow() { return SweepNow(NowSeconds()); }
-
-std::size_t Coordinator::SweepNow(double now_s) {
-  const std::vector<std::string> expired =
-      registry_.ExpireLeases(now_s, options_.lease_s);
-  std::vector<std::string> lost;
-  {
-    std::scoped_lock lock(mu_);
-    for (const std::string& id : expired) {
-      WorkerInfo info;
-      if (!registry_.Lookup(id, &info)) continue;
-      suspects_[id] =
-          Suspect{info.generation, now_s + options_.rejoin_grace_s};
-    }
-    for (auto it = suspects_.begin(); it != suspects_.end();) {
-      WorkerInfo info;
-      const bool known = registry_.Lookup(it->first, &info);
-      if (known && info.alive) {
-        // Rejoined between the register path and this sweep.
-        it = suspects_.erase(it);
-      } else if (now_s >= it->second.deadline_s) {
-        lost.push_back(it->first);
-        it = suspects_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  expirations_->Add(static_cast<std::int64_t>(expired.size()));
-  if (!expired.empty()) BroadcastMembership();
-  if (!lost.empty()) {
-    std::function<void(const std::string&)> cb;
-    {
-      std::scoped_lock cb_lock(cb_mu_);
-      cb = on_worker_lost_;
-    }
-    for (const std::string& id : lost) {
-      workers_lost_->Increment();
-      if (cb) cb(id);
-    }
-  }
-  return expired.size();
-}
-
-void Coordinator::SetOnWorkerLost(std::function<void(const std::string&)> cb) {
-  std::scoped_lock lock(cb_mu_);
-  on_worker_lost_ = std::move(cb);
-}
-
-void Coordinator::SetOnWorkerReturned(
-    std::function<void(const std::string&)> cb) {
-  std::scoped_lock lock(cb_mu_);
-  on_worker_returned_ = std::move(cb);
-}
-
 void Coordinator::SweeperLoop() {
   std::unique_lock lock(mu_);
   while (!stopping_) {
@@ -192,7 +132,12 @@ void Coordinator::SweeperLoop() {
                            options_.sweep_interval_ms));
     if (stopping_) return;
     lock.unlock();
-    SweepNow();
+    const std::vector<std::string> expired =
+        registry_.ExpireLeases(NowSeconds(), options_.lease_s);
+    if (!expired.empty()) {
+      expirations_->Add(static_cast<std::int64_t>(expired.size()));
+      BroadcastMembership();
+    }
     lock.lock();
   }
 }

@@ -7,26 +7,19 @@
 // mismatch is answered with Abort and the worker never enters the
 // registry.
 //
-// Failure detection is two-stage, mirroring the fault subsystem's
-// transient/terminal split:
-//
-//   lease expiry      -> the worker is SUSPECT.  Membership broadcasts it
-//                        as dead, but nothing is torn down yet; a worker
-//                        that was merely partitioned (or had heartbeats
-//                        suppressed by a fault plan) re-registers and the
-//                        on_worker_returned signal fires.
-//   rejoin grace gone -> the worker is LOST.  on_worker_lost fires once —
-//                        the terminal signal ClusterExecutor uses to abort
-//                        a shuffle fast instead of waiting for the
-//                        idle-timeout fallback.
+// Failure detection is one lease stage: a worker whose heartbeats stop
+// for longer than the lease is marked dead and the next Membership
+// broadcast lists it so.  Nothing is torn down — a worker that was merely
+// partitioned (or had heartbeats suppressed by a fault plan) re-registers
+// under a new generation and on_worker_returned fires.  A mapper that
+// really died is noticed by the reduce side's shuffle idle timeout, and
+// frames it sent but never saw acked are re-sent by ReplayUnacked.
 //
 // The registry itself is deterministic (see registry.h); the sweeper
-// thread only supplies wall-clock "now" values.  Tests that need exact
-// control call SweepNow() with their own timestamps.
+// thread only supplies wall-clock "now" values.
 #pragma once
 
 #include <condition_variable>
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -43,11 +36,10 @@ class Coordinator {
  public:
   struct Options {
     std::string secret;            // empty = authentication disabled
-    double lease_s = 2.0;          // heartbeat lease before a worker is suspect
-    double rejoin_grace_s = 2.0;   // suspect -> lost after this much silence
+    double lease_s = 2.0;          // heartbeat lease before a worker is dead
     double sweep_interval_ms = 50; // failure-detector poll cadence
-    // Fired from the sweeper thread (worker id is the argument).
-    std::function<void(const std::string&)> on_worker_lost;
+    // Fired from the transport's handler thread when a Register arrives
+    // for an id the registry holds as dead (worker id is the argument).
     std::function<void(const std::string&)> on_worker_returned;
   };
 
@@ -63,27 +55,17 @@ class Coordinator {
   // Stops the sweeper.  The transport is the caller's to shut down.
   void Stop();
 
-  // Runs one failure-detector pass at `now_s` (defaults to the steady
-  // clock).  Returns the number of workers newly marked suspect.
-  std::size_t SweepNow();
-  std::size_t SweepNow(double now_s);
-
   [[nodiscard]] WorkerRegistry& registry() { return registry_; }
 
   // Blocks until at least `n` live workers of `role` are registered.
   // Returns false on timeout.
   bool WaitForWorkers(net::WireRole role, std::size_t n, double timeout_s);
 
-  // Replaces the failure-detector callbacks after construction (pass {}
-  // to clear).  Thread-safe against a concurrent sweep; ClusterExecutor
-  // installs its shuffle-abort hook for the duration of one Run() this
-  // way.
-  void SetOnWorkerLost(std::function<void(const std::string&)> cb);
-  void SetOnWorkerReturned(std::function<void(const std::string&)> cb);
-
  private:
   void HandleFrame(net::Connection* from, net::Frame frame);
   void BroadcastMembership();
+  // The failure detector: every sweep_interval_ms, expires stale leases
+  // and broadcasts the new view if any expired.
   void SweeperLoop();
 
   net::Transport* transport_;
@@ -95,25 +77,12 @@ class Coordinator {
   Counter* stale_heartbeats_ = nullptr;
   Counter* expirations_ = nullptr;
   Counter* auth_failures_ = nullptr;
-  Counter* workers_lost_ = nullptr;
   Counter* workers_returned_ = nullptr;
-
-  // Callbacks live outside Options so they can be swapped mid-flight;
-  // invocations copy under cb_mu_ and fire outside every lock.
-  std::mutex cb_mu_;
-  std::function<void(const std::string&)> on_worker_lost_;
-  std::function<void(const std::string&)> on_worker_returned_;
 
   std::mutex mu_;
   std::condition_variable cv_;
   bool stopping_ = false;
   std::map<std::string, net::Connection*> member_conns_;
-  // Suspect workers awaiting rejoin: id -> (generation at expiry, deadline).
-  struct Suspect {
-    std::uint64_t generation = 0;
-    double deadline_s = 0.0;
-  };
-  std::map<std::string, Suspect> suspects_;
   std::thread sweeper_;
 };
 

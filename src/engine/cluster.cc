@@ -11,7 +11,6 @@
 
 #include "checkpoint/checkpoint.h"
 #include "common/rng.h"
-#include "coord/coordinator.h"
 #include "coord/member.h"
 #include "engine/map_task.h"
 #include "engine/reduce_hash.h"
@@ -69,16 +68,14 @@ class TransportShutdownGuard {
   net::Transport* transport = nullptr;
 };
 
-// Clears the per-run membership callbacks at scope exit, before the
-// ShuffleClient / ShuffleService they capture are destroyed.
+// Clears the per-run eviction callback at scope exit, before the
+// ShuffleClient it captures is destroyed.
 class CoordRunGuard {
  public:
   ~CoordRunGuard() {
     if (client != nullptr) client->SetOnEvicted({});
-    if (coordinator != nullptr) coordinator->SetOnWorkerLost({});
   }
   coord::CoordClient* client = nullptr;
-  coord::Coordinator* coordinator = nullptr;
 };
 
 // RAII slot leases against the (optional) multi-job scheduler hooks; with
@@ -301,15 +298,17 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
       fault->FilterReplicas(&block.replica_nodes, block.block_id);
     }
   }
-  // Task ids are global: in a multi-worker map group each sibling filters
-  // the same full listing down to its partition but numbers tasks off the
-  // unfiltered index, so ids never collide on the shared reduce side.
+  // A map task's id is its block's index in the full listing, whatever
+  // order the slots claim blocks in, so a seeded fault plan keyed by task
+  // id hits the same block in every run.  In a multi-worker map group each
+  // sibling filters the listing down to its partition but keeps these ids,
+  // so they never collide on the shared reduce side.
   const int num_maps = static_cast<int>(blocks.size());
-  std::map<std::uint64_t, int> global_task_id;
+  std::map<std::uint64_t, int> task_id_of_block;
+  for (int i = 0; i < num_maps; ++i) {
+    task_id_of_block[blocks[i].block_id] = i;
+  }
   if (cluster_.map_partition_count > 1) {
-    for (int i = 0; i < num_maps; ++i) {
-      global_task_id[blocks[i].block_id] = i;
-    }
     std::vector<BlockInfo> mine;
     for (int i = 0; i < num_maps; ++i) {
       if (i % cluster_.map_partition_count == cluster_.map_partition_index) {
@@ -386,25 +385,12 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
 
   // Membership wiring, per run: an evicted-and-rejoined map worker replays
   // its delivered-but-unacked shuffle window (the reduce side may have
-  // dropped the tail with the flap); a worker declared LOST while map
-  // tasks are still outstanding aborts the shuffle immediately — the
-  // coordinator's failure detector is the primary death signal, the idle
-  // timeout only a fallback.
+  // dropped the tail with the flap).
   CoordRunGuard coord_guard;
   if (cluster_.coord_client != nullptr && shuffle_client != nullptr) {
     ShuffleClient* client = shuffle_client.get();
     cluster_.coord_client->SetOnEvicted([client] { client->ReplayUnacked(); });
     coord_guard.client = cluster_.coord_client;
-  }
-  if (cluster_.coordinator != nullptr && run_reducers) {
-    ShuffleService* service = &shuffle;
-    cluster_.coordinator->SetOnWorkerLost([service](const std::string& id) {
-      if (service->MapsDoneFraction() < 1.0) {
-        service->Abort("map worker '" + id +
-                       "' lost (lease expired past rejoin grace)");
-      }
-    });
-    coord_guard.coordinator = cluster_.coordinator;
   }
 
   RuntimeEnv env;
@@ -519,18 +505,12 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
     });
   }
 
-  std::atomic<int> next_task_id{0};
   std::atomic<std::uint64_t> completed_maps{0};
 
   // Runs one task's attempt loop on `node`: the original attempt, then its
   // retries, one at a time.
   auto run_map_attempts = [&](const BlockInfo& block, int node) {
-    // Partitioned map groups use the globally-unique listing index;
-    // otherwise ids stay in claim order (the seed's behaviour, which fault
-    // plans target by task number).
-    const int task_id = cluster_.map_partition_count > 1
-                            ? global_task_id.at(block.block_id)
-                            : next_task_id.fetch_add(1);
+    const int task_id = task_id_of_block.at(block.block_id);
     const double begin = job_start.Seconds();
     for (int attempt = 1;; ++attempt) {
       FaultScope scope(FaultScope::Kind::kMap, task_id, attempt, node);

@@ -31,7 +31,6 @@ class Transport;
 
 namespace coord {
 class CoordClient;
-class Coordinator;
 }  // namespace coord
 
 // Which half of the job this executor instance runs.  kAll is the seed's
@@ -107,9 +106,9 @@ struct ClusterOptions {
   // Reduce-group liveness guard (seconds; 0 disables): abort a reducer
   // blocked in NextItem with no shuffle activity for this long while map
   // tasks are still outstanding — the mapper process likely died without
-  // sending Abort.  Demoted to a last-resort fallback in cluster mode:
-  // the coordinator's failure detector (on_worker_lost) is the primary
-  // death signal, and every inbound shuffle frame — including replayed
+  // sending Abort.  This is the reduce side's only mapper-death signal,
+  // in cluster mode too: the coordinator's lease expiry only updates the
+  // membership view.  Every inbound shuffle frame — including replayed
   // duplicates — resets the idle clock, so the watchdog cannot fire
   // while an ack-window replay is in flight.
   double shuffle_idle_timeout_s = 0.0;
@@ -136,11 +135,6 @@ struct ClusterOptions {
   // ShuffleClient::ReplayUnacked() — the reduce side may have lost this
   // worker's delivered-but-unacked tail with the membership flap.
   coord::CoordClient* coord_client = nullptr;
-
-  // Coordinator hosted by a reduce-group process (not owned).  When set,
-  // its on_worker_lost signal aborts the shuffle fast (while map tasks
-  // are still outstanding) instead of waiting out the idle timeout.
-  coord::Coordinator* coordinator = nullptr;
 };
 
 // Recovery counters ClusterExecutor charges (all zero in a clean run).
@@ -276,9 +270,6 @@ class ClusterExecutor {
   }
   void set_coord_client(coord::CoordClient* client) {
     cluster_.coord_client = client;
-  }
-  void set_coordinator(coord::Coordinator* coordinator) {
-    cluster_.coordinator = coordinator;
   }
 
  private:

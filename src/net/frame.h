@@ -1,4 +1,4 @@
-// Length-prefixed, CRC32-protected message framing for the shuffle
+// Length-prefixed, CRC-32C-protected message framing for the shuffle
 // transport.
 //
 // Wire layout of one frame (little-endian):

@@ -31,7 +31,7 @@ namespace opmr::net {
 using WireError = DecodeError;
 
 // Hello carries it; a peer speaking any other version is refused.
-inline constexpr std::uint32_t kProtocolVersion = 9;
+inline constexpr std::uint32_t kProtocolVersion = 10;
 
 // Constant-time string equality for shared-secret checks (Register /
 // Hello auth).  An early-exit comparison leaks, through response timing,
@@ -43,14 +43,11 @@ inline constexpr std::uint32_t kProtocolVersion = 9;
 
 // Worker roles carried on the wire (Register / Membership).  Kept apart
 // from the engine's WorkerRole so src/net stays dependency-free.
-// kFrontend is a read-only snapshot replica: it registers with the
-// coordinator for observability but holds no map/reduce job slots.
 enum class WireRole : std::uint8_t {
   kMap = 0,
   kReduce = 1,
-  kFrontend = 2,
 };
-constexpr WireRole LastValue(WireRole) { return WireRole::kFrontend; }
+constexpr WireRole LastValue(WireRole) { return WireRole::kReduce; }
 
 // Parse throws WireError unless `version` is kProtocolVersion.
 struct HelloMsg {

@@ -1,7 +1,6 @@
 #include "sched/scheduler.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "net/loopback.h"
@@ -87,28 +86,6 @@ void JobScheduler::DispatchLoop(const std::stop_token& stop) {
     const auto dispatchable = [&] {
       if (stop.stop_requested()) return true;
       if (queued_.empty() || running_ >= options_.max_concurrent) return false;
-      // Placement gate: with a worker registry installed, the head job
-      // waits out membership gaps (no live map or reduce worker) in the
-      // queue instead of failing at shuffle-connect time.  Frontend
-      // registrations are read-only serve replicas, not job slots — they
-      // never satisfy the gate.
-      if (options_.registry != nullptr &&
-          (options_.registry->LiveCount(net::WireRole::kMap) == 0 ||
-           options_.registry->LiveCount(net::WireRole::kReduce) == 0)) {
-        if (!head_deferred_) {
-          head_deferred_ = true;
-          // Missing-map takes precedence when both groups are empty.
-          if (options_.registry->LiveCount(net::WireRole::kMap) == 0) {
-            ++no_map_worker_deferrals_;
-          } else {
-            ++no_reduce_worker_deferrals_;
-          }
-          if (options_.registry->LiveCount(net::WireRole::kFrontend) > 0) {
-            ++frontend_only_deferrals_;
-          }
-        }
-        return false;
-      }
       // FIFO admission with a memory gate: the head job waits until its
       // charge fits the budget (predictable head-of-line ordering; the
       // slot policy, not admission, decides who wins contended slots).
@@ -116,22 +93,13 @@ void JobScheduler::DispatchLoop(const std::stop_token& stop) {
       reserved = pool_.TryReserveMemory(reserved_bytes);
       return reserved;
     };
-    if (options_.registry == nullptr) {
-      cv_.wait(lock, dispatchable);
-    } else {
-      // Registry mutations come from coordinator threads that cannot
-      // notify this cv; poll while gated.
-      while (!dispatchable()) {
-        cv_.wait_for(lock, std::chrono::milliseconds(20));
-      }
-    }
+    cv_.wait(lock, dispatchable);
     if (stop.stop_requested()) {
       if (reserved) pool_.ReleaseMemory(reserved_bytes);
       return;
     }
     const int handle = queued_.front();
     queued_.pop_front();
-    head_deferred_ = false;
     Job* job = jobs_[handle].get();
     job->state = Job::State::kRunning;
     job->report.started_s = clock_.Seconds();
@@ -260,11 +228,6 @@ SchedulerStats JobScheduler::stats() const {
     }
   }
   s.peak_concurrent = peak_concurrent_;
-  s.no_map_worker_deferrals = no_map_worker_deferrals_;
-  s.no_reduce_worker_deferrals = no_reduce_worker_deferrals_;
-  s.placement_deferrals =
-      s.no_map_worker_deferrals + s.no_reduce_worker_deferrals;
-  s.frontend_only_deferrals = frontend_only_deferrals_;
   s.makespan_s =
       first_submit_s_ >= 0.0 ? last_finish_s_ - first_submit_s_ : 0.0;
   s.slots = pool_.stats();

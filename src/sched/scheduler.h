@@ -32,7 +32,6 @@
 #include <thread>
 #include <vector>
 
-#include "coord/registry.h"
 #include "dfs/dfs.h"
 #include "engine/cluster.h"
 #include "engine/job.h"
@@ -60,16 +59,6 @@ struct SchedulerOptions {
   // shared Dfs was built with).
   int num_nodes = 4;
   int map_slots_per_node = 2;
-  // Registry-driven placement gate (src/coord; not owned, must outlive
-  // the scheduler): when set, the queue head is dispatched only while the
-  // registry holds at least one live map worker AND one live reduce
-  // worker.  A membership gap holds jobs in the queue — counted in
-  // SchedulerStats::placement_deferrals, with the missing role split out
-  // in no_map_worker_deferrals / no_reduce_worker_deferrals — instead of
-  // letting them fail at shuffle-connect time.  Frontend (serve-plane)
-  // registrations are NOT slots: a registry of only frontends still
-  // defers placement.
-  coord::WorkerRegistry* registry = nullptr;
 };
 
 enum class JobTransport {
@@ -108,17 +97,6 @@ struct SchedulerStats {
   int failed = 0;
   int peak_concurrent = 0;
   double makespan_s = 0.0;  // first submission -> last completion
-  // Dispatch episodes where a ready job was held back by the registry
-  // gate, with the reason split out below: placement_deferrals is the sum
-  // of the two.
-  std::int64_t placement_deferrals = 0;
-  std::int64_t no_map_worker_deferrals = 0;     // registry: no live map group
-  std::int64_t no_reduce_worker_deferrals = 0;  // registry: no live reducers
-  // Of the registry deferrals, episodes where the registry DID hold live
-  // frontend replicas: serve-plane workers are read-only and hold no job
-  // slots, so they never satisfy the placement gate — heavy read traffic
-  // cannot perturb placement (the OS4M operation-level separation).
-  std::int64_t frontend_only_deferrals = 0;
   SlotPool::Stats slots;
 };
 
@@ -181,10 +159,6 @@ class JobScheduler {
   std::deque<int> queued_;
   int running_ = 0;
   int peak_concurrent_ = 0;
-  std::int64_t no_map_worker_deferrals_ = 0;
-  std::int64_t no_reduce_worker_deferrals_ = 0;
-  std::int64_t frontend_only_deferrals_ = 0;
-  bool head_deferred_ = false;  // current queue head already counted
   double first_submit_s_ = -1.0;
   double last_finish_s_ = 0.0;
 

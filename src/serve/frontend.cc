@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "checkpoint/checkpoint.h"
-#include "common/crc32.h"
+#include "common/crc32c.h"
 
 namespace opmr::serve {
 
@@ -151,7 +151,7 @@ void SnapshotFrontend::FetchLoop() {
 void SnapshotFrontend::ApplyImage(std::uint64_t version,
                                   const std::string& bytes,
                                   std::uint32_t crc) {
-  if (Crc32(bytes.data(), bytes.size()) != crc) {
+  if (Crc32c(bytes.data(), bytes.size()) != crc) {
     metrics_->Get("serve.fetch_corrupt")->Increment();
     return;
   }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/crc32.h"
+#include "common/crc32c.h"
 
 namespace opmr::serve {
 
@@ -47,7 +47,7 @@ std::uint64_t SnapshotPublisher::Publish(CheckpointImage image) {
   announce.version = version;
   announce.watermark = image.watermark;
   announce.bytes = bytes->size();
-  announce.crc = Crc32(bytes->data(), bytes->size());
+  announce.crc = Crc32c(bytes->data(), bytes->size());
 
   std::vector<net::Connection*> targets;
   {

@@ -175,10 +175,14 @@ TEST(ChaosTest, SlowNodeKeepsOutputExact) {
 TEST(ChaosTest, SamePlanInjectsIdenticallyAcrossRuns) {
   const auto popts = ChaosPlatform();
   // Rate draws keyed by (task, record) coordinates are scheduler-independent
-  // (io rate faults are keyed by file names, which are not).
+  // (io rate faults are keyed by file names, which are not): a task id is
+  // its block's listing index, so run b's single slot per node, whose
+  // claim order can differ, must draw the same faults.
   const std::string plan = "seed=17;map_crash:rate=0.0005";
   const auto a = RunPerUserCount(popts, plan, HadoopOptions());
-  const auto b = RunPerUserCount(popts, plan, HadoopOptions());
+  PlatformOptions one_slot = popts;
+  one_slot.map_slots_per_node = 1;
+  const auto b = RunPerUserCount(one_slot, plan, HadoopOptions());
   EXPECT_EQ(a.result.Bytes(kFaultsInjected), b.result.Bytes(kFaultsInjected));
   EXPECT_EQ(a.result.Bytes(kRetryMapTask), b.result.Bytes(kRetryMapTask));
   EXPECT_EQ(a.rows, b.rows);

@@ -11,10 +11,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "common/rng.h"
 #include "core/opmr.h"
 #include "engine/aggregators.h"
@@ -57,9 +59,38 @@ class CheckpointManagerTest : public ::testing::Test {
   MetricRegistry metrics_;
 };
 
-TEST_F(CheckpointManagerTest, Crc32MatchesKnownVector) {
-  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
-  EXPECT_EQ(Crc32("", 0), 0u);
+// Header: magic [8] | version u32 @8 | flags u8 @12 | seq u64 @13 |
+// crc u32 @21 | payload size u64 @25 | payload @33.  Version 2 images carry
+// the CRC-32C of the payload; a version 1 (IEEE CRC-32) image is refused.
+TEST_F(CheckpointManagerTest, ImagesAreVersionTwoWithCrc32c) {
+  auto manager = Manager({.interval_records = 10});
+  CheckpointImage image = SampleImage(777);
+  manager.Write(&image);
+  std::filesystem::path path;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    path = entry.path();
+  }
+  ASSERT_FALSE(path.empty());
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(bytes.size(), 33u);
+  std::uint32_t version = 0;
+  std::uint32_t crc = 0;
+  std::memcpy(&version, bytes.data() + 8, 4);
+  std::memcpy(&crc, bytes.data() + 21, 4);
+  EXPECT_EQ(version, 2u);
+  EXPECT_EQ(crc, Crc32c(bytes.data() + 33, bytes.size() - 33));
+
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(8);
+    f.put('\x01');
+  }
+  EXPECT_FALSE(manager.LoadLatest().has_value());
+  EXPECT_EQ(metrics_.Value("checkpoint.corrupt"), 1);
 }
 
 TEST_F(CheckpointManagerTest, ImageBytesAreStable) {

@@ -75,7 +75,7 @@ std::vector<Sample> Samples() {
   hello.worker = "r-0";
   hello.auth = std::string("s\0t", 3);
   rows.push_back(Row("hello", hello,
-                     "0109000000030000006a6f62070000000300000003000000722d30"
+                     "010a000000030000006a6f62070000000300000003000000722d30"
                      "03000000730074"));
 
   ChunkMsg chunk;
@@ -259,7 +259,7 @@ TEST(NetFrame, EveryPayloadPrefixAndOverrunIsWireError) {
 }
 
 TEST(NetFrame, HelloFromAnotherProtocolVersionIsWireError) {
-  for (const std::uint32_t version : {7u, 8u}) {
+  for (const std::uint32_t version : {7u, 8u, 9u}) {
     HelloMsg hello;
     hello.version = version;
     try {

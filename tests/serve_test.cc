@@ -12,8 +12,7 @@
 //   * one hot tenant cannot starve another (token buckets are per-tenant);
 //   * a dropped publisher link during fetch heals without ever applying a
 //     torn view;
-//   * serve images are garbage-collected with their job, and frontend
-//     registrations never satisfy the scheduler's placement gate.
+//   * serve images are garbage-collected with their job.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -28,8 +27,8 @@
 #include <gtest/gtest.h>
 
 #include "checkpoint/checkpoint.h"
+#include "common/crc32c.h"
 #include "common/slice.h"
-#include "coord/registry.h"
 #include "core/opmr.h"
 #include "engine/aggregators.h"
 #include "fault/fault.h"
@@ -37,14 +36,12 @@
 #include "net/loopback.h"
 #include "net/tcp.h"
 #include "net/wire.h"
-#include "sched/scheduler.h"
 #include "serve/frontend.h"
 #include "serve/publisher.h"
 #include "serve/query_client.h"
 #include "stream/streaming_job.h"
 #include "workloads/clickstream.h"
 #include "workloads/streaming_queries.h"
-#include "workloads/tasks.h"
 
 namespace opmr {
 namespace {
@@ -164,7 +161,7 @@ TEST_F(ServeTest, PublisherAssignsMonotonicVersionsAndPrunesPastRetention) {
   EXPECT_TRUE(pruned.bytes.empty());
   const auto latest = net::SnapshotFetchMsg::Parse(got[2]);
   ASSERT_FALSE(latest.bytes.empty());
-  EXPECT_EQ(Crc32(latest.bytes.data(), latest.bytes.size()), latest.crc);
+  EXPECT_EQ(Crc32c(latest.bytes.data(), latest.bytes.size()), latest.crc);
   EXPECT_EQ(ParseCheckpointImage(latest.bytes).watermark, 600u);
 }
 
@@ -576,7 +573,7 @@ TEST_F(ServeTest, CorruptFetchBytesAreCountedAndNeverApplied) {
       announce.version = 1;
       announce.watermark = 999;
       announce.bytes = good.size();
-      announce.crc = Crc32(good.data(), good.size());
+      announce.crc = Crc32c(good.data(), good.size());
       from->Send(announce.ToFrame());
       return;
     }
@@ -587,10 +584,10 @@ TEST_F(ServeTest, CorruptFetchBytesAreCountedAndNeverApplied) {
     reply.reply = true;
     if (++fetches == 1) {
       reply.bytes = good;
-      reply.crc = Crc32(good.data(), good.size()) ^ 0xdeadbeef;  // flipped
+      reply.crc = Crc32c(good.data(), good.size()) ^ 0xdeadbeef;  // flipped
     } else {
       reply.bytes = "definitely not an image";
-      reply.crc = Crc32(reply.bytes.data(), reply.bytes.size());
+      reply.crc = Crc32c(reply.bytes.data(), reply.bytes.size());
     }
     from->Send(reply.ToFrame());
   });
@@ -616,7 +613,7 @@ TEST_F(ServeTest, CorruptFetchBytesAreCountedAndNeverApplied) {
   EXPECT_TRUE(frontend.ScanAll().empty());
 }
 
-// --- GC + scheduler integration ---------------------------------------------
+// --- GC ----------------------------------------------------------------------
 
 TEST_F(ServeTest, ServeImagesAreSweptWithTheirJob) {
   net::LoopbackTransport wire(&metrics_);
@@ -640,37 +637,6 @@ TEST_F(ServeTest, ServeImagesAreSweptWithTheirJob) {
     EXPECT_NE(entry.path().extension(), ".ckpt")
         << "stale serve image " << entry.path();
   }
-}
-
-TEST_F(ServeTest, FrontendRegistrationsNeverSatisfyThePlacementGate) {
-  Platform platform({.num_nodes = 2, .block_bytes = 256u << 10});
-  GenerateClickStream(platform.dfs(), "clicks", SmallClicks(20'000));
-
-  coord::WorkerRegistry registry;
-  (void)registry.Register("replica-1", "f:1", net::WireRole::kFrontend, 0.0);
-  (void)registry.Register("replica-2", "f:2", net::WireRole::kFrontend, 0.0);
-  sched::SchedulerOptions sopts;
-  sopts.registry = &registry;
-  sched::JobScheduler scheduler(&platform.dfs(), &platform.files(), sopts);
-
-  sched::JobRequest request;
-  request.id = "gated";
-  request.spec = PerUserCountJob("clicks", "gated.out", 2);
-  request.options = HashOnePassOptions();
-  (void)scheduler.Submit(std::move(request));
-
-  // Two live frontends are zero job slots: the job must defer, and the
-  // deferral is attributed to the frontend-only membership.
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  EXPECT_EQ(scheduler.stats().completed, 0);
-  EXPECT_GE(scheduler.stats().placement_deferrals, 1);
-  EXPECT_GE(scheduler.stats().frontend_only_deferrals, 1);
-
-  (void)registry.Register("map-0", "-", net::WireRole::kMap, 0.0);
-  (void)registry.Register("reduce-0", "r:1", net::WireRole::kReduce, 0.0);
-  const auto reports = scheduler.Drain();
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_FALSE(reports[0].failed) << reports[0].error;
 }
 
 // --- end to end: a live streaming job, queried mid-run -----------------------

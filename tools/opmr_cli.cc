@@ -45,17 +45,17 @@
 //       sorted output; verifies and reports the order.
 //
 //   opmr_cli coordinator listen=<host:port> [secret=S] [map-workers=N]
-//                  [reduce-workers=N] [lease-ms=MS] [grace-ms=MS] [wait=SECONDS]
+//                  [reduce-workers=N] [lease-ms=MS] [wait=SECONDS]
 //       Cluster mode, membership endpoint: binds <host:port>, serves
 //       Register/Heartbeat frames from joining workers (authenticated
 //       against `secret` when set), broadcasts the Membership view, and
-//       runs the two-stage lease failure detector (suspect after
-//       lease-ms of silence, LOST after grace-ms more).  Waits for the
-//       expected worker counts, prints the roster and every
-//       suspect/returned/lost transition, and exits once all workers
-//       have departed.  The coordinator is not on the data path: a job
-//       whose map workers have found their reducer finishes, with the
-//       same output, if the coordinator dies (kill -9 it and watch).
+//       marks a worker dead after lease-ms without a heartbeat.  Waits
+//       for the expected worker counts, prints the roster and every
+//       worker that re-registers after its lease expired, and exits once
+//       all workers have departed.  The coordinator is not on the data
+//       path: a job whose map workers have found their reducer finishes,
+//       with the same output, if the coordinator dies (kill -9 it and
+//       watch).
 //
 //   opmr_cli worker join=<host:port> id=<worker>
 //                  role=map|reduce [secret=S]
@@ -91,17 +91,14 @@
 //                  [workload=<w>] [session-gap=S] [staleness-budget=N]
 //                  [rate=QPS] [burst=N] [scan-limit=N] [id=<name>]
 //                  [secret=S] [advertise=ADDR] [wait=SECONDS]
-//                  [join=<host:port>] [coord-secret=S]
 //       Serving replica: subscribes to a streaming job's snapshot
 //       publisher, applies each announced version to an in-memory view,
 //       and serves point / top-k / scan queries on <listen> (default
 //       127.0.0.1: ephemeral).  --staleness-budget bounds the replica lag
 //       (in ingest records) a query may observe — staler answers are
 //       REJECTED, not served; rate/burst set the default per-tenant token
-//       bucket.  join= additionally registers with a coordinator under
-//       role `frontend` (read-only: frontends hold no job slots and never
-//       satisfy the scheduler's placement gate).  Runs for wait seconds
-//       (default 60), then prints serving counters.
+//       bucket.  Runs for wait seconds (default 60), then prints serving
+//       counters.
 //
 //   opmr_cli query at=<host:port> op=point|topk|scan [key=K] [end=K]
 //                  [n=N] [limit=N] [tenant=T] [staleness-budget=N]
@@ -120,7 +117,7 @@
 //       and `<id>.out` output; the chosen policy arbitrates contended map/
 //       reduce slots, and each job's map tasks run local-first on the
 //       nodes holding their blocks.  Prints per-job reports, scheduler
-//       stats (with deferral reasons), and a cross-job task timeline.
+//       stats, and a cross-job task timeline.
 //       Spool keys: workload, runtime, transport (direct|loopback|tcp),
 //       records, reducers, memory_bytes, checkpoint_interval,
 //       checkpoint_retain.
@@ -621,12 +618,6 @@ int CmdServe(const Config& cfg) {
               stats.submitted, stats.peak_concurrent,
               static_cast<long long>(stats.slots.waits),
               HumanSeconds(stats.slots.wait_seconds).c_str());
-  if (stats.placement_deferrals > 0) {
-    std::printf("deferrals %lld (no-map %lld, no-reduce %lld)\n",
-                static_cast<long long>(stats.placement_deferrals),
-                static_cast<long long>(stats.no_map_worker_deferrals),
-                static_cast<long long>(stats.no_reduce_worker_deferrals));
-  }
   PrintCrossJobTimeline(scheduler.Timeline());
   return failures == 0 ? 0 : 1;
 }
@@ -938,19 +929,6 @@ int CmdFrontend(const Config& cfg) {
       GetCheckedInt(cfg, "rate", 0, /*min_value=*/0));
   fopts.default_policy.burst = static_cast<double>(
       GetCheckedInt(cfg, "burst", 0, /*min_value=*/0));
-  // Optional membership: frontends register read-only — the scheduler's
-  // placement gate never counts them as job slots.
-  const auto join = cfg.GetString("join", "");
-  coord::CoordClient::Options mopts;
-  if (!join.empty()) {
-    (void)SplitHostPort(join, "join");
-    mopts.coordinator = join;
-    mopts.worker_id = fopts.worker;
-    mopts.role = net::WireRole::kFrontend;
-    mopts.secret = cfg.GetString("coord-secret", fopts.secret);
-  }
-  const double join_timeout = static_cast<double>(
-      GetCheckedInt(cfg, "join-timeout", 30, /*min_value=*/1));
   RejectUnreadKeys(cfg, "frontend");
 
   MetricRegistry metrics;
@@ -972,17 +950,6 @@ int CmdFrontend(const Config& cfg) {
                   : "unlimited");
   std::fflush(stdout);
 
-  std::unique_ptr<coord::CoordClient> member;
-  if (!join.empty()) {
-    mopts.endpoint = server.endpoint();
-    member = std::make_unique<coord::CoordClient>(&metrics, mopts);
-    member->Join(join_timeout);
-    std::printf("frontend '%s': joined %s as role frontend (gen %llu)\n",
-                fopts.worker.c_str(), join.c_str(),
-                static_cast<unsigned long long>(member->generation()));
-    std::fflush(stdout);
-  }
-
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(wait_s);
   while (std::chrono::steady_clock::now() < deadline) {
@@ -999,7 +966,6 @@ int CmdFrontend(const Config& cfg) {
               static_cast<unsigned long long>(frontend.serving_version()),
               static_cast<unsigned long long>(frontend.serving_watermark()),
               static_cast<unsigned long long>(frontend.announced_watermark()));
-  if (member != nullptr) member->Stop();
   server.Shutdown();
   return 0;
 }
@@ -1068,8 +1034,6 @@ int CmdCoordinator(const Config& cfg) {
       GetCheckedInt(cfg, "reduce-workers", 1, /*min_value=*/0));
   const double lease_s =
       static_cast<double>(GetCheckedInt(cfg, "lease-ms", 2000, 1)) / 1e3;
-  const double grace_s =
-      static_cast<double>(GetCheckedInt(cfg, "grace-ms", 2000, 1)) / 1e3;
   const double wait_s =
       static_cast<double>(GetCheckedInt(cfg, "wait", 120, /*min_value=*/1));
   const auto secret = cfg.GetString("secret", "");
@@ -1085,21 +1049,14 @@ int CmdCoordinator(const Config& cfg) {
   coord::Coordinator::Options copts;
   copts.secret = secret;
   copts.lease_s = lease_s;
-  copts.rejoin_grace_s = grace_s;
-  copts.on_worker_lost = [](const std::string& id) {
-    std::printf("coordinator: worker '%s' LOST (lease + rejoin grace "
-                "expired)\n", id.c_str());
-    std::fflush(stdout);
-  };
   copts.on_worker_returned = [](const std::string& id) {
-    std::printf("coordinator: worker '%s' returned (re-registered while "
-                "suspect)\n", id.c_str());
+    std::printf("coordinator: worker '%s' returned (re-registered after "
+                "its lease expired)\n", id.c_str());
     std::fflush(stdout);
   };
   coord::Coordinator coordinator(&transport, &metrics, copts);
-  std::printf("coordinator: listening on %s (lease %.1fs, rejoin grace "
-              "%.1fs, auth %s)\n",
-              transport.endpoint().c_str(), lease_s, grace_s,
+  std::printf("coordinator: listening on %s (lease %.1fs, auth %s)\n",
+              transport.endpoint().c_str(), lease_s,
               copts.secret.empty() ? "off" : "on");
   std::fflush(stdout);
 
@@ -1144,12 +1101,11 @@ int CmdCoordinator(const Config& cfg) {
   coordinator.Stop();
   transport.Shutdown();
   std::printf("coordinator: all workers departed | %lld registers, %lld "
-              "heartbeats, %lld lease expirations, %lld lost, %lld "
-              "returned, %lld auth failures\n",
+              "heartbeats, %lld lease expirations, %lld returned, %lld "
+              "auth failures\n",
               static_cast<long long>(metrics.Value("coord.registers")),
               static_cast<long long>(metrics.Value("coord.heartbeats")),
               static_cast<long long>(metrics.Value("coord.expirations")),
-              static_cast<long long>(metrics.Value("coord.workers_lost")),
               static_cast<long long>(metrics.Value("coord.workers_returned")),
               static_cast<long long>(metrics.Value("coord.auth_failures")));
   return 0;
