@@ -1,5 +1,5 @@
-// The repository's one byte codec: wire messages, changelog records,
-// registry worker state and checkpoint images all encode and decode here.
+// The repository's one byte codec: wire messages and checkpoint images
+// encode and decode here.
 //
 // Layout idiom (little-endian): bool, u8 and enums take one byte; i32 and
 // u32 four; u64 and double (its IEEE-754 bit pattern) eight; a byte string

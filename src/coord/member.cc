@@ -9,9 +9,9 @@ namespace opmr::coord {
 namespace {
 
 // One dial policy for every client: one connect attempt and one
-// transmission per frame.  Join's register loop and the heartbeat tick
-// already retry on their own cadence; an in-place redial inside a send
-// would only stall them, and Stop() joins the heartbeat thread.
+// transmission per frame.  The announce tick already retries on its own
+// cadence; an in-place redial inside a send would only stall it, and
+// Stop() joins the announce thread.
 net::TcpTransport::Options DialOptions() {
   net::TcpTransport::Options opts;
   opts.connect_attempts = 1;
@@ -24,46 +24,34 @@ net::TcpTransport::Options DialOptions() {
 CoordClient::CoordClient(MetricRegistry* metrics, Options options)
     : options_(std::move(options)),
       metrics_(metrics),
-      heartbeats_sent_(metrics->Get("coord.client.heartbeats_sent")),
-      heartbeats_suppressed_(
-          metrics->Get("coord.client.heartbeats_suppressed")),
       registers_sent_(metrics->Get("coord.client.registers_sent")),
-      registers_suppressed_(metrics->Get("coord.client.registers_suppressed")),
-      evictions_(metrics->Get("coord.client.evictions")) {}
+      registers_suppressed_(metrics->Get("coord.client.registers_suppressed")) {
+}
 
 CoordClient::~CoordClient() { Stop(); }
 
 void CoordClient::Join(double timeout_s) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(timeout_s));
-  int attempt = 0;
-  std::unique_lock lock(mu_);
-  while (generation_ == 0 && !failed_) {
-    if (std::chrono::steady_clock::now() >= deadline) {
-      throw CoordError("coord: worker '" + options_.worker_id +
-                       "' failed to join " + options_.coordinator +
-                       " within " + std::to_string(timeout_s) + "s");
+  {
+    std::scoped_lock lock(mu_);
+    if (!announce_thread_.joinable() && !stopping_) {
+      announce_thread_ = std::thread([this] { AnnounceLoop(); });
     }
-    ++attempt;
-    lock.unlock();
-    SendRegisterOnce(attempt);
-    lock.lock();
-    cv_.wait_until(
-        lock,
-        std::min(deadline,
-                 std::chrono::steady_clock::now() +
-                     std::chrono::duration_cast<
-                         std::chrono::steady_clock::duration>(
-                         std::chrono::duration<double, std::milli>(
-                             options_.register_retry_ms))),
-        [this] { return generation_ != 0 || failed_; });
   }
-  if (failed_) {
-    throw CoordError("coord: join rejected: " + error_);
+  bool joined = false;
+  std::string error;
+  {
+    std::unique_lock lock(mu_);
+    joined = cv_.wait_for(lock, std::chrono::duration<double>(timeout_s),
+                          [this] { return ListedLocked() || failed_; }) &&
+             !failed_;
+    error = error_;
   }
-  heartbeat_thread_ = std::thread([this] { HeartbeatLoop(); });
+  if (joined) return;
+  Stop();
+  if (!error.empty()) throw CoordError("coord: join rejected: " + error);
+  throw CoordError("coord: worker '" + options_.worker_id +
+                   "' failed to join " + options_.coordinator + " within " +
+                   std::to_string(timeout_s) + "s");
 }
 
 void CoordClient::Stop() {
@@ -73,13 +61,29 @@ void CoordClient::Stop() {
     stopping_ = true;
   }
   cv_.notify_all();
-  if (heartbeat_thread_.joinable()) heartbeat_thread_.join();
+  if (announce_thread_.joinable()) announce_thread_.join();
   Disconnect();
 }
 
-void CoordClient::SetOnEvicted(std::function<void()> cb) {
-  std::scoped_lock lock(mu_);
-  on_evicted_ = std::move(cb);
+bool CoordClient::ListedLocked() const {
+  return std::any_of(view_.entries.begin(), view_.entries.end(),
+                     [this](const auto& e) {
+                       return e.worker == options_.worker_id;
+                     });
+}
+
+void CoordClient::AnnounceLoop() {
+  const auto period = std::chrono::duration<double, std::milli>(
+      options_.register_retry_ms);
+  int attempt = 0;
+  std::unique_lock lock(mu_);
+  while (!stopping_ && !failed_) {
+    ++attempt;
+    lock.unlock();
+    SendRegisterOnce(attempt);
+    lock.lock();
+    cv_.wait_for(lock, period, [this] { return stopping_ || failed_; });
+  }
 }
 
 void CoordClient::SendRegisterOnce(int attempt) {
@@ -102,6 +106,17 @@ bool CoordClient::SendToCoordinator(const net::Frame& frame) {
     // A fresh transport per dial: a shut-down one stays shut down.
     transport_ = std::make_unique<net::TcpTransport>(
         metrics_, options_.coordinator, DialOptions());
+    // The coordinator closed the connection (it exited, or was restarted):
+    // the transport redials on the next send, and whoever answers numbers
+    // its views afresh.
+    transport_->SetOnPeerClosed([this] {
+      std::scoped_lock lock(mu_);
+      new_conn_ = true;
+    });
+    {
+      std::scoped_lock lock(mu_);
+      new_conn_ = true;
+    }
     try {
       conn_ = transport_->Connect(
           [this](net::Connection* from, net::Frame reply) {
@@ -135,29 +150,9 @@ void CoordClient::HandleReply(net::Connection* from, net::Frame frame) {
       case net::FrameType::kMembership: {
         net::MembershipMsg msg = net::MembershipMsg::Parse(frame);
         std::scoped_lock lock(mu_);
-        if (msg.epoch < view_.epoch) return;
+        if (!new_conn_ && msg.epoch < view_.epoch) return;
+        new_conn_ = false;
         view_ = std::move(msg);
-        for (const net::MembershipMsg::Entry& e : view_.entries) {
-          if (e.worker != options_.worker_id) continue;
-          if (e.alive && e.generation > generation_) {
-            // Fresh registration confirmed (initial join or rejoin after
-            // eviction).
-            generation_ = e.generation;
-            heartbeat_seq_ = 0;
-            rejoin_attempt_ = 0;
-            if (evicted_) {
-              evicted_ = false;
-              notify_evicted_ = true;
-              ++eviction_count_;
-              evictions_->Increment();
-            }
-          } else if (!e.alive && generation_ != 0 &&
-                     e.generation == generation_) {
-            // Our lease expired: the registry holds our generation but
-            // marks us dead.  Re-register from the heartbeat thread.
-            evicted_ = true;
-          }
-        }
         cv_.notify_all();
         return;
       }
@@ -177,65 +172,9 @@ void CoordClient::HandleReply(net::Connection* from, net::Frame frame) {
   }
 }
 
-void CoordClient::HeartbeatLoop() {
-  std::unique_lock lock(mu_);
-  while (!stopping_) {
-    cv_.wait_for(lock, std::chrono::duration<double, std::milli>(
-                           options_.heartbeat_interval_ms));
-    if (stopping_) return;
-    if (failed_) continue;
-    if (notify_evicted_) {
-      notify_evicted_ = false;
-      std::function<void()> cb = on_evicted_;
-      lock.unlock();
-      if (cb) cb();
-      lock.lock();
-      continue;
-    }
-    if (evicted_) {
-      const int attempt = ++rejoin_attempt_;
-      lock.unlock();
-      SendRegisterOnce(attempt);
-      lock.lock();
-      continue;
-    }
-    if (generation_ == 0) continue;
-    const std::uint64_t ordinal = ++heartbeat_seq_;
-    const std::uint64_t generation = generation_;
-    lock.unlock();
-    bool suppressed = false;
-    if (net::NetFaultHook* hook = net::GetNetFaultHook()) {
-      suppressed = hook->OnHeartbeatSend(options_.worker_id, ordinal,
-                                         static_cast<int>(generation));
-    }
-    if (suppressed) {
-      heartbeats_suppressed_->Increment();
-    } else {
-      net::HeartbeatMsg msg;
-      msg.worker = options_.worker_id;
-      msg.generation = generation;
-      msg.seq = ordinal;
-      // An unreachable coordinator costs this heartbeat only; the next
-      // tick dials again.
-      if (SendToCoordinator(msg.ToFrame())) heartbeats_sent_->Increment();
-    }
-    lock.lock();
-  }
-}
-
 net::MembershipMsg CoordClient::View() const {
   std::scoped_lock lock(mu_);
   return view_;
-}
-
-std::uint64_t CoordClient::generation() const {
-  std::scoped_lock lock(mu_);
-  return generation_;
-}
-
-std::uint64_t CoordClient::evictions() const {
-  std::scoped_lock lock(mu_);
-  return eviction_count_;
 }
 
 bool CoordClient::failed() const {
@@ -251,26 +190,25 @@ std::string CoordClient::error() const {
 bool CoordClient::WaitForRole(net::WireRole role, std::size_t n,
                               double timeout_s,
                               std::vector<net::MembershipMsg::Entry>* out) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(timeout_s);
-  std::unique_lock lock(mu_);
-  for (;;) {
-    std::vector<net::MembershipMsg::Entry> live;
-    for (const net::MembershipMsg::Entry& e : view_.entries) {
-      if (e.alive && e.role == role) live.push_back(e);
-    }
-    if (live.size() >= n) {
-      if (out != nullptr) {
-        std::sort(live.begin(), live.end(),
-                  [](const auto& a, const auto& b) { return a.worker < b.worker; });
-        *out = std::move(live);
-      }
-      return true;
-    }
-    if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      return false;
-    }
+  std::vector<net::MembershipMsg::Entry> found;
+  {
+    std::unique_lock lock(mu_);
+    const bool ok = cv_.wait_for(
+        lock, std::chrono::duration<double>(timeout_s), [&] {
+          found.clear();
+          for (const net::MembershipMsg::Entry& e : view_.entries) {
+            if (e.role == role) found.push_back(e);
+          }
+          return found.size() >= n;
+        });
+    if (!ok) return false;
   }
+  if (out != nullptr) {
+    std::sort(found.begin(), found.end(),
+              [](const auto& a, const auto& b) { return a.worker < b.worker; });
+    *out = std::move(found);
+  }
+  return true;
 }
 
 }  // namespace opmr::coord

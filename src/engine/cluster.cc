@@ -11,7 +11,6 @@
 
 #include "checkpoint/checkpoint.h"
 #include "common/rng.h"
-#include "coord/member.h"
 #include "engine/map_task.h"
 #include "engine/reduce_hash.h"
 #include "engine/reduce_incremental.h"
@@ -66,16 +65,6 @@ class TransportShutdownGuard {
     if (transport != nullptr) transport->Shutdown();
   }
   net::Transport* transport = nullptr;
-};
-
-// Clears the per-run eviction callback at scope exit, before the
-// ShuffleClient it captures is destroyed.
-class CoordRunGuard {
- public:
-  ~CoordRunGuard() {
-    if (client != nullptr) client->SetOnEvicted({});
-  }
-  coord::CoordClient* client = nullptr;
 };
 
 // RAII slot leases against the (optional) multi-job scheduler hooks; with
@@ -381,16 +370,6 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
           transport, metrics_, std::move(client_options));
       endpoint = shuffle_client.get();
     }
-  }
-
-  // Membership wiring, per run: an evicted-and-rejoined map worker replays
-  // its delivered-but-unacked shuffle window (the reduce side may have
-  // dropped the tail with the flap).
-  CoordRunGuard coord_guard;
-  if (cluster_.coord_client != nullptr && shuffle_client != nullptr) {
-    ShuffleClient* client = shuffle_client.get();
-    cluster_.coord_client->SetOnEvicted([client] { client->ReplayUnacked(); });
-    coord_guard.client = cluster_.coord_client;
   }
 
   RuntimeEnv env;

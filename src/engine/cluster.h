@@ -29,10 +29,6 @@ namespace net {
 class Transport;
 }  // namespace net
 
-namespace coord {
-class CoordClient;
-}  // namespace coord
-
 // Which half of the job this executor instance runs.  kAll is the seed's
 // single-process mode.  kMapOnly / kReduceOnly split the worker groups
 // across OS processes: the map group serialises its shuffle traffic onto a
@@ -107,20 +103,20 @@ struct ClusterOptions {
   // blocked in NextItem with no shuffle activity for this long while map
   // tasks are still outstanding — the mapper process likely died without
   // sending Abort.  This is the reduce side's only mapper-death signal,
-  // in cluster mode too: the coordinator's lease expiry only updates the
-  // membership view.  Every inbound shuffle frame — including replayed
+  // in cluster mode too: the coordinator only tells map workers where the
+  // reducer is.  Every inbound shuffle frame — including replayed
   // duplicates — resets the idle clock, so the watchdog cannot fire
   // while an ack-window replay is in flight.
   double shuffle_idle_timeout_s = 0.0;
 
-  // --- Cluster coordination (src/coord) -------------------------------------
-  // Registered worker id this process joined the group as; carried in the
-  // shuffle Hello so the reduce side can key its per-sender ack watermark.
-  // Empty in the single-process / forked modes.
+  // --- Cluster identity --------------------------------------------------------
+  // This worker's id, carried in the shuffle Hello so the reduce side can
+  // key its per-sender ack watermark.  Empty in the single-process /
+  // forked modes.
   std::string worker_id;
 
-  // Shared secret authenticating shuffle Hello and coordinator Register
-  // frames.  Empty disables authentication.
+  // Shared secret authenticating the shuffle Hello.  Empty disables
+  // authentication.
   std::string shuffle_secret;
 
   // Horizontal map partition for multi-worker map groups: this worker
@@ -129,12 +125,6 @@ struct ClusterOptions {
   // unique task ids, so sibling map workers cover the input disjointly.
   int map_partition_index = 0;
   int map_partition_count = 1;
-
-  // Membership agent of a map-group worker (not owned).  When set, an
-  // eviction/rejoin observed by the heartbeat thread fires
-  // ShuffleClient::ReplayUnacked() — the reduce side may have lost this
-  // worker's delivered-but-unacked tail with the membership flap.
-  coord::CoordClient* coord_client = nullptr;
 };
 
 // Recovery counters ClusterExecutor charges (all zero in a clean run).
@@ -259,7 +249,7 @@ class ClusterExecutor {
     cluster_.sched_hooks = hooks;
   }
 
-  // Cluster-mode identity and coordination wiring (see ClusterOptions).
+  // Cluster-mode identity and map partition (see ClusterOptions).
   void set_cluster_identity(std::string worker_id, std::string secret) {
     cluster_.worker_id = std::move(worker_id);
     cluster_.shuffle_secret = std::move(secret);
@@ -267,9 +257,6 @@ class ClusterExecutor {
   void set_map_partition(int index, int count) {
     cluster_.map_partition_index = index;
     cluster_.map_partition_count = count;
-  }
-  void set_coord_client(coord::CoordClient* client) {
-    cluster_.coord_client = client;
   }
 
  private:

@@ -228,12 +228,11 @@ class ShuffleService : public ShuffleMapEndpoint {
   // sees no shuffle activity at all for `seconds` while map tasks are still
   // outstanding throws (the mapper process likely died without an Abort
   // frame).  0 (default) disables the guard — the seed's in-process
-  // behaviour, where map worker threads can always be joined.  With
-  // per-chunk acks this is a demoted last-resort fallback: the shuffle
-  // server calls NoteActivity() for every frame it receives — including
-  // duplicates absorbed by the ack watermark — so the guard cannot fire
-  // while an ack-window replay is in progress; the coordinator's lease
-  // detector is the primary (and much faster) death signal.
+  // behaviour, where map worker threads can always be joined.  It is the
+  // reduce side's only mapper-death signal.  The shuffle server calls
+  // NoteActivity() for every frame it receives — including duplicates
+  // absorbed by the ack watermark — so the guard cannot fire while an
+  // ack-window replay is in progress.
   void SetIdleTimeout(double seconds) { idle_timeout_s_ = seconds; }
 
   // Resets the idle-timeout window.  For shuffle progress that bypasses

@@ -22,6 +22,10 @@ std::string ReadSegment(const std::filesystem::path& path,
   }
   return bytes;
 }
+
+// Finish() waits at most this long for the replay window to drain before
+// sending Bye regardless.
+constexpr double kAckDrainS = 5.0;
 }  // namespace
 
 // --- ShuffleClient -----------------------------------------------------------
@@ -53,6 +57,7 @@ ShuffleClient::ShuffleClient(net::Transport* transport,
     std::vector<net::Frame> frames;
     {
       std::scoped_lock lock(mu_);
+      peer_closed_ = false;
       frames.reserve(window_.size());
       for (const auto& entry : window_) frames.push_back(entry.Materialize());
     }
@@ -61,6 +66,14 @@ ShuffleClient::ShuffleClient(net::Transport* transport,
       ack_replayed_frames_->Add(static_cast<std::int64_t>(frames.size()));
     }
     return frames;
+  });
+  // A server-side close (a reducer crash) wakes Finish's drain at once.
+  transport_->SetOnPeerClosed([this] {
+    {
+      std::scoped_lock lock(mu_);
+      peer_closed_ = true;
+    }
+    cv_.notify_all();
   });
   conn_ = transport_->Connect([this](net::Connection* from, net::Frame frame) {
     HandleReply(from, std::move(frame));
@@ -271,15 +284,17 @@ void ShuffleClient::Finish() {
     closed_ = true;
   }
   // Drain the replay window before Bye: on a clean run the acks for the
-  // tail are already in flight; after a reducer-side crash the first wait
-  // times out, one explicit replay re-delivers the window, and the second
-  // wait confirms the acks.  If even that fails, Bye goes out anyway — the
-  // reduce side's idle-timeout watchdog is the last-resort backstop.
+  // tail are already in flight.  After a reducer-side crash the server's
+  // close ends the first wait at once (a lost tail without a close ends it
+  // by timeout), one explicit replay re-delivers the window over a fresh
+  // connection, and the second wait confirms the acks.  If even that
+  // fails, Bye goes out anyway — the reduce side's idle-timeout watchdog is
+  // the last-resort backstop.
   const auto drained = [this] { return window_.empty() || aborted_; };
-  const auto half = std::chrono::duration<double>(options_.ack_drain_s / 2);
+  const auto half = std::chrono::duration<double>(kAckDrainS / 2);
   {
     std::unique_lock lock(mu_);
-    cv_.wait_for(lock, half, drained);
+    cv_.wait_for(lock, half, [&] { return drained() || peer_closed_; });
   }
   if (UnackedFrames() > 0) {
     ReplayUnacked();

@@ -74,9 +74,6 @@ class ShuffleClient final : public ShuffleMapEndpoint {
     // modes) and the shared shuffle secret (empty = no auth).
     std::string worker;
     std::string auth;
-    // Finish() waits this long for the replay window to drain before
-    // forcing one replay and sending Bye regardless.
-    double ack_drain_s = 5.0;
   };
 
   ShuffleClient(net::Transport* transport, MetricRegistry* metrics,
@@ -91,17 +88,17 @@ class ShuffleClient final : public ShuffleMapEndpoint {
                    std::uint64_t output_records) override;
 
   // Resends every delivered-but-unacked frame.  Safe (the server's seq
-  // watermark absorbs duplicates) and idempotent; fired by the membership
-  // layer after an eviction/rejoin, when the reduce side may have lost
-  // this client's tail.
+  // watermark absorbs duplicates) and idempotent; Finish() calls it when
+  // the reduce side may have lost this client's tail.
   void ReplayUnacked();
 
   // Frames still awaiting acknowledgement (0 once the server applied
   // everything).
   [[nodiscard]] std::size_t UnackedFrames() const;
 
-  // Orderly close: waits (bounded) for the ack window to drain, then
-  // sends Bye with this side's wire counters.  Idempotent.
+  // Orderly close: waits (bounded) for the ack window to drain, replaying
+  // it at once if the server closed the connection, then sends Bye with
+  // this side's wire counters.  Idempotent.
   void Finish();
 
   // Failure close: relays the failure so the reduce group can abort
@@ -154,6 +151,9 @@ class ShuffleClient final : public ShuffleMapEndpoint {
   bool aborted_ = false;
   std::string abort_reason_;
   bool closed_ = false;
+  // The server closed the connection and no reconnect has replayed the
+  // window since.
+  bool peer_closed_ = false;
   std::uint64_t next_seq_ = 0;
   // Sent frames awaiting acknowledgement, in seq order.
   std::deque<WindowEntry> window_;

@@ -67,7 +67,6 @@ FaultPoint PointByName(const std::string& name) {
   if (name == "fetch_stall") return FaultPoint::kFetchStall;
   if (name == "conn_drop") return FaultPoint::kConnDrop;
   if (name == "net_stall") return FaultPoint::kNetStall;
-  if (name == "heartbeat_loss") return FaultPoint::kHeartbeatLoss;
   if (name == "registry_partition") return FaultPoint::kRegistryPartition;
   if (name == "peer_crash") return FaultPoint::kPeerCrash;
   throw std::invalid_argument("FaultPlan: unknown fault point '" + name + "'");
@@ -123,7 +122,6 @@ const char* FaultPointName(FaultPoint point) noexcept {
     case FaultPoint::kFetchStall: return "fetch_stall";
     case FaultPoint::kConnDrop: return "conn_drop";
     case FaultPoint::kNetStall: return "net_stall";
-    case FaultPoint::kHeartbeatLoss: return "heartbeat_loss";
     case FaultPoint::kRegistryPartition: return "registry_partition";
     case FaultPoint::kPeerCrash: return "peer_crash";
   }
@@ -412,31 +410,6 @@ bool FaultInjector::OnFrameSend(std::uint64_t frame_seq, int attempt) {
     }
   }
   return dropped;
-}
-
-bool FaultInjector::OnHeartbeatSend(const std::string& worker,
-                                    std::uint64_t ordinal, int generation) {
-  if (!has_point_[static_cast<int>(FaultPoint::kHeartbeatLoss)]) return false;
-  for (std::size_t i = 0; i < plan_.faults.size(); ++i) {
-    const FaultSpec& s = plan_.faults[i];
-    if (s.point != FaultPoint::kHeartbeatLoss) continue;
-    // `attempts` budgets the registration generation: the default of 1
-    // starves only the first generation, so once the worker is evicted and
-    // rejoins, its generation-2 heartbeats flow and the lease holds.
-    if (generation > s.attempts) continue;
-    if (!s.tag.empty() && worker != s.tag) continue;
-    if (s.record > 0) {
-      if (ordinal < s.record) continue;  // suppress from ordinal N onward
-    } else if (s.rate > 0.0) {
-      if (Draw(i, BytesHash(Slice(worker.data(), worker.size()), 0x48b),
-               ordinal) >= s.rate) {
-        continue;
-      }
-    }
-    CountOnly(i);
-    return true;
-  }
-  return false;
 }
 
 bool FaultInjector::OnRegisterSend(const std::string& worker, int attempt) {

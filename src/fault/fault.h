@@ -38,7 +38,6 @@ enum class FaultPoint {
   kFetchStall,   // delay a reducer's fetch of one map task's output
   kConnDrop,     // tear a transport connection down before frame N's send
   kNetStall,     // delay a transport frame send (slow network)
-  kHeartbeatLoss,      // suppress a worker's coordinator heartbeats
   kRegistryPartition,  // drop a worker's Register before it reaches the wire
   kPeerCrash,    // discard a delivered-but-unapplied frame and kill the conn
 };
@@ -52,14 +51,11 @@ enum class FaultPoint {
 // kReplicaLoss, `node` selects the replica to drop (-1 drops all, or a
 // `rate`-drawn subset).  For kConnDrop / kNetStall, `record` filters the
 // 1-based frame send ordinal and `attempts` budgets the transmission
-// attempt (default 1: the retransmit goes through).  For kHeartbeatLoss,
-// `tag` filters the worker id, `record` is the first suppressed heartbeat
-// ordinal, and `attempts` budgets the registration GENERATION (default 1:
-// only the first generation is starved, so the post-eviction rejoin
-// heartbeats flow).  For kRegistryPartition, `tag` filters the worker id
-// and `attempts` budgets the Register attempt.  For kPeerCrash, `record`
-// is the sequenced frame seq to discard after delivery and `attempts`
-// budgets the receive attempt (default 1: the ack-replay copy applies).
+// attempt (default 1: the retransmit goes through).  For
+// kRegistryPartition, `tag` filters the worker id and `attempts` budgets
+// the Register attempt.  For kPeerCrash, `record` is the sequenced frame
+// seq to discard after delivery and `attempts` budgets the receive attempt
+// (default 1: the ack-replay copy applies).
 struct FaultSpec {
   FaultPoint point = FaultPoint::kMapCrash;
   int task = -1;                 // map/reduce task id filter
@@ -166,10 +162,7 @@ class FaultInjector final : public IoFaultHook, public net::NetFaultHook {
   // kConnDrop returns true, which makes the transport tear the connection
   // down (before any byte is written) and retransmit.
   bool OnFrameSend(std::uint64_t frame_seq, int attempt) override;
-  // Consulted by CoordClient: kHeartbeatLoss starves the lease (true =
-  // suppress this heartbeat), kRegistryPartition swallows a Register.
-  bool OnHeartbeatSend(const std::string& worker, std::uint64_t ordinal,
-                       int generation) override;
+  // Consulted by CoordClient: kRegistryPartition swallows a Register.
   bool OnRegisterSend(const std::string& worker, int attempt) override;
   // Consulted by the shuffle server before applying a sequenced frame:
   // kPeerCrash discards the delivered frame and kills the connection, so
@@ -194,7 +187,7 @@ class FaultInjector final : public IoFaultHook, public net::NetFaultHook {
   Counter* injected_;
   Counter* slowed_records_;
   std::vector<Counter*> per_spec_;
-  bool has_point_[12] = {};
+  bool has_point_[static_cast<int>(FaultPoint::kPeerCrash) + 1] = {};
 };
 
 }  // namespace opmr

@@ -19,7 +19,6 @@ const char* FrameTypeName(FrameType type) noexcept {
     case FrameType::kAbort: return "abort";
     case FrameType::kBye: return "bye";
     case FrameType::kRegister: return "register";
-    case FrameType::kHeartbeat: return "heartbeat";
     case FrameType::kMembership: return "membership";
     case FrameType::kAck: return "ack";
     case FrameType::kSnapshotAnnounce: return "snapshot_announce";
@@ -32,7 +31,8 @@ const char* FrameTypeName(FrameType type) noexcept {
 
 bool IsKnownFrameType(std::uint8_t type) noexcept {
   return type >= static_cast<std::uint8_t>(FrameType::kHello) &&
-         type <= static_cast<std::uint8_t>(FrameType::kQueryResult);
+         type <= static_cast<std::uint8_t>(FrameType::kQueryResult) &&
+         type != 11;  // the retired heartbeat
 }
 
 void AppendFrame(std::string* out, const Frame& frame) {

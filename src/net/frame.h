@@ -38,8 +38,8 @@ enum class FrameType : std::uint8_t {
   kGone = 7,         // a reducer terminally failed; stop pushing to it
   kAbort = 8,        // sender's job is failing; peer should unwind
   kBye = 9,          // orderly close, carries the sender's wire stats
-  kRegister = 10,    // worker joins the coordinator's group registry
-  kHeartbeat = 11,   // lease renewal for a registered worker
+  kRegister = 10,    // worker announces itself to the coordinator
+  // 11 was the coordinator heartbeat; it stays unassigned.
   kMembership = 12,  // coordinator's worker-group view (epoch + entries)
   kAck = 13,         // cumulative receipt ack for sequenced data frames
   kSnapshotAnnounce = 14,  // publisher: a new snapshot version is servable

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -220,6 +221,12 @@ class TcpClientConnection final : public Connection {
     const std::string bytes = EncodeFrame(frame);
     std::scoped_lock lock(send_mu_);
     if (closing_) throw TransportError("tcp: connection closed");
+    if (peer_closed_) {
+      // The server closed this connection: a write could still "succeed"
+      // into the dead socket and lose the frame, so reconnect (and replay)
+      // before it goes out.
+      ReconnectLocked();
+    }
     const std::uint64_t seq = ++send_seq_;
     for (int attempt = 1;; ++attempt) {
       if (NetFaultHook* hook = GetNetFaultHook()) {
@@ -254,6 +261,7 @@ class TcpClientConnection final : public Connection {
     closing_ = true;
     const int fd = fd_;
     fd_ = -1;
+    hanging_up_ = true;
     std::thread reader = std::move(reader_);
     // Half-close: FIN our side but keep reading until the server closes
     // its end.  An abrupt close() with unread inbound bytes (credits are
@@ -290,7 +298,13 @@ class TcpClientConnection final : public Connection {
         const ssize_t n = ::read(fd, buf, sizeof(buf));
         if (n <= 0) {
           if (n < 0 && errno == EINTR) continue;
-          return;  // EOF: server closed, or this generation was torn down
+          // EOF or reset: this side hung up (Close / reconnect), or the
+          // server closed on its own.  Only the latter is news.
+          if (!hanging_up_) {
+            peer_closed_ = true;
+            owner_->NotifyPeerClosed();
+          }
+          return;
         }
         owner_->recv_syscalls_->Increment();
         owner_->bytes_received_->Add(n);
@@ -312,10 +326,13 @@ class TcpClientConnection final : public Connection {
     // dropped frame is part of the delivered prefix the retransmit
     // protocol relies on, so it must not be torn out of the server's
     // receive buffer by an RST.
+    hanging_up_ = true;
     ::shutdown(fd_, SHUT_WR);
     if (reader_.joinable()) reader_.join();
     ::close(fd_);
     DialLocked();
+    hanging_up_ = false;
+    peer_closed_ = false;
     StartReaderLocked();
     owner_->reconnects_->Increment();
     // Re-introduce ourselves: the server treats each connection as a fresh
@@ -362,6 +379,10 @@ class TcpClientConnection final : public Connection {
   bool closing_ = false;
   std::uint64_t send_seq_ = 0;
   std::thread reader_;
+  // Written under send_mu_, read by the reader thread.  hanging_up_ marks
+  // a teardown this side started; peer_closed_ an EOF it did not start.
+  std::atomic<bool> hanging_up_{false};
+  std::atomic<bool> peer_closed_{false};
 };
 
 // --- TcpTransport ------------------------------------------------------------
@@ -516,6 +537,20 @@ void TcpTransport::SetReconnectReplay(
     std::function<std::vector<Frame>()> replay) {
   std::scoped_lock lock(mu_);
   reconnect_replay_ = std::move(replay);
+}
+
+void TcpTransport::SetOnPeerClosed(std::function<void()> on_closed) {
+  std::scoped_lock lock(mu_);
+  on_peer_closed_ = std::move(on_closed);
+}
+
+void TcpTransport::NotifyPeerClosed() {
+  std::function<void()> on_closed;
+  {
+    std::scoped_lock lock(mu_);
+    on_closed = on_peer_closed_;
+  }
+  if (on_closed) on_closed();
 }
 
 void TcpTransport::Shutdown() {

@@ -17,7 +17,8 @@
 // via SetConnectPreamble), and retransmits — so injected connection drops
 // exercise the retry path without ever duplicating delivered data.  Real
 // send errors (peer reset) retry the same way, up to a bounded number of
-// attempts.
+// attempts.  A server that closes the connection on its own makes the next
+// send reconnect first, and fires the SetOnPeerClosed callback.
 #pragma once
 
 #include <memory>
@@ -71,6 +72,9 @@ class TcpTransport final : public Transport {
   // shuffle client's delivered-but-unacked window).
   void SetReconnectReplay(std::function<std::vector<Frame>()> replay) override;
 
+  // Fired when a server closes a client connection this side did not.
+  void SetOnPeerClosed(std::function<void()> on_closed) override;
+
  private:
   friend class TcpServerConnection;
   friend class TcpClientConnection;
@@ -78,6 +82,8 @@ class TcpTransport final : public Transport {
   // Requires mu_.  The host part of endpoint(): advertise_address when
   // set, else the bind address (loopback when bound to the wildcard).
   [[nodiscard]] std::string AdvertisedHostLocked() const;
+  // Runs the SetOnPeerClosed callback, outside mu_.
+  void NotifyPeerClosed();
 
   MetricRegistry* metrics_;
   Options options_;
@@ -104,6 +110,7 @@ class TcpTransport final : public Transport {
   Frame preamble_;
   bool has_preamble_ = false;
   std::function<std::vector<Frame>()> reconnect_replay_;
+  std::function<void()> on_peer_closed_;
 };
 
 }  // namespace opmr::net

@@ -91,6 +91,15 @@ class Transport {
   // crash loses nothing.  Transports without reconnection ignore it.
   virtual void SetReconnectReplay(
       std::function<std::vector<Frame>()> replay) { (void)replay; }
+
+  // Callback invoked (from a reader thread) when the peer closes a client
+  // connection this side did not hang up — a reducer-side crash, or a
+  // coordinator that went away.  The next Send on that connection
+  // reconnects first, so a waiter can act at once instead of waiting out a
+  // timeout.  Transports without reconnection ignore it.
+  virtual void SetOnPeerClosed(std::function<void()> on_closed) {
+    (void)on_closed;
+  }
 };
 
 // --- Fault-injection seam ----------------------------------------------------
@@ -105,17 +114,6 @@ class NetFaultHook {
  public:
   virtual ~NetFaultHook() = default;
   virtual bool OnFrameSend(std::uint64_t frame_seq, int attempt) = 0;
-
-  // Consulted by CoordClient before each heartbeat send.  `ordinal` is the
-  // 1-based heartbeat number within the worker's current registration
-  // `generation`.  Returning true suppresses the heartbeat (the lease is
-  // silently not renewed), which is how heartbeat_loss faults starve the
-  // failure detector.
-  virtual bool OnHeartbeatSend(const std::string& worker,
-                               std::uint64_t ordinal, int generation) {
-    (void)worker; (void)ordinal; (void)generation;
-    return false;
-  }
 
   // Consulted by CoordClient before each Register send (`attempt` is
   // 1-based).  Returning true drops the registration — a simulated

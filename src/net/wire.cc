@@ -135,13 +135,8 @@ static void Fields(Like<RegisterMsg> auto& m, auto& io) {
 }
 OPMR_WIRE_MESSAGE(RegisterMsg, kRegister)
 
-static void Fields(Like<HeartbeatMsg> auto& m, auto& io) {
-  io(m.worker, m.generation, m.seq);
-}
-OPMR_WIRE_MESSAGE(HeartbeatMsg, kHeartbeat)
-
 static void Fields(Like<MembershipMsg::Entry> auto& m, auto& io) {
-  io(m.worker, m.endpoint, m.role, m.generation, m.alive);
+  io(m.worker, m.endpoint, m.role);
 }
 
 static void Fields(Like<MembershipMsg> auto& m, auto& io) {

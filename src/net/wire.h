@@ -31,7 +31,7 @@ namespace opmr::net {
 using WireError = DecodeError;
 
 // Hello carries it; a peer speaking any other version is refused.
-inline constexpr std::uint32_t kProtocolVersion = 10;
+inline constexpr std::uint32_t kProtocolVersion = 11;
 
 // Constant-time string equality for shared-secret checks (Register /
 // Hello auth).  An early-exit comparison leaks, through response timing,
@@ -186,10 +186,10 @@ struct ByeMsg {
 
 // --- Coordination-plane messages (src/coord) ---------------------------------
 
-// Worker → coordinator: join (or rejoin) the worker-group registry.  The
-// coordinator authenticates `auth` against its shared secret, assigns a
-// fresh generation, and answers — to everyone registered — with a
-// Membership broadcast.
+// Worker → coordinator: an idempotent announce, re-sent on a timer.  The
+// coordinator authenticates `auth` against its shared secret, records (or
+// refreshes) the worker's endpoint and role, and answers — to everyone
+// registered — with a Membership broadcast when the view changed.
 struct RegisterMsg {
   std::string worker;    // stable worker id (unique per process)
   std::string endpoint;  // advertised host:port the worker serves on
@@ -201,30 +201,15 @@ struct RegisterMsg {
   static RegisterMsg Parse(const Frame& frame);
 };
 
-// Worker → coordinator: lease renewal.  `generation` must match the
-// registry's current generation for the worker (a stale generation means
-// the worker was evicted and re-registered elsewhere); `seq` is the
-// 1-based heartbeat ordinal within the generation.
-struct HeartbeatMsg {
-  std::string worker;
-  std::uint64_t generation = 0;
-  std::uint64_t seq = 0;
-
-  bool operator==(const HeartbeatMsg&) const = default;
-  [[nodiscard]] Frame ToFrame() const;
-  static HeartbeatMsg Parse(const Frame& frame);
-};
-
-// Coordinator → workers: the registry view.  Broadcast on every change
-// (register, re-register, lease expiry).  `epoch` increments with each
-// change, so receivers can ignore stale views.
+// Coordinator → workers: the group view.  Broadcast on every change (a
+// new worker, or a known one announcing a new endpoint or role).  `epoch`
+// increments with each change, so receivers can ignore stale views from
+// the same coordinator.
 struct MembershipMsg {
   struct Entry {
     std::string worker;
     std::string endpoint;
     WireRole role = WireRole::kMap;
-    std::uint64_t generation = 0;
-    bool alive = true;
 
     bool operator==(const Entry&) const = default;
   };

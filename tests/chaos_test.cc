@@ -4,6 +4,9 @@
 // pull shuffle permits re-execution; eager pipelining forfeits it).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -172,20 +175,88 @@ TEST(ChaosTest, SlowNodeKeepsOutputExact) {
   EXPECT_EQ(chaos.rows, clean.rows);
 }
 
+// A per-user count over 20000 clicks whose timestamp field is the click's
+// index and whose padding changes every 1500 clicks, so the blocks hold very
+// different record counts.  Besides the outcome it reports, per listing
+// index, the first click its block holds and, per task id, the first click
+// that task mapped.
+struct UnevenOutcome {
+  RunOutcome run;
+  std::vector<std::uint64_t> first_click_of_block;
+  std::map<int, std::uint64_t> first_click_of_task;
+};
+
+UnevenOutcome RunUnevenPerUserCount(const PlatformOptions& popts,
+                                    const std::string& fault_plan) {
+  PlatformOptions with_plan = popts;
+  with_plan.fault_plan = fault_plan;
+  Platform platform(with_plan);
+  auto writer = platform.dfs().Create("clicks");
+  for (std::uint32_t i = 0; i < 20'000; ++i) {
+    writer->Append(std::to_string(i) + "\t" + UserKey(i % 1'000) + "\t/" +
+                   std::string(i / 1'500 % 4 * 100, 'x'));
+  }
+  writer->Close();
+  const auto click_index = [](Slice record) {
+    const std::string text(record.data(), record.size());
+    return std::stoull(text.substr(0, text.find('\t')));
+  };
+
+  UnevenOutcome out;
+  for (const BlockInfo& block : platform.dfs().ListBlocks("clicks")) {
+    Slice record;
+    auto reader = platform.dfs().OpenBlock(block);
+    EXPECT_TRUE(reader->Next(&record));
+    out.first_click_of_block.push_back(click_index(record));
+  }
+  std::mutex mu;
+  JobSpec spec = PerUserCountJob("clicks", "out", kReducers);
+  spec.map = [inner = spec.map, &mu, &out, click_index](
+                 Slice record, OutputCollector& collector) {
+    const std::uint64_t click = click_index(record);
+    {
+      std::scoped_lock lock(mu);
+      auto [it, fresh] = out.first_click_of_task.emplace(
+          FaultScope::Current().task, click);
+      if (!fresh) it->second = std::min(it->second, click);
+    }
+    inner(record, collector);
+  };
+  out.run.result = platform.Run(spec, HadoopOptions());
+  for (int r = 0; r < kReducers; ++r) {
+    const auto part = platform.ReadOutputFile("out.part" + std::to_string(r));
+    out.run.rows.insert(out.run.rows.end(), part.begin(), part.end());
+  }
+  return out;
+}
+
 TEST(ChaosTest, SamePlanInjectsIdenticallyAcrossRuns) {
   const auto popts = ChaosPlatform();
   // Rate draws keyed by (task, record) coordinates are scheduler-independent
   // (io rate faults are keyed by file names, which are not): a task id is
   // its block's listing index, so run b's single slot per node, whose
-  // claim order can differ, must draw the same faults.
+  // claim order can differ, must draw the same faults.  The blocks hold
+  // unequal record counts, so a task id naming another block would move
+  // the draws, and each run checks the task id to block mapping directly.
   const std::string plan = "seed=17;map_crash:rate=0.0005";
-  const auto a = RunPerUserCount(popts, plan, HadoopOptions());
+  const auto a = RunUnevenPerUserCount(popts, plan);
   PlatformOptions one_slot = popts;
   one_slot.map_slots_per_node = 1;
-  const auto b = RunPerUserCount(one_slot, plan, HadoopOptions());
-  EXPECT_EQ(a.result.Bytes(kFaultsInjected), b.result.Bytes(kFaultsInjected));
-  EXPECT_EQ(a.result.Bytes(kRetryMapTask), b.result.Bytes(kRetryMapTask));
-  EXPECT_EQ(a.rows, b.rows);
+  const auto b = RunUnevenPerUserCount(one_slot, plan);
+  for (const UnevenOutcome* run : {&a, &b}) {
+    ASSERT_GT(run->first_click_of_block.size(), 4u);
+    std::map<int, std::uint64_t> by_listing;
+    for (std::size_t i = 0; i < run->first_click_of_block.size(); ++i) {
+      by_listing[static_cast<int>(i)] = run->first_click_of_block[i];
+    }
+    EXPECT_EQ(run->first_click_of_task, by_listing);
+  }
+  EXPECT_GE(a.run.result.Bytes(kFaultsInjected), 1);
+  EXPECT_EQ(a.run.result.Bytes(kFaultsInjected),
+            b.run.result.Bytes(kFaultsInjected));
+  EXPECT_EQ(a.run.result.Bytes(kRetryMapTask),
+            b.run.result.Bytes(kRetryMapTask));
+  EXPECT_EQ(a.run.rows, b.run.rows);
 }
 
 }  // namespace

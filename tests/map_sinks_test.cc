@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <thread>
 
 #include "engine/shuffle_remote.h"
 #include "net/wire.h"
@@ -257,11 +261,27 @@ class RecordingTransport final : public net::Transport {
   };
 
   void Listen(net::FrameHandler) override {}
-  std::shared_ptr<net::Connection> Connect(net::FrameHandler) override {
+  std::shared_ptr<net::Connection> Connect(net::FrameHandler on_reply) override {
+    on_reply_ = std::move(on_reply);
     return std::make_shared<Conn>(this);
   }
   [[nodiscard]] std::string endpoint() const override { return "recording"; }
   void Shutdown() override {}
+  void SetOnPeerClosed(std::function<void()> on_closed) override {
+    on_peer_closed_ = std::move(on_closed);
+  }
+
+  // Plays the server: a reply frame, or closing the connection.
+  void Reply(const net::Frame& frame) { on_reply_(nullptr, frame); }
+  void ClosePeer() { on_peer_closed_(); }
+
+  [[nodiscard]] std::size_t ChunkCount() {
+    std::scoped_lock lock(mu_);
+    return static_cast<std::size_t>(
+        std::count_if(sent_.begin(), sent_.end(), [](const net::Frame& f) {
+          return f.type == net::FrameType::kChunk;
+        }));
+  }
 
   std::vector<net::Frame> TakeChunks() {
     std::scoped_lock lock(mu_);
@@ -276,6 +296,8 @@ class RecordingTransport final : public net::Transport {
  private:
   std::mutex mu_;
   std::vector<net::Frame> sent_;
+  net::FrameHandler on_reply_;
+  std::function<void()> on_peer_closed_;
 };
 
 TEST_F(MapSinksTest, ClientReplaysPushedChunksFromTheirPersistedCopy) {
@@ -326,6 +348,44 @@ TEST_F(MapSinksTest, ClientReplaysPushedChunksFromTheirPersistedCopy) {
     const auto msg = net::ChunkMsg::Parse(frame);
     EXPECT_EQ(msg.bytes, std::string(msg.bytes.size(), 'Z'));
   }
+}
+
+TEST_F(MapSinksTest, ClientFinishReplaysAtOnceWhenThePeerCloses) {
+  // A server that closes the connection with frames unacked (a reducer
+  // crash) wakes Finish's drain wait at once: the window is replayed well
+  // before the 2.5 s drain timeout, and the acks for the replay end it.
+  RecordingTransport transport;
+  ShuffleClient::Options options;
+  options.job = "peer-closed";
+  options.num_map_tasks = 1;
+  options.num_reducers = 1;
+  options.push_queue_chunks = 16;
+  ShuffleClient client(&transport, &metrics_, options);
+  PushSink sink(0, &files_, &metrics_, &client, 1, /*chunk=*/64);
+  for (int i = 0; i < 12; ++i) {
+    sink.AppendStreaming(0, "key" + std::to_string(i), "0123456789");
+  }
+  sink.Close();
+  const std::size_t sent = transport.TakeChunks().size();
+  ASSERT_GT(sent, 1u);
+
+  const auto start = std::chrono::steady_clock::now();
+  std::thread finisher([&client] { client.Finish(); });
+  transport.ClosePeer();
+  while (transport.ChunkCount() < sent &&
+         std::chrono::steady_clock::now() - start < std::chrono::seconds(5)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::chrono::duration<double> replayed_after =
+      std::chrono::steady_clock::now() - start;
+  ASSERT_EQ(transport.ChunkCount(), sent);
+  net::AckMsg ack;
+  ack.upto = sent;
+  transport.Reply(ack.ToFrame());
+  finisher.join();
+  EXPECT_LT(replayed_after.count(), 1.0);
+  EXPECT_EQ(client.UnackedFrames(), 0u);
+  EXPECT_EQ(metrics_.Value(kShuffleAckReplays), 1);
 }
 
 }  // namespace

@@ -75,7 +75,7 @@ std::vector<Sample> Samples() {
   hello.worker = "r-0";
   hello.auth = std::string("s\0t", 3);
   rows.push_back(Row("hello", hello,
-                     "010a000000030000006a6f62070000000300000003000000722d30"
+                     "010b000000030000006a6f62070000000300000003000000722d30"
                      "03000000730074"));
 
   ChunkMsg chunk;
@@ -163,21 +163,13 @@ std::vector<Sample> Samples() {
   rows.push_back(Row("register", reg,
                      "0a030000006d2d3104000000683a39310103000000730074"));
 
-  HeartbeatMsg hb;
-  hb.worker = "m-1";
-  hb.generation = 3;
-  hb.seq = 99;
-  rows.push_back(Row("heartbeat", hb,
-                     "0b030000006d2d3103000000000000006300000000000000"));
-
   MembershipMsg view;
   view.epoch = 12;
-  view.entries.push_back({"m-0", "-", WireRole::kMap, 1, true});
-  view.entries.push_back({"r-0", "h:4", WireRole::kReduce, 2, false});
+  view.entries.push_back({"m-0", "-", WireRole::kMap});
+  view.entries.push_back({"r-0", "h:4", WireRole::kReduce});
   rows.push_back(Row("membership", view,
-                     "0c0c0000000000000002000000030000006d2d30010000002d0001"
-                     "000000000000000103000000722d3003000000683a340102000000"
-                     "0000000000"));
+                     "0c0c0000000000000002000000030000006d2d30010000002d0003"
+                     "000000722d3003000000683a3401"));
 
   // Default: no entries.
   rows.push_back(Row("membership_default", MembershipMsg{},
@@ -241,7 +233,7 @@ TEST(NetFrame, EveryMessageTypeRoundTrips) {
     EXPECT_EQ(Hex(typed), row.golden);
     EXPECT_TRUE(row.parses_to_message(DecodeOne(EncodeFrame(row.frame))));
   }
-  EXPECT_EQ(covered.size(), 17u) << "every message type has a sample";
+  EXPECT_EQ(covered.size(), 16u) << "every message type has a sample";
 }
 
 TEST(NetFrame, EveryPayloadPrefixAndOverrunIsWireError) {
@@ -259,7 +251,7 @@ TEST(NetFrame, EveryPayloadPrefixAndOverrunIsWireError) {
 }
 
 TEST(NetFrame, HelloFromAnotherProtocolVersionIsWireError) {
-  for (const std::uint32_t version : {7u, 8u, 9u}) {
+  for (const std::uint32_t version : {7u, 8u, 9u, 10u}) {
     HelloMsg hello;
     hello.version = version;
     try {
@@ -297,18 +289,11 @@ TEST(NetFrame, CoordinationMessagesRoundTrip) {
   reg.auth = std::string("shared secret\0with nul", 22);
   EXPECT_TRUE(RoundTrips(reg));
 
-  HeartbeatMsg hb;
-  hb.worker = "map-1";
-  hb.generation = 3;
-  hb.seq = 99;
-  EXPECT_TRUE(RoundTrips(hb));
-
   MembershipMsg view;
   view.epoch = 12;
-  view.entries.push_back({"map-0", "-", WireRole::kMap, 1, true});
-  view.entries.push_back({"map-1", "-", WireRole::kMap, 4, false});
-  view.entries.push_back({"reduce-0", "127.0.0.1:40001", WireRole::kReduce,
-                          2, true});
+  view.entries.push_back({"map-0", "-", WireRole::kMap});
+  view.entries.push_back({"map-1", "-", WireRole::kMap});
+  view.entries.push_back({"reduce-0", "127.0.0.1:40001", WireRole::kReduce});
   EXPECT_TRUE(RoundTrips(view));
 }
 
@@ -316,14 +301,14 @@ TEST(NetFrame, CoordinationFrameEveryTruncationIsNeedMore) {
   std::vector<std::string> wires;
   MembershipMsg view;
   view.epoch = 7;
-  view.entries.push_back({"map-0", "host-a:1", WireRole::kMap, 1, true});
-  view.entries.push_back({"reduce-0", "host-b:2", WireRole::kReduce, 2, true});
+  view.entries.push_back({"map-0", "host-a:1", WireRole::kMap});
+  view.entries.push_back({"reduce-0", "host-b:2", WireRole::kReduce});
   wires.push_back(EncodeFrame(view.ToFrame()));
-  HeartbeatMsg hb;
-  hb.worker = "map-0";
-  hb.generation = 2;
-  hb.seq = 17;
-  wires.push_back(EncodeFrame(hb.ToFrame()));
+  RegisterMsg reg;
+  reg.worker = "map-0";
+  reg.endpoint = "host-a:1";
+  reg.auth = "secret";
+  wires.push_back(EncodeFrame(reg.ToFrame()));
   for (const std::string& wire : wires) {
     for (std::size_t cut = 0; cut < wire.size(); ++cut) {
       FrameDecoder decoder;
@@ -345,14 +330,9 @@ TEST(NetFrame, CoordinationFrameEverySingleBitFlipIsDetected) {
   reg.endpoint = "10.1.2.3:4567";
   reg.auth = "secret";
   wires.push_back(EncodeFrame(reg.ToFrame()));
-  HeartbeatMsg hb;
-  hb.worker = "map-0";
-  hb.generation = 2;
-  hb.seq = 17;
-  wires.push_back(EncodeFrame(hb.ToFrame()));
   MembershipMsg view;
   view.epoch = 3;
-  view.entries.push_back({"map-0", "10.1.2.3:4567", WireRole::kMap, 2, true});
+  view.entries.push_back({"map-0", "10.1.2.3:4567", WireRole::kMap});
   wires.push_back(EncodeFrame(view.ToFrame()));
   AckMsg ack;
   ack.upto = 41;
@@ -387,7 +367,7 @@ TEST(NetFrame, CoordinationPayloadSemanticCorruptionIsWireError) {
                WireError);
 
   MembershipMsg view;
-  view.entries.push_back({"w", "e:1", WireRole::kMap, 1, true});
+  view.entries.push_back({"w", "e:1", WireRole::kMap});
   Frame padded = view.ToFrame();
   padded.payload += "junk";
   EXPECT_THROW((void)MembershipMsg::Parse(DecodeOne(EncodeFrame(padded))),
@@ -743,10 +723,11 @@ TEST(NetFrame, ConstantTimeEqualsMatchesOnlyExactSecrets) {
 }
 
 TEST(NetFrame, UnknownTypeByteIsBadType) {
-  // 0x63 is far outside the known range; 18-22 were the coordinator
-  // replication frames, 23 and 24 the XOR multicast shuffle frames and 25
-  // and 26 the block frames, all removed.
-  for (const std::uint8_t type : {0x63, 18, 19, 20, 21, 22, 23, 24, 25, 26}) {
+  // 0x63 is far outside the known range; 11 was the coordinator heartbeat,
+  // 18-22 the coordinator replication frames, 23 and 24 the XOR multicast
+  // shuffle frames and 25 and 26 the block frames, all removed.
+  for (const std::uint8_t type :
+       {0x63, 11, 18, 19, 20, 21, 22, 23, 24, 25, 26}) {
     MapDoneMsg msg;
     std::string wire = EncodeFrame(msg.ToFrame());
     wire[4] = static_cast<char>(type);

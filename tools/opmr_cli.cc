@@ -45,17 +45,15 @@
 //       sorted output; verifies and reports the order.
 //
 //   opmr_cli coordinator listen=<host:port> [secret=S] [map-workers=N]
-//                  [reduce-workers=N] [lease-ms=MS] [wait=SECONDS]
-//       Cluster mode, membership endpoint: binds <host:port>, serves
-//       Register/Heartbeat frames from joining workers (authenticated
-//       against `secret` when set), broadcasts the Membership view, and
-//       marks a worker dead after lease-ms without a heartbeat.  Waits
-//       for the expected worker counts, prints the roster and every
-//       worker that re-registers after its lease expired, and exits once
-//       all workers have departed.  The coordinator is not on the data
-//       path: a job whose map workers have found their reducer finishes,
-//       with the same output, if the coordinator dies (kill -9 it and
-//       watch).
+//                  [reduce-workers=N] [wait=SECONDS]
+//       Cluster mode, rendezvous endpoint: binds <host:port>, takes the
+//       Register announces of joining workers (authenticated against
+//       `secret` when set) and broadcasts the Membership view, which is
+//       where map workers find their reducer.  Exits 0 once the expected
+//       worker counts have registered and the view completing the group
+//       has gone out, printing the roster.  The coordinator is not on the
+//       data path: the job runs to the end without it (kill -9 it early
+//       and watch).
 //
 //   opmr_cli worker join=<host:port> id=<worker>
 //                  role=map|reduce [secret=S]
@@ -1032,8 +1030,6 @@ int CmdCoordinator(const Config& cfg) {
       static_cast<int>(GetCheckedInt(cfg, "map-workers", 1, /*min_value=*/0));
   const int want_reduces = static_cast<int>(
       GetCheckedInt(cfg, "reduce-workers", 1, /*min_value=*/0));
-  const double lease_s =
-      static_cast<double>(GetCheckedInt(cfg, "lease-ms", 2000, 1)) / 1e3;
   const double wait_s =
       static_cast<double>(GetCheckedInt(cfg, "wait", 120, /*min_value=*/1));
   const auto secret = cfg.GetString("secret", "");
@@ -1048,15 +1044,9 @@ int CmdCoordinator(const Config& cfg) {
 
   coord::Coordinator::Options copts;
   copts.secret = secret;
-  copts.lease_s = lease_s;
-  copts.on_worker_returned = [](const std::string& id) {
-    std::printf("coordinator: worker '%s' returned (re-registered after "
-                "its lease expired)\n", id.c_str());
-    std::fflush(stdout);
-  };
   coord::Coordinator coordinator(&transport, &metrics, copts);
-  std::printf("coordinator: listening on %s (lease %.1fs, auth %s)\n",
-              transport.endpoint().c_str(), lease_s,
+  std::printf("coordinator: listening on %s (auth %s)\n",
+              transport.endpoint().c_str(),
               copts.secret.empty() ? "off" : "on");
   std::fflush(stdout);
 
@@ -1069,44 +1059,22 @@ int CmdCoordinator(const Config& cfg) {
     std::fprintf(stderr,
                  "coordinator: timed out after %.0fs waiting for %d map + "
                  "%d reduce workers\n", wait_s, want_maps, want_reduces);
+    transport.Shutdown();
     return 1;
   }
-  const auto roster = coordinator.registry().Snapshot();
+  // WaitForWorkers returns only after the view completing the group went
+  // out, so every worker already holds the reducer's endpoint.
+  const auto roster = coordinator.Snapshot();
+  transport.Shutdown();
   std::printf("coordinator: group complete (epoch %llu):\n",
               static_cast<unsigned long long>(roster.epoch));
   for (const auto& e : roster.entries) {
-    std::printf("  %-12s %-6s gen %llu  %s\n", e.worker.c_str(),
+    std::printf("  %-12s %-6s %s\n", e.worker.c_str(),
                 e.role == net::WireRole::kMap ? "map" : "reduce",
-                static_cast<unsigned long long>(e.generation),
                 e.endpoint.c_str());
   }
-  std::fflush(stdout);
-
-  // Serve membership until every worker has stopped heartbeating and aged
-  // out of the registry (normal completion), bounded by the same wait.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(wait_s);
-  while (coordinator.registry().LiveCount(net::WireRole::kMap) > 0 ||
-         coordinator.registry().LiveCount(net::WireRole::kReduce) > 0) {
-    if (std::chrono::steady_clock::now() >= deadline) {
-      std::fprintf(stderr, "coordinator: %zu worker(s) still registered "
-                   "after %.0fs; giving up\n",
-                   coordinator.registry().LiveCount(net::WireRole::kMap) +
-                       coordinator.registry().LiveCount(net::WireRole::kReduce),
-                   wait_s);
-      return 1;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  coordinator.Stop();
-  transport.Shutdown();
-  std::printf("coordinator: all workers departed | %lld registers, %lld "
-              "heartbeats, %lld lease expirations, %lld returned, %lld "
-              "auth failures\n",
+  std::printf("coordinator: done | %lld registers, %lld auth failures\n",
               static_cast<long long>(metrics.Value("coord.registers")),
-              static_cast<long long>(metrics.Value("coord.heartbeats")),
-              static_cast<long long>(metrics.Value("coord.expirations")),
-              static_cast<long long>(metrics.Value("coord.workers_returned")),
               static_cast<long long>(metrics.Value("coord.auth_failures")));
   return 0;
 }
@@ -1159,7 +1127,7 @@ int CmdWorker(const Config& cfg) {
     std::printf("worker '%s': fault plan: %s\n", id.c_str(),
                 platform.fault_injector()->plan().ToString().c_str());
     // Run() scopes the net fault hook to the job; install it here too so
-    // coordination traffic (Register/Heartbeat) outside Run() is gated.
+    // coordination traffic (Register) outside Run() is gated.
     net::SetNetFaultHook(platform.fault_injector());
   }
 
@@ -1181,10 +1149,8 @@ int CmdWorker(const Config& cfg) {
     mopts.secret = secret;
     coord::CoordClient member(&platform.metrics(), mopts);
     member.Join(join_timeout);
-    std::printf("worker '%s': joined %s as reduce group (gen %llu), "
-                "shuffle at %s\n", id.c_str(), join.c_str(),
-                static_cast<unsigned long long>(member.generation()),
-                shuffle_server.endpoint().c_str());
+    std::printf("worker '%s': joined %s as reduce group, shuffle at %s\n",
+                id.c_str(), join.c_str(), shuffle_server.endpoint().c_str());
     std::fflush(stdout);
 
     platform.executor().set_cluster_identity(id, secret);
@@ -1220,25 +1186,17 @@ int CmdWorker(const Config& cfg) {
           "membership view within " + std::to_string(join_timeout) + "s");
     }
     const std::string shuffle_endpoint = reduce_live.front().endpoint;
-    std::printf("worker '%s': joined %s as map partition %d/%d (gen %llu) "
-                "-> shuffle at %s\n", id.c_str(), join.c_str(), index, count,
-                static_cast<unsigned long long>(member.generation()),
+    std::printf("worker '%s': joined %s as map partition %d/%d -> shuffle "
+                "at %s\n", id.c_str(), join.c_str(), index, count,
                 shuffle_endpoint.c_str());
     std::fflush(stdout);
 
     net::TcpTransport transport(&platform.metrics(), shuffle_endpoint);
     platform.executor().set_cluster_identity(id, secret);
     platform.executor().set_map_partition(index, count);
-    platform.executor().set_coord_client(&member);
-    try {
-      const auto result =
-          platform.RunMapGroup(spec, options, &transport, shared_fs);
-      PrintJobReport(result);
-    } catch (...) {
-      platform.executor().set_coord_client(nullptr);
-      throw;
-    }
-    platform.executor().set_coord_client(nullptr);
+    const auto result =
+        platform.RunMapGroup(spec, options, &transport, shared_fs);
+    PrintJobReport(result);
     member.Stop();
   }
   net::SetNetFaultHook(nullptr);
